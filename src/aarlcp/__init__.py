@@ -36,7 +36,6 @@ from .milp import (
     MilpModel,
     MilpRow,
     NodeLpBuilder,
-    NodeState,
     ParsedLp,
     SolveOptions,
     SolveReport,
@@ -44,12 +43,11 @@ from .milp import (
     UNFIXED,
     bnb_solve,
     build_milp,
-    build_node_lp,
     default_big_m,
     export_milp,
     parse_lp_text,
 )
-from .mixed import MixedPolicy, build_mixed_node_lp, mixed_solve, verify_mixed
+from .mixed import mixed_solve, verify_mixed
 from .psd import (
     PsdReport,
     PsdStatus,
@@ -77,10 +75,8 @@ __all__ = [
     "MilpModel",
     "MilpRow",
     "MixedExtension",
-    "MixedPolicy",
     "NodeLimitExceeded",
     "NodeLpBuilder",
-    "NodeState",
     "NotCompact",
     "NotPsd",
     "NumericalFailure",
@@ -98,8 +94,6 @@ __all__ = [
     "VerifyReport",
     "bnb_solve",
     "build_milp",
-    "build_mixed_node_lp",
-    "build_node_lp",
     "certify_affine",
     "check_psd",
     "compute_lin_hull",

@@ -23,7 +23,7 @@ import numpy as np
 
 from .core import EPS_ZERO, Instance, MixedExtension, Policy, validate
 from .errors import AarlcpError, NodeLimitExceeded, NumericalFailure
-from .linhull import compute_lin_hull
+from .linhull import compute_lin_hull, hull_from_equalities
 from .milp import (
     SolveOptions,
     SolveStatus,
@@ -107,7 +107,7 @@ def _policy_payload(status: str, policy, nodes: int, lp_calls: int, tolerances) 
         payload["x"] = [int(v) for v in policy.x]
         payload["r"] = [float(v) for v in policy.r]
         payload["D"] = [[float(v) for v in row] for row in policy.D]
-        if getattr(policy, "E", None) is not None:
+        if policy.E is not None:
             payload["E"] = [[float(v) for v in row] for row in policy.E]
             payload["s"] = [float(v) for v in policy.s]
     payload["diagnostics"] = {
@@ -191,7 +191,7 @@ def cmd_solve(args) -> int:
         raise ValueError(
             "the uncertainty set fails validation; run the validate command"
         )
-    basis = compute_lin_hull(inst, args.tol)
+    basis = hull_from_equalities(inst, vreport.implicit_equality_rows, args.tol)
 
     use_psd = False
     if args.psd == "force":
@@ -358,7 +358,10 @@ def build_parser() -> argparse.ArgumentParser:
         "--node-limit",
         type=int,
         default=None,
-        help="node budget (default: 2^min(n+1, 21), enough to exhaust the tree)",
+        help=(
+            "node budget (default: 2^min(n+1, 21), enough to exhaust the tree"
+            " for n <= 20)"
+        ),
     )
     p.add_argument(
         "--branching",

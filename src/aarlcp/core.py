@@ -327,6 +327,29 @@ def uncertainty_lp(Theta: np.ndarray, zeta: np.ndarray, objective) -> lp.LpModel
     return model
 
 
+def implicit_equalities(
+    Theta: np.ndarray, zeta: np.ndarray, tol: float = 1e-8
+) -> tuple[list[int], list[int]]:
+    """Rows of {u : Theta u >= zeta} that are tight on the whole set.
+
+    One maximization per row; a row is tight everywhere exactly when its
+    maximum equals its right-hand side, tested relative to the magnitude of
+    that side.  Returns the tight rows and the rows whose maximum is
+    unbounded; raises EmptyUncertaintySet when the set has no points.
+    """
+    tight: list[int] = []
+    unbounded: list[int] = []
+    for j in range(Theta.shape[0]):
+        res = lp.lp_solve(uncertainty_lp(Theta, zeta, Theta[j]), tol)
+        if res.status is lp.LpStatus.INFEASIBLE:
+            raise EmptyUncertaintySet("the uncertainty set is empty")
+        if res.status is lp.LpStatus.UNBOUNDED:
+            unbounded.append(j)
+        elif abs(res.value - zeta[j]) <= tol * max(1.0, abs(zeta[j])):
+            tight.append(j)
+    return tight, unbounded
+
+
 @dataclass(frozen=True)
 class ValidationReport:
     """Outcome of the standing-assumption checks on an instance."""
@@ -347,8 +370,8 @@ def validate(inst: Instance, tol: float = 1e-8) -> ValidationReport:
     its relative interior, and the column rank of the channel.
 
     Implicit equality rows are those whose inequality is tight on the whole
-    set; each is found by one maximization per row.  Raises
-    EmptyUncertaintySet when the set has no points at all.
+    set (see implicit_equalities).  Raises EmptyUncertaintySet when the set
+    has no points at all.
     """
     Theta, zeta = inst.Theta, inst.zeta
     g, k = Theta.shape
@@ -366,14 +389,7 @@ def validate(inst: Instance, tol: float = 1e-8) -> ValidationReport:
             if res.status is lp.LpStatus.UNBOUNDED:
                 compact = False
 
-    eq_rows = []
-    for j in range(g):
-        res = lp.lp_solve(uncertainty_lp(Theta, zeta, Theta[j]), tol)
-        if res.status is lp.LpStatus.OPTIMAL and abs(res.value - zeta[j]) <= tol * max(
-            1.0, abs(zeta[j])
-        ):
-            eq_rows.append(j)
-
+    eq_rows, _ = implicit_equalities(Theta, zeta, tol)
     eqset = frozenset(eq_rows)
     relint = all(abs(zeta[j]) <= tol for j in eq_rows) and all(
         zeta[j] < -tol for j in range(g) if j not in eqset

@@ -13,9 +13,8 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from . import lp
-from .core import Instance, rref_kernel_basis, uncertainty_lp
-from .errors import EmptyUncertaintySet, NotCompact, RelintViolation
+from .core import Instance, implicit_equalities, rref_kernel_basis
+from .errors import NotCompact, RelintViolation
 
 
 @dataclass(frozen=True, eq=False)
@@ -42,27 +41,28 @@ def compute_lin_hull(inst: Instance, tol: float = 1e-8) -> LinHullBasis:
     then return a kernel basis of the equality part.
 
     Expects a validated instance (compact set, origin in the relative
-    interior).  One maximization per row; a row is tight everywhere exactly
-    when its maximum equals its right-hand side, tested relative to the
-    magnitude of that side.
+    interior).  The split is the one pass of core.implicit_equalities.
     """
     Theta, zeta = inst.Theta, inst.zeta
-    g, k = Theta.shape
-    eq_rows: list[int] = []
-    for j in range(g):
-        res = lp.lp_solve(uncertainty_lp(Theta, zeta, Theta[j]), tol)
-        if res.status is lp.LpStatus.UNBOUNDED:
+    tight, unbounded = implicit_equalities(Theta, zeta, tol)
+    for j in range(inst.g):  # the first offending row decides the error
+        if j in unbounded:
             raise NotCompact(f"direction of row {j} is unbounded over the set")
-        if res.status is lp.LpStatus.INFEASIBLE:
-            raise EmptyUncertaintySet("the uncertainty set is empty")
-        if abs(res.value - zeta[j]) <= tol * max(1.0, abs(zeta[j])):
-            if abs(zeta[j]) > tol:
-                raise RelintViolation(
-                    f"row {j} is tight everywhere with nonzero right-hand side"
-                )
-            eq_rows.append(j)
+        if j in tight and abs(zeta[j]) > tol:
+            raise RelintViolation(
+                f"row {j} is tight everywhere with nonzero right-hand side"
+            )
+    return hull_from_equalities(inst, tight, tol)
 
-    phi = Theta[eq_rows] if eq_rows else np.zeros((0, k))
+
+def hull_from_equalities(inst: Instance, eq_rows, tol: float = 1e-8) -> LinHullBasis:
+    """Hull basis from known implicit-equality rows, with no LP.
+
+    eq_rows come from core.implicit_equalities, directly or through the
+    implicit_equality_rows of a validation report that passed.
+    """
+    eq_rows = sorted(eq_rows)
+    phi = inst.Theta[eq_rows] if eq_rows else np.zeros((0, inst.k))
     raw = rref_kernel_basis(phi, tol)
     vectors = []
     for v in raw:
@@ -74,5 +74,5 @@ def compute_lin_hull(inst: Instance, tol: float = 1e-8) -> LinHullBasis:
     return LinHullBasis(
         vectors=tuple(vectors),
         phi=phi,
-        inequality_rows=frozenset(range(g)) - frozenset(eq_rows),
+        inequality_rows=frozenset(range(inst.g)) - frozenset(eq_rows),
     )

@@ -2,21 +2,27 @@
 
 The search for an affine rule is driven by a support vector x in {0,1}^n:
 row i is tight (x_i = 1, nominal value free to be positive) or off
-(x_i = 0, nominal value pinned to zero).  Internally no big-M rows exist;
-each tree node solves an LP with the always-valid nonnegativity machinery
-plus exact indicator rows for the already-fixed entries.  The big-M form is
-produced only by the export path, for hand-off to external integer
-programming tools.
+(x_i = 0, nominal value pinned to zero).
 
-Node LP row families, shared with the oracle and the fast path:
+Every row family of the reformulation is declared once, by a generator of
+tagged rows in :class:`Formulation`, and rendered two ways.  Node LPs
+(:class:`NodeLpBuilder`) keep the always-valid rows and add exact indicator
+rows for the already-fixed entries; no big-M rows exist there.  The export
+(:func:`build_milp`) relaxes each indicator row by a big-M multiple of its
+binary, for hand-off to external integer programming tools; it covers pure
+and mixed instances alike.
+
+Row families:
 
 * z_dual_value / z_dual_match: a nonnegative multiplier per set row
   certifies that the decision rule stays nonnegative on the whole set.
 * w_dual_value / w_dual_match: the same certificate for the slack rule.
 * here_and_now: the first h decision rows do not react to the uncertainty.
 * mixed_nominal / mixed_direction: equality coupling of the free block.
-* indicator rows: x_i = 1 pins the slack rule of row i to zero along the
-  hull; x_i = 0 pins r_i to zero.
+* mixed_pin: a pinned free block does not react to the uncertainty.
+* indicator rows: x_i = 1 pins the slack rule of row i to zero at the
+  nominal point (nominal_comp) and along the hull (direction_comp);
+  x_i = 0 pins r_i to zero (support_link).
 """
 
 from __future__ import annotations
@@ -24,6 +30,7 @@ from __future__ import annotations
 import threading
 from dataclasses import dataclass, field
 from enum import Enum
+from functools import cached_property
 
 import numpy as np
 
@@ -43,7 +50,9 @@ TAG_W_DUAL_MATCH = "w_dual_match"
 TAG_HERE_AND_NOW = "here_and_now"
 TAG_MIXED_NOMINAL = "mixed_nominal"
 TAG_MIXED_DIRECTION = "mixed_direction"
+TAG_MIXED_PIN = "mixed_pin"
 
+# Also the row order of the export.
 ALL_TAGS = (
     TAG_SUPPORT_LINK,
     TAG_NOMINAL_COMP,
@@ -55,6 +64,7 @@ ALL_TAGS = (
     TAG_HERE_AND_NOW,
     TAG_MIXED_NOMINAL,
     TAG_MIXED_DIRECTION,
+    TAG_MIXED_PIN,
 )
 
 UNFIXED = -1
@@ -64,17 +74,6 @@ class SolveStatus(Enum):
     FEASIBLE = "feasible"
     INFEASIBLE = "infeasible"
     NUMERICAL_FAILURE = "numerical_failure"
-
-
-@dataclass(frozen=True)
-class NodeState:
-    """Partial support assignment: per index one of 1, 0, or UNFIXED."""
-
-    fixed: tuple[int, ...]
-
-    @property
-    def depth(self) -> int:
-        return sum(1 for f in self.fixed if f != UNFIXED)
 
 
 @dataclass
@@ -90,7 +89,7 @@ class SolveOptions:
 @dataclass(eq=False)
 class SolveReport:
     status: SolveStatus
-    policy: object | None = None
+    policy: Policy | None = None
     nodes_explored: int = 0
     lp_calls: int = 0
     verification: VerifyReport | None = None
@@ -99,15 +98,172 @@ class SolveReport:
 
 
 def _normalize_fixed(node, n: int) -> tuple[int, ...]:
-    if isinstance(node, NodeState):
-        fixed = node.fixed
-    else:
-        fixed = tuple(int(f) for f in node)
+    fixed = tuple(int(f) for f in node)
     if len(fixed) != n:
         raise DimensionMismatch(f"fixed vector must have length {n}")
     if any(f not in (UNFIXED, 0, 1) for f in fixed):
         raise ValueError("fixed entries must be 1, 0, or UNFIXED")
     return fixed
+
+
+@dataclass(eq=False)
+class FormRow:
+    """One row of the reformulation: terms, relation, right-hand side.
+
+    terms holds (columns, coefficients) blocks in the order the export
+    writes them.  when is the indicator (i, value) under which the row
+    holds, or None for a row that always holds.  An indicator row is an
+    equation; the export splits it into a "<=" and a ">=" half, writing u
+    or l where its name has "{}", and lower says how the ">=" half goes
+    out: relaxed by the big-M constant ("bigm"), as is because every policy
+    meets it ("plain"), or not at all because it is a variable bound
+    ("bound").
+    """
+
+    tag: str
+    name: str
+    terms: tuple
+    rel: str
+    rhs: float
+    when: tuple[int, int] | None = None
+    lower: str = "bigm"
+
+
+class Formulation:
+    """Column layout and row families of the reformulation of one instance.
+
+    Columns, in order: D (n x k, row-major), r (n), the multipliers A of
+    the decision rows (g per row), the multipliers C of the slack rows, and
+    for a free block s (m) and E (m x k).  D, s and E are free, the rest
+    nonnegative.  Each family is the method named after its tag.
+    """
+
+    def __init__(self, inst: Instance, basis: LinHullBasis):
+        self.inst = inst
+        self.vectors = basis.vectors
+        n, k, g = inst.n, inst.k, inst.g
+        m = inst.mixed.m if inst.mixed is not None else 0
+        self.N = inst.mixed.N if inst.mixed is not None else np.zeros((n, 0))
+        start = np.cumsum([0, n * k, n, g * n, g * n, m, m * k])
+        self.D = np.arange(start[0], start[1]).reshape(n, k)
+        self.r = np.arange(start[1], start[2])
+        self.A = np.arange(start[2], start[3]).reshape(n, g)
+        self.C = np.arange(start[3], start[4]).reshape(n, g)
+        self.s = np.arange(start[4], start[5])
+        self.E = np.arange(start[5], start[6]).reshape(m, k)
+        self.total = int(start[-1])
+        self.free = np.concatenate([self.D.ravel(), self.s, self.E.ravel()])
+
+    @cached_property
+    def names(self) -> list[str]:
+        """Export name of every column."""
+        n, k, g, m = self.inst.n, self.inst.k, self.inst.g, len(self.s)
+        return (
+            [f"D{i + 1}_{c + 1}" for i in range(n) for c in range(k)]
+            + [f"r{i + 1}" for i in range(n)]
+            + [f"{v}{j + 1}_{i + 1}" for v in "AC" for i in range(n) for j in range(g)]
+            + [f"s{a + 1}" for a in range(m)]
+            + [f"E{a + 1}_{c + 1}" for a in range(m) for c in range(k)]
+        )
+
+    def rows(self, *tags):
+        """The rows of the given families, family by family."""
+        for tag in tags:
+            yield from getattr(self, tag)()
+
+    def dense(self, row: FormRow) -> np.ndarray:
+        out = np.zeros(self.total)
+        for cols, vals in row.terms:
+            out[cols] = vals
+        return out
+
+    def z_dual_value(self):
+        zeta = self.inst.zeta
+        for i in range(self.inst.n):
+            terms = ((self.A[i], zeta), (self.r[i], 1.0))
+            yield FormRow(TAG_Z_DUAL_VALUE, f"zv{i + 1}", terms, lp.GE, 0.0)
+
+    def z_dual_match(self):
+        Theta = self.inst.Theta
+        for i in range(self.inst.n):
+            for c in range(self.inst.k):
+                terms = ((self.A[i], Theta[:, c]), (self.D[i, c], -1.0))
+                yield FormRow(TAG_Z_DUAL_MATCH, f"zm{i + 1}_{c + 1}", terms, lp.EQ, 0.0)
+
+    def w_dual_value(self):
+        inst = self.inst
+        for i in range(inst.n):
+            terms = ((self.C[i], inst.zeta), (self.r, inst.M[i]), (self.s, self.N[i]))
+            yield FormRow(TAG_W_DUAL_VALUE, f"wv{i + 1}", terms, lp.GE, -inst.q[i])
+
+    def w_dual_match(self):
+        inst = self.inst
+        for i in range(inst.n):
+            for c in range(inst.k):
+                terms = (
+                    (self.C[i], inst.Theta[:, c]),
+                    (self.D[:, c], -inst.M[i]),
+                    (self.E[:, c], -self.N[i]),
+                )
+                name = f"wm{i + 1}_{c + 1}"
+                yield FormRow(TAG_W_DUAL_MATCH, name, terms, lp.EQ, inst.T[i, c])
+
+    def here_and_now(self):
+        for i in range(self.inst.h):
+            for c in range(self.inst.k):
+                terms = ((self.D[i, c], 1.0),)
+                yield FormRow(TAG_HERE_AND_NOW, f"hn{i + 1}_{c + 1}", terms, lp.EQ, 0.0)
+
+    def mixed_nominal(self):
+        mx = self.inst.mixed
+        for a in range(len(self.s)):
+            terms = ((self.r, mx.V[a]), (self.s, mx.W[a]))
+            yield FormRow(TAG_MIXED_NOMINAL, f"mn{a + 1}", terms, lp.EQ, -mx.p[a])
+
+    def mixed_direction(self):
+        mx = self.inst.mixed
+        for j, v in enumerate(self.vectors):
+            for a in range(len(self.s)):
+                terms = ((self.D, np.outer(mx.V[a], v)), (self.E, np.outer(mx.W[a], v)))
+                rhs = -float(mx.P[a] @ v)
+                name = f"md{a + 1}_{j + 1}"
+                yield FormRow(TAG_MIXED_DIRECTION, name, terms, lp.EQ, rhs)
+
+    def mixed_pin(self):
+        if self.inst.mixed is None or self.inst.mixed.y_adjustable:
+            return
+        for a, c in np.ndindex(self.E.shape):
+            terms = ((self.E[a, c], 1.0),)
+            yield FormRow(TAG_MIXED_PIN, f"mp{a + 1}_{c + 1}", terms, lp.EQ, 0.0)
+
+    def nominal_comp(self):
+        # the ">=" half says the slack is nonnegative at the nominal point,
+        # which the w_dual_value rows already imply
+        inst = self.inst
+        for i in range(inst.n):
+            terms = ((self.r, inst.M[i]), (self.s, self.N[i]))
+            name = f"nc{{}}{i + 1}"
+            yield FormRow(
+                TAG_NOMINAL_COMP, name, terms, lp.EQ, -inst.q[i], (i, 1), "plain"
+            )
+
+    def direction_comp(self):
+        inst = self.inst
+        for i in range(inst.n):
+            for j, v in enumerate(self.vectors):
+                terms = (
+                    (self.D, np.outer(inst.M[i], v)),
+                    (self.E, np.outer(self.N[i], v)),
+                )
+                rhs = -float(inst.T[i] @ v)
+                name = f"dc{{}}{i + 1}_{j + 1}"
+                yield FormRow(TAG_DIRECTION_COMP, name, terms, lp.EQ, rhs, (i, 1))
+
+    def support_link(self):
+        for i in range(self.inst.n):
+            terms = ((self.r[i], 1.0),)
+            name = f"sl{i + 1}"
+            yield FormRow(TAG_SUPPORT_LINK, name, terms, lp.EQ, 0.0, (i, 0), "bound")
 
 
 class NodeLpBuilder:
@@ -120,148 +276,39 @@ class NodeLpBuilder:
 
     def __init__(self, inst: Instance, basis: LinHullBasis):
         self.inst = inst
-        self.basis = basis
-        n, k, g = inst.n, inst.k, inst.g
-        mixed = inst.mixed
-        m = mixed.m if mixed is not None else 0
-        self.n, self.k, self.g, self.m = n, k, g, m
+        form = self.form = Formulation(inst, basis)
+        self.n, self.total = inst.n, form.total
 
-        self._d0 = 0
-        self._r0 = n * k
-        self._a0 = self._r0 + n
-        self._c0 = self._a0 + g * n
-        self._s0 = self._c0 + g * n
-        self._e0 = self._s0 + m
-        self.total = self._e0 + m * k
-
-        lower = np.zeros(self.total)
-        upper = np.full(self.total, np.inf)
-        lower[: self._r0] = -np.inf  # D rows react both ways
-        if m:
-            lower[self._s0 :] = -np.inf
-        self._lower = lower
-        self._upper = upper
-        self._lower.setflags(write=False)
-        self._upper.setflags(write=False)
+        self._lower = np.zeros(self.total)
+        self._lower[form.free] = -np.inf
+        self._upper = np.full(self.total, np.inf)
         self._objective = np.zeros(self.total)
-        self._objective.setflags(write=False)
+        for arr in (self._lower, self._upper, self._objective):
+            arr.setflags(write=False)
 
-        vectors = basis.vectors
-        M, q, T = inst.M, inst.q, inst.T
-        Theta, zeta = inst.Theta, inst.zeta
-        N = mixed.N if mixed is not None else None
+        def render(*tags):
+            return [(form.dense(row), row.rel, row.rhs) for row in form.rows(*tags)]
 
-        static: list[tuple[np.ndarray, str, float]] = []
-        eq_static: list[tuple[np.ndarray, str, float]] = []
+        self._eq_static = render(
+            TAG_HERE_AND_NOW, TAG_MIXED_NOMINAL, TAG_MIXED_DIRECTION, TAG_MIXED_PIN
+        )
+        self._static = (
+            render(
+                TAG_Z_DUAL_VALUE, TAG_Z_DUAL_MATCH, TAG_W_DUAL_VALUE, TAG_W_DUAL_MATCH
+            )
+            + self._eq_static
+        )
+        # Exact indicator rows, cached per (index, value).
+        self._indicator: dict[tuple[int, int], list] = {
+            (i, f): [] for i in range(self.n) for f in (0, 1)
+        }
+        for row in form.rows(TAG_NOMINAL_COMP, TAG_DIRECTION_COMP, TAG_SUPPORT_LINK):
+            self._indicator[row.when].append((form.dense(row), row.rel, row.rhs))
 
-        for i in range(n):
-            row = np.zeros(self.total)
-            row[self._acol(slice(None), i)] = zeta
-            row[self._r0 + i] = 1.0
-            static.append((row, lp.GE, 0.0))
-        for i in range(n):
-            for c in range(k):
-                row = np.zeros(self.total)
-                row[self._acol(slice(None), i)] = Theta[:, c]
-                row[self._dcol(i, c)] = -1.0
-                static.append((row, lp.EQ, 0.0))
-        for i in range(n):
-            row = np.zeros(self.total)
-            row[self._ccol(slice(None), i)] = zeta
-            row[self._r0 : self._r0 + n] = M[i]
-            if m:
-                row[self._s0 : self._s0 + m] = N[i]
-            static.append((row, lp.GE, -q[i]))
-        for i in range(n):
-            for c in range(k):
-                row = np.zeros(self.total)
-                row[self._ccol(slice(None), i)] = Theta[:, c]
-                for a in range(n):
-                    row[self._dcol(a, c)] = -M[i, a]
-                if m:
-                    for a in range(m):
-                        row[self._ecol(a, c)] = -N[i, a]
-                static.append((row, lp.EQ, T[i, c]))
-
-        pins: list[tuple[np.ndarray, str, float]] = []
-        for i in range(inst.h):
-            for c in range(k):
-                row = np.zeros(self.total)
-                row[self._dcol(i, c)] = 1.0
-                pins.append((row, lp.EQ, 0.0))
-        if mixed is not None:
-            V, W, p, P = mixed.V, mixed.W, mixed.p, mixed.P
-            for a in range(m):
-                row = np.zeros(self.total)
-                row[self._r0 : self._r0 + n] = V[a]
-                row[self._s0 : self._s0 + m] = W[a]
-                pins.append((row, lp.EQ, -p[a]))
-            for v in vectors:
-                for a in range(m):
-                    row = np.zeros(self.total)
-                    for b in range(n):
-                        if V[a, b] != 0.0:
-                            for c in range(k):
-                                row[self._dcol(b, c)] = V[a, b] * v[c]
-                    for b in range(m):
-                        if W[a, b] != 0.0:
-                            for c in range(k):
-                                row[self._ecol(b, c)] += W[a, b] * v[c]
-                    pins.append((row, lp.EQ, -float(P[a] @ v)))
-            if not mixed.y_adjustable:
-                for a in range(m):
-                    for c in range(k):
-                        row = np.zeros(self.total)
-                        row[self._ecol(a, c)] = 1.0
-                        pins.append((row, lp.EQ, 0.0))
-
-        self._static = static + pins
-        self._eq_static = pins
-
-        # Exact indicator rows, cached per index.
-        self._on_rows: list[list[tuple[np.ndarray, str, float]]] = []
-        self._off_rows: list[tuple[np.ndarray, str, float]] = []
-        for i in range(n):
-            rows_i = []
-            row = np.zeros(self.total)
-            row[self._r0 : self._r0 + n] = M[i]
-            if m:
-                row[self._s0 : self._s0 + m] = N[i]
-            rows_i.append((row, lp.EQ, -q[i]))
-            for v in vectors:
-                row = np.zeros(self.total)
-                for a in range(n):
-                    if M[i, a] != 0.0:
-                        for c in range(k):
-                            row[self._dcol(a, c)] = M[i, a] * v[c]
-                if m:
-                    for a in range(m):
-                        if N[i, a] != 0.0:
-                            for c in range(k):
-                                row[self._ecol(a, c)] += N[i, a] * v[c]
-                rows_i.append((row, lp.EQ, -float(T[i] @ v)))
-            self._on_rows.append(rows_i)
-            off = np.zeros(self.total)
-            off[self._r0 + i] = 1.0
-            self._off_rows.append((off, lp.EQ, 0.0))
-
-    def _dcol(self, i, c):
-        return self._d0 + i * self.k + c
-
-    def _acol(self, j, i):
-        if isinstance(j, slice):
-            return slice(self._a0 + i * self.g, self._a0 + (i + 1) * self.g)
-        return self._a0 + i * self.g + j
-
-    def _ccol(self, j, i):
-        if isinstance(j, slice):
-            return slice(self._c0 + i * self.g, self._c0 + (i + 1) * self.g)
-        return self._c0 + i * self.g + j
-
-    def _ecol(self, a, c):
-        return self._e0 + a * self.k + c
-
-    def _assemble(self, rows) -> lp.LpModel:
+    def _assemble(self, rows, node) -> lp.LpModel:
+        for i, f in enumerate(_normalize_fixed(node, self.n)):
+            if f != UNFIXED:
+                rows.extend(self._indicator[i, f])
         model = lp.LpModel.__new__(lp.LpModel)
         model.num_vars = self.total
         model.objective = self._objective
@@ -272,53 +319,34 @@ class NodeLpBuilder:
 
     def model(self, node) -> lp.LpModel:
         """Full node LP: always-valid rows plus indicators for fixed entries."""
-        fixed = _normalize_fixed(node, self.n)
-        rows = list(self._static)
-        for i, f in enumerate(fixed):
-            if f == 1:
-                rows.extend(self._on_rows[i])
-            elif f == 0:
-                rows.append(self._off_rows[i])
-        return self._assemble(rows)
+        return self._assemble(list(self._static), node)
 
     def support_model(self, node) -> lp.LpModel:
         """Equality side only: indicators and pinning rows, nothing else.
 
         Used to split infeasibility causes when enumerating supports."""
-        fixed = _normalize_fixed(node, self.n)
-        rows = list(self._eq_static)
-        for i, f in enumerate(fixed):
-            if f == 1:
-                rows.extend(self._on_rows[i])
-            elif f == 0:
-                rows.append(self._off_rows[i])
-        return self._assemble(rows)
+        return self._assemble(list(self._eq_static), node)
 
     def r_of(self, point: np.ndarray) -> np.ndarray:
-        return point[self._r0 : self._r0 + self.n]
+        return point[self.form.r]
 
     def extract_policy(self, point, node, eps_zero: float = EPS_ZERO) -> Policy:
         """Read the affine rule off a node LP point at a fully fixed node."""
         fixed = _normalize_fixed(node, self.n)
         if any(f == UNFIXED for f in fixed):
             raise ValueError("policy extraction needs a fully fixed node")
-        n, k, m = self.n, self.k, self.m
-        D = np.array(point[: n * k]).reshape(n, k)
+        form, mixed = self.form, self.inst.mixed
+        D = point[form.D]
         if self.inst.h:
             D[: self.inst.h] = 0.0
-        r = np.maximum(np.array(point[self._r0 : self._r0 + n]), 0.0)
+        r = np.maximum(point[form.r], 0.0)
         E = s = None
-        if m:
-            s = np.array(point[self._s0 : self._s0 + m])
-            E = np.array(point[self._e0 : self._e0 + m * k]).reshape(m, k)
-            if not self.inst.mixed.y_adjustable:
+        if mixed is not None:
+            s = point[form.s]
+            E = point[form.E]
+            if not mixed.y_adjustable:
                 E[:] = 0.0
         return Policy(D=D, r=r, x=np.array(fixed, dtype=int), E=E, s=s)
-
-
-def build_node_lp(inst: Instance, basis: LinHullBasis, node) -> lp.LpModel:
-    """One-shot node LP assembly; the tree search caches a builder instead."""
-    return NodeLpBuilder(inst, basis).model(node)
 
 
 class _Budget:
@@ -376,10 +404,10 @@ def _dfs(builder, root, opts, budget, stop):
     return None
 
 
-def _run_search(builder, inst, opts, make_policy, verify_fn) -> SolveReport:
+def _run_search(builder, opts, verify_fn) -> SolveReport:
     n = builder.n
     # a full binary tree over n indices has 2^(n+1) - 1 nodes counting the
-    # root, so this default always lets an exhaustive run finish
+    # root, so this default lets an exhaustive run finish for n <= 20
     limit = opts.node_limit if opts.node_limit else 2 ** min(n + 1, 21)
     budget = _Budget(limit)
 
@@ -401,7 +429,7 @@ def _run_search(builder, inst, opts, make_policy, verify_fn) -> SolveReport:
             tolerances=tolerances,
         )
     fixed, point = leaf
-    policy = make_policy(point, fixed)
+    policy = builder.extract_policy(point, fixed, opts.eps_zero)
     report = verify_fn(policy)
     if not report.verified:
         raise NumericalFailure(
@@ -479,12 +507,8 @@ def bnb_solve(
     builder = NodeLpBuilder(inst, basis)
     return _run_search(
         builder,
-        inst,
         opts,
-        make_policy=lambda pt, fx: builder.extract_policy(pt, fx, opts.eps_zero),
-        verify_fn=lambda pol: verify_policy(
-            inst, basis, pol, opts.verify_tol, opts.eps_zero
-        ),
+        lambda pol: verify_policy(inst, basis, pol, opts.verify_tol, opts.eps_zero),
     )
 
 
@@ -505,8 +529,9 @@ class MilpRow:
 class MilpModel:
     """Explicit big-M mixed-binary model, ready for text export.
 
-    Variable names follow x{i}, D{i}_{c}, r{i}, A{j}_{i}, C{j}_{i} with
-    1-based indices.  Every row carries exactly one tag.
+    Variable names follow x{i}, D{i}_{c}, r{i}, A{j}_{i}, C{j}_{i}, and for a
+    free block s{a}, E{a}_{c}, with 1-based indices.  Every row carries
+    exactly one tag.
     """
 
     n: int
@@ -530,13 +555,39 @@ def default_big_m(inst: Instance) -> float:
     def inf_norm_mat(a):
         return float(np.abs(a).sum(axis=1).max()) if a.size else 0.0
 
-    return 1e4 * max(
-        1.0,
-        inf_norm_mat(inst.M),
-        float(np.abs(inst.q).max()),
-        inf_norm_mat(inst.T),
-        float(np.abs(inst.zeta).max()) if inst.zeta.size else 0.0,
-    )
+    def inf_norm_vec(a):
+        return float(np.abs(a).max()) if a.size else 0.0
+
+    mats, vecs = [inst.M, inst.T], [inst.q, inst.zeta]
+    if inst.mixed is not None:
+        mx = inst.mixed
+        mats += [mx.V, mx.W, mx.N, mx.P]
+        vecs.append(mx.p)
+    norms = [inf_norm_mat(a) for a in mats] + [inf_norm_vec(a) for a in vecs]
+    return 1e4 * max([1.0] + norms)
+
+
+def _bigm_rows(form: Formulation, row: FormRow, big_m: float) -> list[MilpRow]:
+    """Export rows of one formulation row; indicator rows get the constant."""
+    terms = {}
+    for cols, vals in row.terms:
+        for col, c in zip(np.ravel(cols), np.ravel(vals)):
+            if c != 0.0:
+                terms[form.names[col]] = float(c)
+    rhs = float(row.rhs)
+    if row.when is None:
+        return [MilpRow(row.name, terms, row.rel, rhs, row.tag)]
+    # the equation holds at x_i = value; elsewhere b |x_i - value|, which is
+    # c0 + c1 x_i, relaxes each half
+    i, value = row.when
+    x, c0, c1 = f"x{i + 1}", big_m * value, big_m * (1 - 2 * value)
+    upper, lower = row.name.format("u"), row.name.format("l")
+    out = [MilpRow(upper, {**terms, x: -c1}, lp.LE, rhs + c0, row.tag)]
+    if row.lower == "bigm":
+        out.append(MilpRow(lower, {**terms, x: c1}, lp.GE, rhs - c0, row.tag))
+    elif row.lower == "plain":
+        out.append(MilpRow(lower, terms, lp.GE, rhs, row.tag))
+    return out
 
 
 def build_milp(
@@ -547,129 +598,25 @@ def build_milp(
     The search itself never uses this form; a finite big_m below the size of
     a genuine policy can make the exported model infeasible.
     """
-    if inst.mixed is not None:
-        raise DimensionMismatch("export covers pure instances only")
     if big_m is None:
         big_m = default_big_m(inst)
     big_m = float(big_m)
     if not np.isfinite(big_m) or big_m <= 0:
         raise ValueError("big_m must be positive and finite")
 
-    n, k, g = inst.n, inst.k, inst.g
-    M, q, T = inst.M, inst.q, inst.T
-    Theta, zeta = inst.Theta, inst.zeta
-    vectors = basis.vectors
-    ell = len(vectors)
-    h = inst.h
-
-    x = [f"x{i + 1}" for i in range(n)]
-    Dn = [[f"D{i + 1}_{c + 1}" for c in range(k)] for i in range(n)]
-    rn = [f"r{i + 1}" for i in range(n)]
-    An = [[f"A{j + 1}_{i + 1}" for i in range(n)] for j in range(g)]
-    Cn = [[f"C{j + 1}_{i + 1}" for i in range(n)] for j in range(g)]
-
-    rows: list[MilpRow] = []
-
-    def add(name, coeffs, rel, rhs, tag):
-        clean = {v: float(c) for v, c in coeffs if c != 0.0}
-        rows.append(MilpRow(name, clean, rel, float(rhs), tag))
-
-    for i in range(n):
-        add(
-            f"sl{i + 1}",
-            [(rn[i], 1.0), (x[i], -big_m)],
-            lp.LE,
-            0.0,
-            TAG_SUPPORT_LINK,
-        )
-    for i in range(n):
-        terms = [(rn[a], M[i, a]) for a in range(n)]
-        add(
-            f"ncu{i + 1}",
-            terms + [(x[i], big_m)],
-            lp.LE,
-            big_m - q[i],
-            TAG_NOMINAL_COMP,
-        )
-        add(f"ncl{i + 1}", list(terms), lp.GE, -q[i], TAG_NOMINAL_COMP)
-    for i in range(n):
-        for j, v in enumerate(vectors):
-            terms = [
-                (Dn[a][c], M[i, a] * v[c]) for a in range(n) for c in range(k)
-            ]
-            t_iv = float(T[i] @ v)
-            add(
-                f"dcu{i + 1}_{j + 1}",
-                terms + [(x[i], big_m)],
-                lp.LE,
-                big_m - t_iv,
-                TAG_DIRECTION_COMP,
-            )
-            add(
-                f"dcl{i + 1}_{j + 1}",
-                terms + [(x[i], -big_m)],
-                lp.GE,
-                -big_m - t_iv,
-                TAG_DIRECTION_COMP,
-            )
-    for i in range(n):
-        add(
-            f"zv{i + 1}",
-            [(An[j][i], zeta[j]) for j in range(g)] + [(rn[i], 1.0)],
-            lp.GE,
-            0.0,
-            TAG_Z_DUAL_VALUE,
-        )
-    for i in range(n):
-        for c in range(k):
-            add(
-                f"zm{i + 1}_{c + 1}",
-                [(An[j][i], Theta[j, c]) for j in range(g)] + [(Dn[i][c], -1.0)],
-                lp.EQ,
-                0.0,
-                TAG_Z_DUAL_MATCH,
-            )
-    for i in range(n):
-        add(
-            f"wv{i + 1}",
-            [(Cn[j][i], zeta[j]) for j in range(g)]
-            + [(rn[a], M[i, a]) for a in range(n)],
-            lp.GE,
-            -q[i],
-            TAG_W_DUAL_VALUE,
-        )
-    for i in range(n):
-        for c in range(k):
-            add(
-                f"wm{i + 1}_{c + 1}",
-                [(Cn[j][i], Theta[j, c]) for j in range(g)]
-                + [(Dn[a][c], -M[i, a]) for a in range(n)],
-                lp.EQ,
-                T[i, c],
-                TAG_W_DUAL_MATCH,
-            )
-    for i in range(h):
-        for c in range(k):
-            add(f"hn{i + 1}_{c + 1}", [(Dn[i][c], 1.0)], lp.EQ, 0.0, TAG_HERE_AND_NOW)
-
-    continuous = (
-        [name for block in Dn for name in block]
-        + rn
-        + [An[j][i] for i in range(n) for j in range(g)]
-        + [Cn[j][i] for i in range(n) for j in range(g)]
-    )
-    free = [name for block in Dn for name in block]
+    form = Formulation(inst, basis)
+    rows = [out for row in form.rows(*ALL_TAGS) for out in _bigm_rows(form, row, big_m)]
     return MilpModel(
-        n=n,
-        k=k,
-        g=g,
-        ell=ell,
-        h=h,
+        n=inst.n,
+        k=inst.k,
+        g=inst.g,
+        ell=len(basis.vectors),
+        h=inst.h,
         big_m=big_m,
         rows=rows,
-        binaries=x,
-        continuous=continuous,
-        free=free,
+        binaries=[f"x{i + 1}" for i in range(inst.n)],
+        continuous=list(form.names),
+        free=[form.names[col] for col in form.free],
     )
 
 

@@ -1,19 +1,18 @@
 """Instances with a free variable block tied to the decision by equations.
 
-The free block y gets its own affine rule y(u) = E u + s.  The equation
-block must hold identically over the whole set, which on the hull basis
-means one nominal equation plus one equation per basis vector.  Everything
-else reuses the pure machinery: the node LP layout already carries the E
-and s columns, and the tree search is shared.
+The free block y gets its own affine rule y(u) = E u + s, carried by the
+E and s fields of :class:`Policy`.  The equation block must hold
+identically over the whole set, which on the hull basis means one nominal
+equation plus one equation per basis vector.  Everything else reuses the
+pure machinery: the formulation in :mod:`milp` declares the E and s columns
+and the coupling rows once, so node LPs, the tree search and the big-M
+export all cover the free block.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass
-
 import numpy as np
 
-from . import lp
 from .core import EPS_FEAS, EPS_ZERO, Instance, Policy, policy_matches_instance
 from .errors import DimensionMismatch
 from .linhull import LinHullBasis
@@ -21,62 +20,10 @@ from .milp import NodeLpBuilder, SolveOptions, SolveReport, _run_search
 from .verify import VerifyReport, certify_affine
 
 
-@dataclass(frozen=True)
-class MixedPolicy:
-    """Affine rule pair: the complementarity block plus the free block."""
-
-    base: Policy
-
-    @classmethod
-    def from_policy(cls, pol: Policy) -> "MixedPolicy":
-        if pol.E is None or pol.s is None:
-            raise ValueError("policy lacks a free-block rule")
-        return cls(base=pol)
-
-    @property
-    def D(self) -> np.ndarray:
-        return self.base.D
-
-    @property
-    def r(self) -> np.ndarray:
-        return self.base.r
-
-    @property
-    def x(self) -> np.ndarray:
-        return self.base.x
-
-    @property
-    def E(self) -> np.ndarray:
-        return self.base.E
-
-    @property
-    def s(self) -> np.ndarray:
-        return self.base.s
-
-    @property
-    def n(self) -> int:
-        return self.base.n
-
-    @property
-    def k(self) -> int:
-        return self.base.k
-
-    @property
-    def m(self) -> int:
-        return self.base.s.shape[0]
-
-
-def build_mixed_node_lp(inst: Instance, basis: LinHullBasis, node) -> lp.LpModel:
-    """Node LP for an instance with a free block."""
-    if inst.mixed is None:
-        raise DimensionMismatch("instance has no free block")
-    return NodeLpBuilder(inst, basis).model(node)
-
-
 def verify_mixed(
     inst: Instance,
     basis: LinHullBasis,
-    pol,
+    pol: Policy,
     tol: float = EPS_FEAS,
     eps_zero: float = EPS_ZERO,
 ) -> VerifyReport:
@@ -88,21 +35,20 @@ def verify_mixed(
     """
     if inst.mixed is None:
         raise DimensionMismatch("instance has no free block")
-    base = pol.base if isinstance(pol, MixedPolicy) else pol
-    policy_matches_instance(inst, base)
+    policy_matches_instance(inst, pol)
     mx = inst.mixed
 
-    r = base.r.copy()
+    r = pol.r.copy()
     r[r <= eps_zero] = 0.0
-    E, s = base.E, base.s
-    w_lin = inst.M @ base.D + mx.N @ E + inst.T
+    E, s = pol.E, pol.s
+    w_lin = inst.M @ pol.D + mx.N @ E + inst.T
     w_const = inst.M @ r + mx.N @ s + inst.q
     report = certify_affine(
-        inst.Theta, inst.zeta, basis.vectors, r, base.D, w_lin, w_const, tol
+        inst.Theta, inst.zeta, basis.vectors, r, pol.D, w_lin, w_const, tol
     )
 
     eq_res = float(np.abs(mx.V @ r + mx.W @ s + mx.p).max())
-    dir_mat = mx.V @ base.D + mx.W @ E + mx.P
+    dir_mat = mx.V @ pol.D + mx.W @ E + mx.P
     eq_dir = 0.0
     for v in basis.vectors:
         d = np.abs(dir_mat @ v)
@@ -129,20 +75,14 @@ def mixed_solve(
 ) -> SolveReport:
     """Tree search for instances with a free block.
 
-    Identical search to the pure solver; only policy extraction and
-    certification change.
+    Identical search to the pure solver; only certification changes.
     """
     if inst.mixed is None:
         raise DimensionMismatch("instance has no free block; use bnb_solve")
     opts = opts or SolveOptions()
     builder = NodeLpBuilder(inst, basis)
-
-    def make_policy(point, fixed):
-        return MixedPolicy.from_policy(
-            builder.extract_policy(point, fixed, opts.eps_zero)
-        )
-
-    def check(policy):
-        return verify_mixed(inst, basis, policy, opts.verify_tol, opts.eps_zero)
-
-    return _run_search(builder, inst, opts, make_policy, check)
+    return _run_search(
+        builder,
+        opts,
+        lambda pol: verify_mixed(inst, basis, pol, opts.verify_tol, opts.eps_zero),
+    )

@@ -200,9 +200,8 @@ def oracle_enumerate(
             if inst.mixed is None:
                 report = verify_policy(inst, basis, policy, max(tol, EPS_FEAS))
             else:
-                from .mixed import MixedPolicy, verify_mixed
+                from .mixed import verify_mixed
 
-                policy = MixedPolicy.from_policy(policy)
                 report = verify_mixed(inst, basis, policy, max(tol, EPS_FEAS))
             return SolveReport(
                 status=SolveStatus.FEASIBLE,

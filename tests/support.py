@@ -102,6 +102,28 @@ def mixed_1d(coupling, y_adjustable=True):
     )
 
 
+def coupled_mixed_instance(y_adjustable):
+    """Equality ties y to -z, and the slack needs y to move with u.
+
+    Feasible only when the free block is adjustable."""
+    mx = MixedExtension(
+        V=np.array([[1.0]]),
+        W=np.array([[1.0]]),
+        N=np.array([[1.0]]),
+        p=np.array([0.0]),
+        P=np.array([[0.0]]),
+        y_adjustable=y_adjustable,
+    )
+    return Instance(
+        M=np.array([[2.0]]),
+        q=np.array([-4.0]),
+        T=np.array([[1.0]]),
+        Theta=np.array([[1.0], [-1.0]]),
+        zeta=np.array([-1.0, -1.0]),
+        mixed=mx,
+    )
+
+
 def random_set(rng, k, g, tight_pair=False):
     """Compact polyhedron with 0 in the relative interior, exactly g rows.
 

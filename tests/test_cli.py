@@ -5,6 +5,8 @@ import json
 import numpy as np
 import pytest
 
+import aarlcp.cli
+from aarlcp import lp
 from aarlcp.cli import main, read_instance, read_policy
 
 GOLDEN = {
@@ -165,6 +167,34 @@ def test_solve_mixed_instance(tmp_path, capsys):
     assert main(["solve", path, "--psd", "force"]) == 2
 
 
+def test_solve_runs_one_set_pass(tmp_path, monkeypatch):
+    # validation and the hull share one pass: 1 probe, 2k box LPs and g row
+    # maximizations before the search starts, and no second hull pass
+    calls = []
+
+    def counted(real):
+        def wrapper(*args, **kwargs):
+            calls.append(1)
+            return real(*args, **kwargs)
+
+        return wrapper
+
+    monkeypatch.setattr(lp, "lp_solve", counted(lp.lp_solve))
+    monkeypatch.setattr(lp, "lp_feasible", counted(lp.lp_feasible))
+    before_search = []
+    real_solve = aarlcp.cli.bnb_solve
+
+    def solve(*args, **kwargs):
+        before_search.append(len(calls))
+        return real_solve(*args, **kwargs)
+
+    monkeypatch.setattr(aarlcp.cli, "bnb_solve", solve)
+    path = write(tmp_path, "inst.json", GOLDEN)
+    assert main(["solve", path, "--psd", "off"]) == 0
+    k, g = GOLDEN["k"], GOLDEN["g"]
+    assert before_search == [1 + 2 * k + g]
+
+
 def test_solve_node_limit_exit(tmp_path):
     path = write(tmp_path, "inst.json", GOLDEN)
     assert main(["solve", path, "--node-limit", "1"]) == 3
@@ -200,7 +230,10 @@ def test_export_command(tmp_path, capsys):
     assert "ENDATA" in capsys.readouterr().out
 
     mixed = write(tmp_path, "mixed.json", MIXED_1D)
-    assert main(["export", mixed]) == 2
+    assert main(["export", mixed]) == 0
+    text = capsys.readouterr().out
+    assert " mn1: s1 = 3" in text.splitlines()
+    assert " E1_1 free" in text.splitlines()
 
 
 def test_input_error_handling(tmp_path):

@@ -211,3 +211,11 @@ def test_validate_rank_warning():
     assert report.ok  # warning only
     assert not report.t_full_column_rank
     assert any("rank" in w for w in report.warnings)
+
+
+def test_public_names_resolve():
+    import aarlcp
+
+    assert len(set(aarlcp.__all__)) == len(aarlcp.__all__)
+    for name in aarlcp.__all__:
+        assert hasattr(aarlcp, name), name

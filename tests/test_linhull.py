@@ -9,8 +9,10 @@ from aarlcp import (
     NotCompact,
     RelintViolation,
     compute_lin_hull,
+    validate,
 )
 from aarlcp.core import matrix_rank
+from aarlcp.linhull import hull_from_equalities
 from support import golden_instance, random_set, reduction_instance
 
 
@@ -90,3 +92,24 @@ def test_dimension_count_and_normalization():
                 assert np.allclose(basis.phi @ v, 0.0, atol=1e-8)
         if tight:
             assert basis.dimension == k - 1
+
+
+def test_hull_from_validation_matches():
+    # the CLI builds the hull from the rows validation found, with no LP
+    rng = np.random.default_rng(23)
+    for trial in range(20):
+        k = int(rng.integers(1, 4))
+        tight = k >= 2 and bool(rng.uniform() < 0.5)
+        Theta, zeta = random_set(rng, k, 2 * k + 2, tight_pair=tight)
+        inst = Instance(
+            M=np.eye(1), q=np.zeros(1), T=np.ones((1, k)), Theta=Theta, zeta=zeta
+        )
+        report = validate(inst)
+        assert report.ok
+        direct = compute_lin_hull(inst)
+        reused = hull_from_equalities(inst, report.implicit_equality_rows)
+        assert reused.inequality_rows == direct.inequality_rows
+        assert np.array_equal(reused.phi, direct.phi)
+        assert len(reused.vectors) == len(direct.vectors)
+        for a, b in zip(reused.vectors, direct.vectors):
+            assert np.array_equal(a, b)

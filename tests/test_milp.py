@@ -12,11 +12,11 @@ from aarlcp import (
     UNFIXED,
     bnb_solve,
     build_milp,
-    build_node_lp,
     compute_lin_hull,
     default_big_m,
     export_milp,
     lp,
+    mixed_solve,
     parse_lp_text,
     verify_policy,
 )
@@ -32,10 +32,12 @@ from aarlcp.milp import (
 )
 from support import (
     bigm_status,
+    coupled_mixed_instance,
     export_1d_instance,
     golden_instance,
     mixed_1d,
     planted_instance,
+    planted_mixed_instance,
     random_instance,
     reduction_instance,
 )
@@ -66,13 +68,6 @@ def test_extract_policy_needs_full_fixing():
     res = lp.lp_feasible(builder.model((1, UNFIXED)))
     with pytest.raises(ValueError):
         builder.extract_policy(res.point, (1, UNFIXED))
-
-
-def test_build_node_lp_one_shot():
-    inst = golden_instance()
-    basis = compute_lin_hull(inst)
-    model = build_node_lp(inst, basis, (1, 1))
-    assert lp.lp_feasible(model).status is lp.LpStatus.OPTIMAL
 
 
 def test_solve_golden():
@@ -191,13 +186,36 @@ def test_default_big_m_scales_with_data():
     assert b >= 1e4 * 4.0  # the largest entry is |q| = 4
     with pytest.raises(ValueError):
         build_milp(inst, compute_lin_hull(inst), big_m=-1.0)
+    # the free block feeds the slack (w(0) = 3e5 - 4 here), so its data
+    # count too; a constant from M, q, T and zeta alone (4e4) would cut the
+    # only policy
+    mixed = mixed_1d(1e5)
+    basis = compute_lin_hull(mixed)
+    assert default_big_m(mixed) >= 1e4 * 1e5
+    assert mixed_solve(mixed, basis).status is SolveStatus.FEASIBLE
+    parsed = parse_lp_text(export_milp(build_milp(mixed, basis), "lp"))
+    assert bigm_status(parsed) == "feasible"
 
 
-def test_export_rejects_mixed():
-    inst = mixed_1d(0.0)
-    basis = compute_lin_hull(inst)
-    with pytest.raises(DimensionMismatch):
-        build_milp(inst, basis)
+def test_export_matches_mixed_search():
+    # seeded planted pairs (pinned and adjustable block), plus a pair whose
+    # pinned side is infeasible, so the export must honour the pin rows
+    rng = np.random.default_rng(41)
+    pairs = [
+        planted_mixed_instance(rng, int(rng.integers(1, 4)), 2, 2)[:2] for _ in range(4)
+    ]
+    pairs.append((coupled_mixed_instance(False), coupled_mixed_instance(True)))
+    statuses = set()
+    for pair in pairs:
+        for inst in pair:
+            basis = compute_lin_hull(inst)
+            want = mixed_solve(inst, basis).status.value
+            model = build_milp(inst, basis)
+            assert "s1" in model.free and "E1_1" in model.free
+            got = bigm_status(parse_lp_text(export_milp(model, "lp")))
+            assert got == want, f"export says {got}, search {want}"
+            statuses.add(want)
+    assert statuses == {"feasible", "infeasible"}
 
 
 def test_lp_text_round_trip():

@@ -5,20 +5,17 @@ import pytest
 
 from aarlcp import (
     DimensionMismatch,
-    Instance,
-    MixedExtension,
-    MixedPolicy,
+    NodeLpBuilder,
     Policy,
     SolveOptions,
     SolveStatus,
-    build_mixed_node_lp,
     compute_lin_hull,
     lp,
     mixed_solve,
     oracle_enumerate,
     verify_mixed,
 )
-from support import golden_instance, mixed_1d
+from support import coupled_mixed_instance, golden_instance, mixed_1d
 
 
 def test_decoupled_example():
@@ -47,29 +44,9 @@ def test_coupled_example():
     assert pol.s[0] == pytest.approx(3.0, abs=1e-8)
 
 
-def _coupled_adjustable_instance(y_adjustable):
-    # equality ties y to -z, and the slack needs y to move with u
-    mx = MixedExtension(
-        V=np.array([[1.0]]),
-        W=np.array([[1.0]]),
-        N=np.array([[1.0]]),
-        p=np.array([0.0]),
-        P=np.array([[0.0]]),
-        y_adjustable=y_adjustable,
-    )
-    return Instance(
-        M=np.array([[2.0]]),
-        q=np.array([-4.0]),
-        T=np.array([[1.0]]),
-        Theta=np.array([[1.0], [-1.0]]),
-        zeta=np.array([-1.0, -1.0]),
-        mixed=mx,
-    )
-
-
 def test_adjustable_flag_changes_feasibility():
-    adjustable = _coupled_adjustable_instance(True)
-    pinned = _coupled_adjustable_instance(False)
+    adjustable = coupled_mixed_instance(True)
+    pinned = coupled_mixed_instance(False)
     basis = compute_lin_hull(adjustable)
     rep_adj = mixed_solve(adjustable, basis)
     rep_pin = mixed_solve(pinned, compute_lin_hull(pinned))
@@ -107,25 +84,9 @@ def test_verify_mixed_flags_broken_equality():
     assert any("equations off" in v for v in report.violations)
 
 
-def test_mixed_policy_wrapper():
-    base = Policy(
-        D=np.zeros((1, 1)),
-        r=np.zeros(1),
-        x=np.zeros(1),
-        E=np.zeros((1, 1)),
-        s=np.zeros(1),
-    )
-    mp = MixedPolicy.from_policy(base)
-    assert mp.n == 1 and mp.k == 1 and mp.m == 1
-    with pytest.raises(ValueError):
-        MixedPolicy.from_policy(Policy(D=np.zeros((1, 1)), r=np.zeros(1), x=np.zeros(1)))
-
-
 def test_mixed_node_lp_guard():
     inst = golden_instance()
     basis = compute_lin_hull(inst)
-    with pytest.raises(DimensionMismatch):
-        build_mixed_node_lp(inst, basis, (1, 1))
     with pytest.raises(DimensionMismatch):
         mixed_solve(inst, basis)
     with pytest.raises(DimensionMismatch):
@@ -135,7 +96,7 @@ def test_mixed_node_lp_guard():
 def test_mixed_node_lp_solves():
     inst = mixed_1d(1.0)
     basis = compute_lin_hull(inst)
-    model = build_mixed_node_lp(inst, basis, (1,))
+    model = NodeLpBuilder(inst, basis).model((1,))
     assert lp.lp_feasible(model).status is lp.LpStatus.OPTIMAL
 
 
@@ -144,7 +105,8 @@ def test_oracle_handles_mixed():
     basis = compute_lin_hull(inst)
     report = oracle_enumerate(inst, basis)
     assert report.status is SolveStatus.FEASIBLE
-    assert isinstance(report.policy, MixedPolicy)
+    assert report.policy.E.shape == (1, 1)
+    assert report.policy.s == pytest.approx([3.0], abs=1e-8)
     assert report.verification.verified
     assert report.policy.r[0] == pytest.approx(0.5, abs=1e-8)
 
