@@ -101,7 +101,7 @@ def read_instance(path: str) -> Instance:
     )
 
 
-def _policy_payload(status: str, policy, nodes: int, lp_calls: int, tolerances) -> dict:
+def _policy_payload(status: str, policy, report, nodes: int, tolerances) -> dict:
     payload: dict = {"status": status}
     if policy is not None:
         payload["x"] = [int(v) for v in policy.x]
@@ -112,7 +112,8 @@ def _policy_payload(status: str, policy, nodes: int, lp_calls: int, tolerances) 
             payload["s"] = [float(v) for v in policy.s]
     payload["diagnostics"] = {
         "nodes_explored": int(nodes),
-        "lp_calls": int(lp_calls),
+        "lp_calls": int(report.lp_calls),
+        "lp_pivots": int(report.lp_pivots),
         "tolerances": {kk: float(vv) for kk, vv in dict(tolerances).items()},
     }
     return payload
@@ -209,7 +210,7 @@ def cmd_solve(args) -> int:
             raise ValueError("matrix is not positive semidefinite")
         feasible = report.status is PsdStatus.FEASIBLE
         policy = report.policy
-        nodes, lp_calls = 1, report.lp_calls
+        nodes = 1
         tolerances = {"tol": args.tol, "eps_zero": EPS_ZERO}
         print("path: forced support")
         if report.nominal is not None:
@@ -232,19 +233,22 @@ def cmd_solve(args) -> int:
         report = solver(inst, basis, opts)
         feasible = report.status is SolveStatus.FEASIBLE
         policy = report.policy
-        nodes, lp_calls = report.nodes_explored, report.lp_calls
+        nodes = report.nodes_explored
         tolerances = report.tolerances
         print("path: tree search")
 
     status = "feasible" if feasible else "infeasible"
     print(f"status: {status}")
     print(f"nodes explored: {nodes}")
-    print(f"lp calls: {lp_calls}")
+    print(f"lp calls: {report.lp_calls}")
+    print(f"lp pivots: {report.lp_pivots}")
     if feasible:
         print(f"support: {_support_str(policy.x)}")
         print(f"r: {_vec_str(policy.r)}")
     if args.out:
-        payload = _policy_payload(status, policy if feasible else None, nodes, lp_calls, tolerances)
+        payload = _policy_payload(
+            status, policy if feasible else None, report, nodes, tolerances
+        )
         write_policy_file(args.out, payload)
         print(f"policy written to {args.out}")
     return 0 if feasible else 1
@@ -292,8 +296,8 @@ def cmd_oracle(args) -> int:
         payload = _policy_payload(
             "feasible" if feasible else "infeasible",
             report.policy if feasible else None,
+            report,
             report.nodes_explored,
-            report.lp_calls,
             report.tolerances,
         )
         write_policy_file(args.out, payload)

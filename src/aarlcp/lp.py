@@ -10,10 +10,15 @@ A model is built row by row and then solved.  Solving never mutates the
 model, so one model may be shared by concurrent calls.
 
 Internals, in brief: general bounds are reduced to shifts plus explicit
-rows, free variables are split into positive and negative parts, rows are
-equilibrated, and phase one drives a full artificial basis to zero.  Pricing
-is Dantzig's rule until a long run of degenerate pivots switches the loop to
-Bland's rule, which is kept until the phase ends.
+rows, free variables are split into positive and negative parts, and rows
+are equilibrated.  A :class:`Tableau` grows by batches of rows: each batch
+is reduced against the current basis, and only the rows whose slack cannot
+start basic get an artificial, which phase one drives to zero.  A cold
+solve is one batch of every row onto an empty tableau, so it starts from a
+full artificial basis; the tree search extends a parent's tableau by the
+few rows of a child, so its phase one starts from the parent's basis.
+Pricing is Dantzig's rule until a long run of degenerate pivots switches
+the loop to Bland's rule, which is kept until the phase ends.
 """
 
 from __future__ import annotations
@@ -47,12 +52,14 @@ class LpResult:
     """Outcome of a solve.
 
     value and point are filled only for OPTIMAL.  The point lives in the
-    model's original variable space.
+    model's original variable space.  pivots counts the simplex pivots of
+    both phases.
     """
 
     status: LpStatus
     value: float | None = None
     point: np.ndarray | None = None
+    pivots: int = 0
 
 
 class LpModel:
@@ -128,9 +135,10 @@ def _price_out(T: np.ndarray, basis: np.ndarray) -> None:
             T[-1, :] -= cb * T[r, :]
 
 
-def _iterate(T: np.ndarray, basis: np.ndarray, nact: int, tol: float) -> str:
+def _iterate(T: np.ndarray, basis: np.ndarray, nact: int, tol: float):
     """Run the pivot loop on the priced tableau.  Returns "optimal" or
-    "unbounded"; raises NumericalFailure when safeguards run out."""
+    "unbounded" with the number of pivots; raises NumericalFailure when
+    safeguards run out."""
     m = T.shape[0] - 1
     bland = False
     degen_run = 0
@@ -143,16 +151,16 @@ def _iterate(T: np.ndarray, basis: np.ndarray, nact: int, tol: float) -> str:
         if bland:
             cand = np.nonzero(red > tol)[0]
             if cand.size == 0:
-                return "optimal"
+                return "optimal", total_pivots
             j = int(cand[0])
         else:
             j = int(np.argmax(red))
             if red[j] <= tol:
-                return "optimal"
+                return "optimal", total_pivots
         col = T[:m, j]
         pos = col > _PIV_EPS
         if not pos.any():
-            return "unbounded"
+            return "unbounded", total_pivots
         rhs = T[:m, -1]
         ratios = np.full(m, np.inf)
         ratios[pos] = rhs[pos] / col[pos]
@@ -185,155 +193,240 @@ def _iterate(T: np.ndarray, basis: np.ndarray, nact: int, tol: float) -> str:
             raise NumericalFailure("pivot limit exhausted")
 
 
+def phase_one(model: LpModel, tol: float = 1e-8) -> "Tableau":
+    """Cold phase one: every row of the model, then its bound rows, as one
+    batch onto an empty tableau."""
+    return Tableau(model.lower, model.upper).extend(model.rows, tol)
+
+
 def _solve(model: LpModel, tol: float, want_phase2: bool) -> LpResult:
-    n = model.num_vars
-    lower, upper = model.lower, model.upper
-    if np.any(lower > upper):
-        raise ValueError("variable lower bound exceeds upper bound")
-
-    # Variable transform x = offsets + S @ y with y >= 0.
-    offsets = np.zeros(n)
-    scols: list[tuple[int, float]] = []
-    bound_rows: list[tuple[int, float]] = []
-    for i in range(n):
-        lo, hi = lower[i], upper[i]
-        if np.isfinite(lo):
-            offsets[i] = lo
-            scols.append((i, 1.0))
-            if np.isfinite(hi):
-                bound_rows.append((len(scols) - 1, hi - lo))
-        elif np.isfinite(hi):
-            offsets[i] = hi
-            scols.append((i, -1.0))
-        else:
-            scols.append((i, 1.0))
-            scols.append((i, -1.0))
-    ns = len(scols)
-    S = np.zeros((n, ns))
-    for c, (i, sgn) in enumerate(scols):
-        S[i, c] = sgn
-
-    nrows = len(model.rows)
-    C = np.zeros((nrows, n))
-    rhs0 = np.zeros(nrows)
-    senses = []
-    for r, (coeffs, relation, b) in enumerate(model.rows):
-        C[r] = coeffs
-        rhs0[r] = b
-        senses.append(relation)
-
-    m = nrows + len(bound_rows)
-    A = np.zeros((m, ns))
-    b = np.zeros(m)
-    if nrows:
-        A[:nrows] = C @ S
-        b[:nrows] = rhs0 - C @ offsets
-    for t, (col, ub) in enumerate(bound_rows):
-        A[nrows + t, col] = 1.0
-        b[nrows + t] = ub
-        senses.append(LE)
-
-    # Row equilibration keeps big coefficients (for example big-M rows) from
-    # washing out the tolerances.
-    if m:
-        scale = np.maximum(1.0, np.maximum(np.abs(A).max(axis=1), np.abs(b)))
-        A /= scale[:, None]
-        b /= scale
-
-    flip = b < 0
-    if flip.any():
-        A[flip] *= -1.0
-        b[flip] *= -1.0
-        for r in np.nonzero(flip)[0]:
-            if senses[r] == LE:
-                senses[r] = GE
-            elif senses[r] == GE:
-                senses[r] = LE
-
-    n_slack = sum(1 for s in senses if s != EQ)
-    n_art = sum(1 for s in senses if s != LE)
-    total = ns + n_slack + n_art
-    T = np.zeros((m + 1, total + 1))
-    T[:m, :ns] = A
-    T[:m, -1] = b
-    basis = np.zeros(m, dtype=int)
-    sl = ns
-    ar = ns + n_slack
-    art_cols = []
-    for r in range(m):
-        s = senses[r]
-        if s == LE:
-            T[r, sl] = 1.0
-            basis[r] = sl
-            sl += 1
-        elif s == GE:
-            T[r, sl] = -1.0
-            sl += 1
-            T[r, ar] = 1.0
-            basis[r] = ar
-            art_cols.append(ar)
-            ar += 1
-        else:
-            T[r, ar] = 1.0
-            basis[r] = ar
-            art_cols.append(ar)
-            ar += 1
-
-    n_real = ns + n_slack
-    if art_cols:
-        T[-1, :] = 0.0
-        T[-1, art_cols] = -1.0
-        _price_out(T, basis)
-        status = _iterate(T, basis, total, tol)
-        if status == "unbounded":
-            raise NumericalFailure("phase one reported unbounded")
-        # Phase one maximizes the negated artificial sum; the tableau stores
-        # its negation, so infeasibility shows up as a positive entry.
-        if T[-1, -1] > tol:
-            return LpResult(LpStatus.INFEASIBLE)
-        T, basis = _purge_artificials(T, basis, n_real)
-
-    mc = T.shape[0] - 1
+    tab = phase_one(model, tol)
+    if not tab.feasible:
+        return LpResult(LpStatus.INFEASIBLE, pivots=tab.pivots)
+    T, basis, pivots = tab.T, tab.basis, 0
     if want_phase2:
-        c_std = S.T @ model.objective
+        T, basis = T.copy(), basis.copy()
+        ns = tab.S.shape[1]
         T[-1, :] = 0.0
-        T[-1, :ns] = c_std
+        T[-1, :ns] = tab.S.T @ model.objective
         _price_out(T, basis)
-        status = _iterate(T, basis, n_real, tol)
+        status, pivots = _iterate(T, basis, tab.n_real, tol)
         if status == "unbounded":
-            return LpResult(LpStatus.UNBOUNDED)
-
-    y = np.zeros(n_real)
-    y[basis] = T[:mc, -1]
-    x = offsets + S @ y[:ns]
+            return LpResult(LpStatus.UNBOUNDED, pivots=tab.pivots + pivots)
+    x = tab._point(T, basis)
     value = float(model.objective @ x)
+    return LpResult(LpStatus.OPTIMAL, value, x, tab.pivots + pivots)
 
-    # Catastrophic-failure detector only; fine-grained residual checks are
-    # the callers' and the tests' job.
-    if nrows:
-        vals = C @ x
-        guard = 1e-5 * max(1.0, float(np.abs(rhs0).max()))
-        worst = 0.0
-        for r in range(nrows):
-            d = vals[r] - rhs0[r]
-            rel = model.rows[r][1]
-            if rel == LE:
-                worst = max(worst, d)
-            elif rel == GE:
-                worst = max(worst, -d)
+
+class Tableau:
+    """Phase-one tableau of a row set that grows batch by batch.
+
+    An empty tableau holds the standard-form transform of the variable
+    bounds, x = offsets + S @ y with y >= 0: one column per bounded
+    variable, two per free one, and a row per finite upper bound, which
+    joins the first batch.  :meth:`extend` returns a new tableau with the
+    equilibrated rows after phase one and the purge of its artificials, and
+    the basis.  A tableau is never mutated once built, so several threads
+    may extend one, and a search may keep one on its stack.
+
+    feasible is False when phase one ended above the tolerance; such a
+    tableau cannot be extended.  pivots counts the pivots of the batch that
+    built this tableau.  The unscaled rows of every batch are kept for the
+    residual guard of :meth:`point`, including rows the purge dropped as
+    redundant.
+    """
+
+    def __init__(self, lower, upper):
+        lower = np.asarray(lower, dtype=float)
+        upper = np.asarray(upper, dtype=float)
+        if np.any(lower > upper):
+            raise ValueError("variable lower bound exceeds upper bound")
+        n = lower.shape[0]
+        offsets = np.zeros(n)
+        scols: list[tuple[int, float]] = []
+        bound_rows: list[tuple[int, float]] = []
+        for i in range(n):
+            lo, hi = lower[i], upper[i]
+            if np.isfinite(lo):
+                offsets[i] = lo
+                scols.append((i, 1.0))
+                if np.isfinite(hi):
+                    bound_rows.append((len(scols) - 1, hi - lo))
+            elif np.isfinite(hi):
+                offsets[i] = hi
+                scols.append((i, -1.0))
             else:
-                worst = max(worst, abs(d))
-        if worst > guard:
-            raise NumericalFailure("solution failed the residual check")
+                scols.append((i, 1.0))
+                scols.append((i, -1.0))
+        ns = len(scols)
+        S = np.zeros((n, ns))
+        for c, (i, sgn) in enumerate(scols):
+            S[i, c] = sgn
+        self.offsets, self.S = offsets, S
+        self.T = np.zeros((1, ns + 1))
+        self.basis = np.zeros(0, dtype=int)
+        self.n_real = ns
+        self.feasible = True
+        self.pivots = 0
+        self._bound_rows = bound_rows
+        self._blocks: tuple = ()
 
-    return LpResult(LpStatus.OPTIMAL, value, x)
+    def extend(self, rows, tol: float = 1e-8) -> "Tableau":
+        """This tableau plus rows of (coefficients, relation, rhs).
+
+        The new rows are shifted into the transform, equilibrated, reduced
+        against the current basis and flipped to a nonnegative right-hand
+        side.  Rows whose slack can start basic need no artificial; phase
+        one runs on the artificials of the others alone.
+        """
+        if not self.feasible:
+            raise ValueError("an infeasible tableau cannot be extended")
+        ns = self.S.shape[1]
+        nrows = len(rows)
+        C = np.zeros((nrows, self.S.shape[0]))
+        rhs0 = np.zeros(nrows)
+        senses = []
+        for r, (coeffs, relation, b) in enumerate(rows):
+            C[r] = coeffs
+            rhs0[r] = b
+            senses.append(relation)
+        blocks = self._blocks + ((C, rhs0, np.array(senses, dtype=object)),)
+
+        m_new = nrows + len(self._bound_rows)
+        old = self.n_real
+        A = np.zeros((m_new, old))
+        b = np.zeros(m_new)
+        if nrows:
+            A[:nrows, :ns] = C @ self.S
+            b[:nrows] = rhs0 - C @ self.offsets
+        for t, (col, ub) in enumerate(self._bound_rows):
+            A[nrows + t, col] = 1.0
+            b[nrows + t] = ub
+            senses.append(LE)
+
+        # Row equilibration keeps big coefficients (for example big-M rows)
+        # from washing out the tolerances.
+        if m_new:
+            scale = np.maximum(1.0, np.maximum(np.abs(A).max(axis=1), np.abs(b)))
+            A /= scale[:, None]
+            b /= scale
+
+        # Express the rows in the current basis: the basic columns vanish.
+        m_old = len(self.basis)
+        if m_old and m_new:
+            lift = A[:, self.basis]
+            A -= lift @ self.T[:m_old, :-1]
+            b -= lift @ self.T[:m_old, -1]
+            A[:, self.basis] = 0.0
+
+        flip = b < 0
+        if flip.any():
+            A[flip] *= -1.0
+            b[flip] *= -1.0
+            for r in np.nonzero(flip)[0]:
+                if senses[r] == LE:
+                    senses[r] = GE
+                elif senses[r] == GE:
+                    senses[r] = LE
+
+        n_slack = sum(1 for s in senses if s != EQ)
+        n_art = sum(1 for s in senses if s != LE)
+        total = old + n_slack + n_art
+        m = m_old + m_new
+        T = np.zeros((m + 1, total + 1))
+        T[:m_old, :old] = self.T[:m_old, :old]
+        T[:m_old, -1] = self.T[:m_old, -1]
+        T[m_old:m, :old] = A
+        T[m_old:m, -1] = b
+        basis = np.zeros(m, dtype=int)
+        basis[:m_old] = self.basis
+        sl = old
+        ar = old + n_slack
+        art_cols = []
+        for t in range(m_new):
+            r = m_old + t
+            s = senses[t]
+            if s == LE:
+                T[r, sl] = 1.0
+                basis[r] = sl
+                sl += 1
+            elif s == GE:
+                T[r, sl] = -1.0
+                sl += 1
+                T[r, ar] = 1.0
+                basis[r] = ar
+                art_cols.append(ar)
+                ar += 1
+            else:
+                T[r, ar] = 1.0
+                basis[r] = ar
+                art_cols.append(ar)
+                ar += 1
+
+        n_real = old + n_slack
+        pivots = 0
+        feasible = True
+        if art_cols:
+            T[-1, art_cols] = -1.0
+            _price_out(T, basis)
+            status, pivots = _iterate(T, basis, total, tol)
+            if status == "unbounded":
+                raise NumericalFailure("phase one reported unbounded")
+            # Phase one maximizes the negated artificial sum; the tableau
+            # stores its negation, so infeasibility shows up as a positive
+            # entry.
+            feasible = not T[-1, -1] > tol
+            if feasible:
+                T, basis, purged = _purge_artificials(T, basis, n_real)
+                pivots += purged
+
+        child = Tableau.__new__(Tableau)
+        child.offsets, child.S = self.offsets, self.S
+        child.T, child.basis, child.n_real = T, basis, n_real
+        child.feasible, child.pivots = feasible, pivots
+        child._bound_rows = []
+        child._blocks = blocks
+        return child
+
+    def point(self) -> np.ndarray:
+        """The basic solution in the original variables.
+
+        Raises NumericalFailure when the point misses a row of any batch by
+        more than 1e-5 * max(1, |rhs|), a catastrophic-failure detector
+        only; fine-grained residual checks are the callers' and the tests'
+        job.
+        """
+        return self._point(self.T, self.basis)
+
+    def _point(self, T: np.ndarray, basis: np.ndarray) -> np.ndarray:
+        y = np.zeros(self.n_real)
+        y[basis] = T[: len(basis), -1]
+        x = self.offsets + self.S @ y[: self.S.shape[1]]
+
+        worst, big = 0.0, 1.0
+        for C, rhs0, rels in self._blocks:
+            if not len(rhs0):
+                continue
+            d = C @ x - rhs0
+            worst = max(
+                worst,
+                float(d[rels == LE].max(initial=0.0)),
+                float((-d[rels == GE]).max(initial=0.0)),
+                float(np.abs(d[rels == EQ]).max(initial=0.0)),
+            )
+            big = max(big, float(np.abs(rhs0).max()))
+        if worst > 1e-5 * big:
+            raise NumericalFailure("solution failed the residual check")
+        return x
 
 
 def _purge_artificials(T: np.ndarray, basis: np.ndarray, n_real: int):
     """Pivot lingering artificials out of the basis, dropping rows that are
-    redundant, then cut the artificial columns from the tableau."""
+    redundant, then cut the artificial columns from the tableau.  Returns
+    the tableau, the basis and the number of pivots."""
     m = T.shape[0] - 1
     drop = []
+    pivots = 0
     for r in range(m):
         if basis[r] >= n_real:
             row = T[r, :n_real]
@@ -341,10 +434,11 @@ def _purge_artificials(T: np.ndarray, basis: np.ndarray, n_real: int):
             if abs(row[j]) > _PIV_EPS:
                 _pivot(T, r, j)
                 basis[r] = j
+                pivots += 1
             else:
                 drop.append(r)
     if drop:
         T = np.delete(T, drop, axis=0)
         basis = np.delete(basis, drop)
     T = np.delete(T, np.s_[n_real:-1], axis=1)
-    return T, basis
+    return T, basis, pivots

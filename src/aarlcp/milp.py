@@ -88,6 +88,13 @@ class SolveOptions:
 
 @dataclass(eq=False)
 class SolveReport:
+    """Outcome of a search.
+
+    lp_calls counts node LPs: one per node, plus a cold re-solve wherever a
+    warm-started node failed its residual guard.  lp_pivots is the pivot
+    total of those LPs.
+    """
+
     status: SolveStatus
     policy: Policy | None = None
     nodes_explored: int = 0
@@ -95,6 +102,7 @@ class SolveReport:
     verification: VerifyReport | None = None
     tolerances: dict = field(default_factory=dict)
     tally: dict | None = None
+    lp_pivots: int = 0
 
 
 def _normalize_fixed(node, n: int) -> tuple[int, ...]:
@@ -269,9 +277,12 @@ class Formulation:
 class NodeLpBuilder:
     """Assembles node LPs for one instance and hull basis.
 
-    The always-valid rows are built once; per node only the indicator rows
-    are appended.  Models share the bound arrays, which the solver never
-    mutates.
+    The always-valid rows are built once, and so are the indicator rows of
+    every (index, value).  :meth:`model` appends the indicator rows of the
+    fixed entries for a cold solve; the tree search instead keeps each
+    parent's phase-one tableau on its stack and extends it by the
+    :meth:`indicator` rows of the one entry a child fixes.  Models share the
+    bound arrays, which the solver never mutates.
     """
 
     def __init__(self, inst: Instance, basis: LinHullBasis):
@@ -321,6 +332,10 @@ class NodeLpBuilder:
         """Full node LP: always-valid rows plus indicators for fixed entries."""
         return self._assemble(list(self._static), node)
 
+    def indicator(self, i: int, value: int) -> list:
+        """The rows that fixing entry i to value adds to a node LP."""
+        return self._indicator[i, value]
+
     def support_model(self, node) -> lp.LpModel:
         """Equality side only: indicators and pinning rows, nothing else.
 
@@ -350,11 +365,13 @@ class NodeLpBuilder:
 
 
 class _Budget:
-    """Thread-safe node counter with a hard cap."""
+    """Thread-safe node counter with a hard cap, plus the node-LP tallies."""
 
     def __init__(self, limit: int):
         self.limit = limit
         self.used = 0
+        self.lp_calls = 0
+        self.pivots = 0
         self._lock = threading.Lock()
 
     def tick(self) -> None:
@@ -364,6 +381,12 @@ class _Budget:
                 raise NodeLimitExceeded(
                     f"node budget of {self.limit} exhausted without a conclusion"
                 )
+
+    def spend(self, pivots: int) -> None:
+        """Count one node LP and its pivots."""
+        with self._lock:
+            self.lp_calls += 1
+            self.pivots += pivots
 
 
 def _branch_choice(fixed, rhat, opts):
@@ -381,26 +404,52 @@ def _with(fixed, i, val):
     return tuple(out)
 
 
-def _dfs(builder, root, opts, budget, stop):
+def _node_lp(builder, fixed, parent, key, tol, budget):
+    """Phase one at one node: (tableau, point), the point None if infeasible.
+
+    A node with a parent extends the parent's tableau by the indicator rows
+    of key, its one new (index, value).  If that warm solve fails, by its
+    residual guard or otherwise, the node is solved once more, cold, from
+    its full model; a failure there propagates.  A node without a parent is
+    solved cold.  Every attempt counts as an LP call.
+    """
+    if parent is not None:
+        tab = None
+        try:
+            tab = parent.extend(builder.indicator(*key), tol)
+            return tab, (tab.point() if tab.feasible else None)
+        except NumericalFailure:
+            pass
+        finally:
+            budget.spend(tab.pivots if tab is not None else 0)
+    tab = lp.phase_one(builder.model(fixed), tol)
+    budget.spend(tab.pivots)
+    return tab, (tab.point() if tab.feasible else None)
+
+
+def _dfs(builder, root, opts, budget, stop, parent=None, key=None):
     """Depth-first search below one root assignment.
 
-    Returns (fixed, point) of the first feasible leaf, or None when the
-    subtree is exhausted or the stop event fires.
+    A stack entry is a fixing, the phase-one tableau of its parent and the
+    (index, value) the child adds; the tableau is shared by both children
+    and never changed.  The root entry extends parent by key, or is solved
+    cold without one.  Returns (fixed, point) of the first feasible leaf, or
+    None when the subtree is exhausted or the stop event fires.
     """
-    stack = [root]
+    stack = [(root, parent, key)]
     while stack:
         if stop is not None and stop.is_set():
             return None
-        fixed = stack.pop()
+        fixed, parent, key = stack.pop()
         budget.tick()
-        res = lp.lp_feasible(builder.model(fixed), opts.tol)
-        if res.status is lp.LpStatus.INFEASIBLE:
+        tab, point = _node_lp(builder, fixed, parent, key, opts.tol, budget)
+        if point is None:
             continue
         if all(f != UNFIXED for f in fixed):
-            return fixed, res.point
-        i, first = _branch_choice(fixed, builder.r_of(res.point), opts)
-        stack.append(_with(fixed, i, 1 - first))
-        stack.append(_with(fixed, i, first))
+            return fixed, point
+        i, first = _branch_choice(fixed, builder.r_of(point), opts)
+        stack.append((_with(fixed, i, 1 - first), tab, (i, 1 - first)))
+        stack.append((_with(fixed, i, first), tab, (i, first)))
     return None
 
 
@@ -425,8 +474,9 @@ def _run_search(builder, opts, verify_fn) -> SolveReport:
         return SolveReport(
             status=SolveStatus.INFEASIBLE,
             nodes_explored=budget.used,
-            lp_calls=budget.used,
+            lp_calls=budget.lp_calls,
             tolerances=tolerances,
+            lp_pivots=budget.pivots,
         )
     fixed, point = leaf
     policy = builder.extract_policy(point, fixed, opts.eps_zero)
@@ -440,32 +490,35 @@ def _run_search(builder, opts, verify_fn) -> SolveReport:
         status=SolveStatus.FEASIBLE,
         policy=policy,
         nodes_explored=budget.used,
-        lp_calls=budget.used,
+        lp_calls=budget.lp_calls,
         verification=report,
         tolerances=tolerances,
+        lp_pivots=budget.pivots,
     )
 
 
 def _parallel_search(builder, opts, budget):
-    """Split the root once and explore the two children concurrently."""
+    """Split the root once and explore the two children concurrently.
+
+    Both threads extend the root's tableau, which neither changes."""
     n = builder.n
     root = tuple([UNFIXED] * n)
     budget.tick()
-    res = lp.lp_feasible(builder.model(root), opts.tol)
-    if res.status is lp.LpStatus.INFEASIBLE:
+    tab, point = _node_lp(builder, root, None, None, opts.tol, budget)
+    if point is None:
         return None
     if all(f != UNFIXED for f in root):
-        return root, res.point
-    i, first = _branch_choice(root, builder.r_of(res.point), opts)
-    children = [_with(root, i, first), _with(root, i, 1 - first)]
+        return root, point
+    i, first = _branch_choice(root, builder.r_of(point), opts)
+    children = [(i, first), (i, 1 - first)]
 
     stop = threading.Event()
     results: list = [None, None]
     errors: list = [None, None]
 
-    def work(slot, child):
+    def work(slot, key):
         try:
-            out = _dfs(builder, child, opts, budget, stop)
+            out = _dfs(builder, _with(root, *key), opts, budget, stop, tab, key)
             if out is not None:
                 results[slot] = out
                 stop.set()
@@ -474,8 +527,8 @@ def _parallel_search(builder, opts, budget):
             stop.set()
 
     threads = [
-        threading.Thread(target=work, args=(slot, child))
-        for slot, child in enumerate(children)
+        threading.Thread(target=work, args=(slot, key))
+        for slot, key in enumerate(children)
     ]
     for t in threads:
         t.start()
@@ -497,7 +550,8 @@ def bnb_solve(
 
     Feasible results always carry a policy that passed certification; an
     Infeasible status means the whole tree was exhausted.  lp_calls counts
-    node relaxation solves.  Mixed instances belong to mixed_solve.
+    node relaxation solves, lp_pivots their pivots.  Mixed instances belong
+    to mixed_solve.
     """
     if inst.mixed is not None:
         raise DimensionMismatch(

@@ -38,6 +38,7 @@ class PsdReport:
     policy: object | None = None
     verification: VerifyReport | None = None
     lp_calls: int = 0
+    lp_pivots: int = 0  # of the forced-support node LP
 
 
 def check_psd(M: np.ndarray, tol: float = 1e-9) -> bool:
@@ -225,6 +226,7 @@ def psd_solve(
             nominal=zbar,
             support_p=support,
             lp_calls=lp_calls,
+            lp_pivots=res.pivots,
         )
     policy = builder.extract_policy(res.point, fixed, eps_zero)
     report = verify_policy(inst, basis, policy, verify_tol, eps_zero)
@@ -241,4 +243,5 @@ def psd_solve(
         policy=policy,
         verification=report,
         lp_calls=lp_calls,
+        lp_pivots=res.pivots,
     )

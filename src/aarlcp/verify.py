@@ -179,6 +179,7 @@ def oracle_enumerate(
         )
     builder = NodeLpBuilder(inst, basis)
     lp_calls = 0
+    lp_pivots = 0
     tested = 0
     eq_infeasible = 0
     nonneg_infeasible = 0
@@ -188,11 +189,13 @@ def oracle_enumerate(
             tested += 1
             probe = lp.lp_feasible(builder.support_model(fixed), tol)
             lp_calls += 1
+            lp_pivots += probe.pivots
             if probe.status is lp.LpStatus.INFEASIBLE:
                 eq_infeasible += 1
                 continue
             res = lp.lp_feasible(builder.model(fixed), tol)
             lp_calls += 1
+            lp_pivots += res.pivots
             if res.status is lp.LpStatus.INFEASIBLE:
                 nonneg_infeasible += 1
                 continue
@@ -216,6 +219,7 @@ def oracle_enumerate(
                     "nonnegativity_infeasible": nonneg_infeasible,
                     "feasible_support": tuple(int(i) for i in supp),
                 },
+                lp_pivots=lp_pivots,
             )
     return SolveReport(
         status=SolveStatus.INFEASIBLE,
@@ -230,4 +234,5 @@ def oracle_enumerate(
             "nonnegativity_infeasible": nonneg_infeasible,
             "feasible_support": None,
         },
+        lp_pivots=lp_pivots,
     )

@@ -1,6 +1,7 @@
 """Command line behavior: exit codes, file round trips, error mapping."""
 
 import json
+import re
 
 import numpy as np
 import pytest
@@ -89,11 +90,13 @@ def test_solve_verify_round_trip(tmp_path, capsys):
     out = capsys.readouterr().out
     assert "status: feasible" in out
     assert "path: tree search" in out
+    assert re.search(r"^lp pivots: [1-9]\d*$", out, re.M)
 
     saved = json.loads((tmp_path / "pol.json").read_text())
     assert saved["status"] == "feasible"
     assert saved["x"] == [1, 1]
     assert saved["diagnostics"]["nodes_explored"] >= 1
+    assert saved["diagnostics"]["lp_pivots"] >= 1
 
     assert main(["verify", inst, pol]) == 0
     out = capsys.readouterr().out
@@ -141,10 +144,13 @@ def test_solve_infeasible_exit(tmp_path):
 
 def test_solve_psd_routing(tmp_path, capsys):
     desk = write(tmp_path, "desk.json", PSD_DESK)
-    assert main(["solve", desk, "--psd", "force"]) == 0
+    pol = str(tmp_path / "pol.json")
+    assert main(["solve", desk, "--psd", "force", "--out", pol]) == 0
     out = capsys.readouterr().out
     assert "path: forced support" in out
     assert "positive-capable rows: 1" in out
+    assert re.search(r"^lp pivots: \d+$", out, re.M)
+    assert "lp_pivots" in json.loads((tmp_path / "pol.json").read_text())["diagnostics"]
 
     golden = write(tmp_path, "golden.json", GOLDEN)
     assert main(["solve", golden, "--psd", "force"]) == 2
@@ -159,7 +165,9 @@ def test_solve_mixed_instance(tmp_path, capsys):
     path = write(tmp_path, "mixed.json", MIXED_1D)
     out_path = str(tmp_path / "pol.json")
     assert main(["solve", path, "--out", out_path]) == 0
+    assert "lp pivots: " in capsys.readouterr().out
     saved = json.loads((tmp_path / "pol.json").read_text())
+    assert saved["diagnostics"]["lp_pivots"] >= 0
     assert saved["r"][0] == pytest.approx(0.5)
     assert "E" in saved and "s" in saved
     assert main(["verify", path, out_path]) == 0

@@ -209,3 +209,80 @@ def test_pivot_budget_is_finite():
         assert res.status in (lp.LpStatus.OPTIMAL, lp.LpStatus.UNBOUNDED)
     except NumericalFailure:
         pytest.fail("well-conditioned model tripped the pivot budget")
+
+
+def _batch_model(rng):
+    """Equality-heavy LP with duplicated, combined and zero-rhs rows; about
+    half of the draws are feasible by construction."""
+    n = int(rng.integers(3, 8))
+    model = lp.LpModel(n)
+    free = rng.uniform(size=n) < 0.3
+    model.set_free(np.nonzero(free)[0])
+    for i in np.nonzero(~free & (rng.uniform(size=n) < 0.3))[0]:
+        model.set_bounds(i, 0.0, float(rng.uniform(1.0, 3.0)))
+    x0 = np.where(free, rng.normal(size=n), rng.uniform(0.0, 1.0, size=n))
+    if rng.uniform() < 0.3:
+        x0[rng.uniform(size=n) < 0.5] = 0.0  # degenerate vertex
+    planted = rng.uniform() < 0.5
+    rows = []
+    for _ in range(int(rng.integers(2, n + 3))):
+        kind = rng.uniform()
+        if rows and kind < 0.2:
+            a = rows[int(rng.integers(len(rows)))][0].copy()  # duplicate
+        elif len(rows) >= 2 and kind < 0.4:
+            a = rows[0][0] - 2.0 * rows[1][0]  # combination
+        else:
+            a = rng.integers(-3, 4, size=n).astype(float)
+        rel = lp.EQ if rng.uniform() < 0.7 else (lp.LE, lp.GE)[int(rng.integers(2))]
+        b = float(a @ x0) if planted else float(rng.integers(-3, 4))
+        rows.append((a, rel, b))
+    for a, rel, b in rows:
+        model.add_row(a, rel, b)
+    return model
+
+
+def test_two_batches_match_one():
+    rng = np.random.default_rng(17)
+    feasible = 0
+    for _ in range(150):
+        model = _batch_model(rng)
+        whole = lp.lp_feasible(model).status is lp.LpStatus.OPTIMAL
+        one = lp.phase_one(model)
+        assert one.feasible is whole
+        cut = int(rng.integers(0, len(model.rows) + 1))
+        tab = lp.Tableau(model.lower, model.upper).extend(model.rows[:cut])
+        if tab.feasible:
+            tab = tab.extend(model.rows[cut:])
+        assert tab.feasible is whole
+        if whole:
+            feasible += 1
+            x = tab.point()
+            assert np.all(x >= model.lower - 1e-9)
+            assert np.all(x <= model.upper + 1e-9)
+            for a, rel, b in model.rows:
+                d = float(a @ x) - b
+                assert (d if rel == lp.LE else -d if rel == lp.GE else abs(d)) <= 1e-8
+    assert 30 <= feasible <= 130
+
+
+def test_extend_leaves_the_parent_alone():
+    model = lp.LpModel(3)
+    model.add_row([1.0, 1.0, 1.0], lp.EQ, 2.0)
+    parent = lp.phase_one(model)
+    T, basis = parent.T.copy(), parent.basis.copy()
+    infeasible = parent.extend([(np.array([1.0, 1.0, 1.0]), lp.GE, 3.0)])
+    assert not infeasible.feasible
+    with pytest.raises(ValueError):
+        infeasible.extend([])
+    child = parent.extend([(np.array([1.0, 0.0, 0.0]), lp.EQ, 0.5)])
+    assert child.feasible
+    assert child.point()[0] == pytest.approx(0.5)
+    assert np.array_equal(parent.T, T) and np.array_equal(parent.basis, basis)
+
+
+def test_pivots_counted():
+    model = lp.LpModel(2, [1.0, 1.0])
+    model.add_row([1.0, 1.0], lp.LE, 1.0)
+    model.add_row([1.0, -1.0], lp.EQ, 0.0)
+    assert lp.lp_feasible(model).pivots >= 1
+    assert lp.lp_solve(model).pivots >= lp.lp_feasible(model).pivots

@@ -1,11 +1,14 @@
 """Node LPs, the tree search, and the big-M export with its parser."""
 
+import sys
+
 import numpy as np
 import pytest
 
 from aarlcp import (
     DimensionMismatch,
     NodeLimitExceeded,
+    NumericalFailure,
     NodeLpBuilder,
     SolveOptions,
     SolveStatus,
@@ -134,6 +137,116 @@ def test_parallel_matches_sequential():
         bnb_solve(inst, basis, SolveOptions(parallel=True)).status
         is bnb_solve(inst, basis).status
     )
+
+
+def _node_residual(model, point):
+    worst = 0.0
+    for coeffs, rel, rhs in model.rows:
+        d = float(coeffs @ point) - rhs
+        worst = max(worst, d if rel == lp.LE else -d if rel == lp.GE else abs(d))
+    return worst
+
+
+def _walk(builder, warm):
+    """Index-branching DFS; warm nodes extend the parent's tableau and are
+    checked against a cold solve of the same node.  Returns the node count."""
+    n = builder.n
+    stack = [(tuple([UNFIXED] * n), None, None)]
+    nodes = 0
+    while stack:
+        fixed, parent, key = stack.pop()
+        nodes += 1
+        model = builder.model(fixed)
+        cold = lp.lp_feasible(model)
+        if warm and parent is not None:
+            tab = parent.extend(builder.indicator(*key))
+            assert tab.feasible is (cold.status is lp.LpStatus.OPTIMAL), fixed
+        else:
+            tab = lp.phase_one(model)
+        if not tab.feasible:
+            continue
+        point = tab.point()
+        assert _node_residual(model, point) <= 1e-7, fixed
+        if UNFIXED not in fixed:
+            return nodes
+        i = fixed.index(UNFIXED)
+        for v in (1, 0):
+            child = list(fixed)
+            child[i] = v
+            stack.append((tuple(child), tab, (i, v)))
+    return nodes
+
+
+def test_warm_nodes_match_cold_solves():
+    rng = np.random.default_rng(41)
+    for trial in range(6):
+        n, k = 5 + trial % 3, 2 + trial % 3
+        if trial % 2 == 0:
+            inst, _ = planted_instance(rng, n, k, 2 * k + 1)
+        else:
+            inst = random_instance(rng, n, k, 2 * k + 1)
+        basis = compute_lin_hull(inst)
+        builder = NodeLpBuilder(inst, basis)
+        nodes = _walk(builder, warm=True)
+        assert nodes == _walk(builder, warm=False)
+        report = bnb_solve(inst, basis, SolveOptions(branching="index"))
+        assert report.nodes_explored == nodes
+        assert report.lp_pivots > 0
+
+
+def test_warm_failure_falls_back_to_a_cold_solve(monkeypatch):
+    rng = np.random.default_rng(44)
+    inst = random_instance(rng, 4, 2, 5)
+    basis = compute_lin_hull(inst)
+    opts = SolveOptions(branching="index")
+    want = bnb_solve(inst, basis, opts)
+    assert want.nodes_explored > 3
+    real = lp.Tableau.extend
+
+    def warm_fails(self, rows, tol=1e-8):
+        if len(self.basis):  # a child extending its parent
+            raise NumericalFailure("injected")
+        return real(self, rows, tol)
+
+    monkeypatch.setattr(lp.Tableau, "extend", warm_fails)
+    report = bnb_solve(inst, basis, opts)
+    assert report.status is want.status
+    assert report.nodes_explored == want.nodes_explored
+    # every node below the root: a failed warm attempt plus a cold re-solve
+    assert report.lp_calls == 2 * report.nodes_explored - 1
+
+    # the root solves; below it the warm attempt and the cold re-solve fail
+    calls = []
+
+    def fails_after_root(self, rows, tol=1e-8):
+        calls.append(len(self.basis))
+        if len(calls) > 1:
+            raise NumericalFailure("injected")
+        return real(self, rows, tol)
+
+    monkeypatch.setattr(lp.Tableau, "extend", fails_after_root)
+    with pytest.raises(NumericalFailure):
+        bnb_solve(inst, basis, opts)
+    assert calls[0] == 0 and calls[1] > 0 and calls[2] == 0
+
+
+def test_parallel_tallies_survive_thread_switching():
+    # an infeasible tree is exhausted on both sides, and every node's warm
+    # solve depends only on its ancestors, so a lost update shows
+    rng = np.random.default_rng(44)
+    inst = random_instance(rng, 4, 2, 5)
+    basis = compute_lin_hull(inst)
+    seq = bnb_solve(inst, basis, SolveOptions(branching="index"))
+    assert seq.status is SolveStatus.INFEASIBLE
+    old = sys.getswitchinterval()
+    sys.setswitchinterval(1e-6)
+    try:
+        for _ in range(3):
+            par = bnb_solve(inst, basis, SolveOptions(branching="index", parallel=True))
+            assert par.nodes_explored == par.lp_calls == seq.nodes_explored
+            assert par.lp_pivots == seq.lp_pivots
+    finally:
+        sys.setswitchinterval(old)
 
 
 def test_index_branching_matches_heuristic():
