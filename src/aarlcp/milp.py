@@ -12,6 +12,12 @@ rows for the already-fixed entries; no big-M rows exist there.  The export
 binary, for hand-off to external integer programming tools; it covers pure
 and mixed instances alike.
 
+Node LPs are presolved: the rule D enters only through its certificate
+D_i = Theta^T A_i, so they carry neither D columns nor z_dual_match rows,
+and every other row has D replaced by that product.  The export still
+carries both.  :meth:`NodeLpBuilder.lift` maps a node LP point back to the
+formulation's columns.
+
 Row families:
 
 * z_dual_value / z_dual_match: a nonnegative multiplier per set row
@@ -277,6 +283,12 @@ class Formulation:
 class NodeLpBuilder:
     """Assembles node LPs for one instance and hull basis.
 
+    Node LPs carry neither the D columns nor the z_dual_match rows: those
+    rows say D_i = Theta^T A_i, so every row is rendered with D replaced by
+    that product, and z_dual_match becomes 0 = 0.  Their columns are the
+    formulation's columns without D, and :meth:`lift` maps a node point back
+    to the formulation's columns.  The export keeps D and z_dual_match.
+
     The always-valid rows are built once, and so are the indicator rows of
     every (index, value).  :meth:`model` appends the indicator rows of the
     fixed entries for a cold solve; the tree search instead keeps each
@@ -288,33 +300,48 @@ class NodeLpBuilder:
     def __init__(self, inst: Instance, basis: LinHullBasis):
         self.inst = inst
         form = self.form = Formulation(inst, basis)
-        self.n, self.total = inst.n, form.total
+        kept = np.setdiff1d(np.arange(form.total), form.D.ravel())
+        self.n, self.total = inst.n, len(kept)
+        pos = np.full(form.total, -1)
+        pos[kept] = np.arange(self.total)
+        self._r = pos[form.r]
+        # x_full = Z @ x: identity on the kept columns, D[i] = Theta^T A_i
+        self._Z = np.zeros((form.total, self.total))
+        self._Z[kept, np.arange(self.total)] = 1.0
+        for i in range(self.n):
+            self._Z[np.ix_(form.D[i], pos[form.A[i]])] = inst.Theta.T
 
-        self._lower = np.zeros(self.total)
-        self._lower[form.free] = -np.inf
+        lower = np.zeros(form.total)
+        lower[form.free] = -np.inf
+        self._lower = lower[kept]
         self._upper = np.full(self.total, np.inf)
         self._objective = np.zeros(self.total)
         for arr in (self._lower, self._upper, self._objective):
             arr.setflags(write=False)
 
         def render(*tags):
-            return [(form.dense(row), row.rel, row.rhs) for row in form.rows(*tags)]
+            """(row, node coefficients) for the given families, in one product."""
+            rows = list(form.rows(*tags))
+            dense = np.array([form.dense(row) for row in rows]).reshape(-1, form.total)
+            return zip(rows, dense @ self._Z)
 
-        self._eq_static = render(
-            TAG_HERE_AND_NOW, TAG_MIXED_NOMINAL, TAG_MIXED_DIRECTION, TAG_MIXED_PIN
-        )
-        self._static = (
-            render(
-                TAG_Z_DUAL_VALUE, TAG_Z_DUAL_MATCH, TAG_W_DUAL_VALUE, TAG_W_DUAL_MATCH
+        self._eq_static = [
+            (coeffs, row.rel, row.rhs)
+            for row, coeffs in render(
+                TAG_HERE_AND_NOW, TAG_MIXED_NOMINAL, TAG_MIXED_DIRECTION, TAG_MIXED_PIN
             )
-            + self._eq_static
-        )
+        ]
+        static_tags = (TAG_Z_DUAL_VALUE, TAG_W_DUAL_VALUE, TAG_W_DUAL_MATCH)
+        self._static = [
+            (coeffs, row.rel, row.rhs) for row, coeffs in render(*static_tags)
+        ] + self._eq_static
         # Exact indicator rows, cached per (index, value).
         self._indicator: dict[tuple[int, int], list] = {
             (i, f): [] for i in range(self.n) for f in (0, 1)
         }
-        for row in form.rows(TAG_NOMINAL_COMP, TAG_DIRECTION_COMP, TAG_SUPPORT_LINK):
-            self._indicator[row.when].append((form.dense(row), row.rel, row.rhs))
+        indicator_tags = (TAG_NOMINAL_COMP, TAG_DIRECTION_COMP, TAG_SUPPORT_LINK)
+        for row, coeffs in render(*indicator_tags):
+            self._indicator[row.when].append((coeffs, row.rel, row.rhs))
 
     def _assemble(self, rows, node) -> lp.LpModel:
         for i, f in enumerate(_normalize_fixed(node, self.n)):
@@ -343,7 +370,11 @@ class NodeLpBuilder:
         return self._assemble(list(self._eq_static), node)
 
     def r_of(self, point: np.ndarray) -> np.ndarray:
-        return point[self.form.r]
+        return point[self._r]
+
+    def lift(self, point: np.ndarray) -> np.ndarray:
+        """A node LP point in the formulation's columns, D = Theta^T A_i."""
+        return self._Z @ point
 
     def extract_policy(self, point, node, eps_zero: float = EPS_ZERO) -> Policy:
         """Read the affine rule off a node LP point at a fully fixed node."""
@@ -351,6 +382,7 @@ class NodeLpBuilder:
         if any(f == UNFIXED for f in fixed):
             raise ValueError("policy extraction needs a fully fixed node")
         form, mixed = self.form, self.inst.mixed
+        point = self.lift(point)
         D = point[form.D]
         if self.inst.h:
             D[: self.inst.h] = 0.0

@@ -1,5 +1,6 @@
 """Node LPs, the tree search, and the big-M export with its parser."""
 
+import dataclasses
 import sys
 
 import numpy as np
@@ -20,10 +21,12 @@ from aarlcp import (
     export_milp,
     lp,
     mixed_solve,
+    oracle_enumerate,
     parse_lp_text,
     verify_policy,
 )
 from aarlcp.milp import (
+    ALL_TAGS,
     TAG_DIRECTION_COMP,
     TAG_HERE_AND_NOW,
     TAG_NOMINAL_COMP,
@@ -247,6 +250,89 @@ def test_parallel_tallies_survive_thread_switching():
             assert par.lp_pivots == seq.lp_pivots
     finally:
         sys.setswitchinterval(old)
+
+
+def _full_space_model(builder, fixed):
+    """The node LP before the presolve: free D columns and z_dual_match rows."""
+    form = builder.form
+    model = lp.LpModel(form.total)
+    model.set_free(form.free)
+    for row in form.rows(*ALL_TAGS):
+        if row.when is None or fixed[row.when[0]] == row.when[1]:
+            model.add_row(form.dense(row), row.rel, row.rhs)
+    return model
+
+
+def _presolve_walk(inst):
+    """Index-branching DFS comparing each node LP with its full-space model.
+
+    Returns the number of feasible leaves reached (0 or 1)."""
+    basis = compute_lin_hull(inst)
+    builder = NodeLpBuilder(inst, basis)
+    form, h = builder.form, inst.h
+    assert builder.total == form.total - inst.n * inst.k
+    stack = [tuple([UNFIXED] * inst.n)]
+    while stack:
+        fixed = stack.pop()
+        full = _full_space_model(builder, fixed)
+        res = lp.lp_feasible(builder.model(fixed))
+        assert res.status is lp.lp_feasible(full).status, fixed
+        if res.status is not lp.LpStatus.OPTIMAL:
+            continue
+        lifted = builder.lift(res.point)
+        assert _node_residual(full, lifted) <= 1e-7, fixed
+        if UNFIXED not in fixed:
+            A = lifted[form.A]
+            D = builder.extract_policy(res.point, fixed).D
+            assert np.allclose(D[h:], A[h:] @ inst.Theta, rtol=0.0, atol=1e-12)
+            assert not D[:h].any()
+            assert np.abs(A[:h] @ inst.Theta).max(initial=0.0) <= 1e-7
+            return 1
+        i = fixed.index(UNFIXED)
+        for v in (0, 1):
+            child = list(fixed)
+            child[i] = v
+            stack.append(tuple(child))
+    return 0
+
+
+def test_presolved_nodes_match_full_space_nodes():
+    # node LPs drop D = Theta^T A and its z_dual_match rows; each node must
+    # keep the status of the full-space LP, and its lifted point must meet
+    # every full-space row, here-and-now rows included
+    rng = np.random.default_rng(53)
+    leaves = 0
+    for trial in range(6):
+        n, k = 4 + trial % 2, 2 + trial % 2
+        if trial % 2 == 0:
+            inst, _ = planted_instance(rng, n, k, 2 * k + 1)
+        else:
+            inst = random_instance(rng, n, k, 2 * k + 1)
+        for h in (0, 1 + trial % 2):
+            leaves += _presolve_walk(dataclasses.replace(inst, h=h))
+    for _ in range(3):
+        for inst in planted_mixed_instance(rng, int(rng.integers(2, 4)), 2, 2)[:2]:
+            leaves += _presolve_walk(inst)
+    assert leaves >= 6
+
+
+def test_here_and_now_search_matches_oracle():
+    rng = np.random.default_rng(61)
+    feasible = 0
+    for trial in range(40):
+        n, k = int(rng.integers(4, 7)), int(rng.integers(2, 4))
+        if trial % 2 == 0:
+            inst, _ = planted_instance(rng, n, k, 2 * k + 1)
+        else:
+            inst = random_instance(rng, n, k, 2 * k + 1)
+        inst = dataclasses.replace(inst, h=int(rng.integers(1, 3)))
+        basis = compute_lin_hull(inst)
+        report = bnb_solve(inst, basis)
+        assert report.status is oracle_enumerate(inst, basis).status, trial
+        if report.status is SolveStatus.FEASIBLE:
+            feasible += 1
+            assert not report.policy.D[: inst.h].any()
+    assert 0 < feasible < 40
 
 
 def test_index_branching_matches_heuristic():
