@@ -16,6 +16,7 @@ uses the shortest representation that parses back to the same double).
 from __future__ import annotations
 
 import argparse
+import functools
 import json
 import sys
 
@@ -323,7 +324,9 @@ def cmd_export(args) -> int:
     return 0
 
 
+@functools.cache
 def build_parser() -> argparse.ArgumentParser:
+    """The argument parser, built at the first call and shared after it."""
     parser = argparse.ArgumentParser(
         prog="aarlcp",
         description=(

@@ -327,22 +327,46 @@ def uncertainty_lp(Theta: np.ndarray, zeta: np.ndarray, objective) -> lp.LpModel
     return model
 
 
+def uncertainty_tableau(
+    Theta: np.ndarray, zeta: np.ndarray, tol: float = 1e-8
+) -> lp.Tableau | None:
+    """Phase one over {u : Theta u >= zeta}, or None when the set is empty.
+
+    Every maximization over the set starts from this one tableau through
+    lp.Tableau.maximize, so a row set runs phase one once, whatever the
+    number of objectives.
+    """
+    probe = uncertainty_lp(Theta, zeta, np.zeros(Theta.shape[1]))
+    return lp.lp_feasible(probe, tol).tableau
+
+
+def _nonempty_tableau(Theta: np.ndarray, zeta: np.ndarray, tol: float) -> lp.Tableau:
+    tab = uncertainty_tableau(Theta, zeta, tol)
+    if tab is None:
+        raise EmptyUncertaintySet("the uncertainty set is empty")
+    return tab
+
+
 def implicit_equalities(
     Theta: np.ndarray, zeta: np.ndarray, tol: float = 1e-8
 ) -> tuple[list[int], list[int]]:
     """Rows of {u : Theta u >= zeta} that are tight on the whole set.
 
-    One maximization per row; a row is tight everywhere exactly when its
-    maximum equals its right-hand side, tested relative to the magnitude of
-    that side.  Returns the tight rows and the rows whose maximum is
-    unbounded; raises EmptyUncertaintySet when the set has no points.
+    One maximization per row, all from one shared phase one; a row is tight
+    everywhere exactly when its maximum equals its right-hand side, tested
+    relative to the magnitude of that side.  Returns the tight rows and the
+    rows whose maximum is unbounded; raises EmptyUncertaintySet when the
+    set has no points.
     """
+    return _row_maxima(_nonempty_tableau(Theta, zeta, tol), Theta, zeta, tol)
+
+
+def _row_maxima(tab: lp.Tableau, Theta, zeta, tol: float):
+    """The tight and the unbounded rows, from the set's phase-one tableau."""
     tight: list[int] = []
     unbounded: list[int] = []
     for j in range(Theta.shape[0]):
-        res = lp.lp_solve(uncertainty_lp(Theta, zeta, Theta[j]), tol)
-        if res.status is lp.LpStatus.INFEASIBLE:
-            raise EmptyUncertaintySet("the uncertainty set is empty")
+        res = tab.maximize(Theta[j], tol)
         if res.status is lp.LpStatus.UNBOUNDED:
             unbounded.append(j)
         elif abs(res.value - zeta[j]) <= tol * max(1.0, abs(zeta[j])):
@@ -370,26 +394,23 @@ def validate(inst: Instance, tol: float = 1e-8) -> ValidationReport:
     its relative interior, and the column rank of the channel.
 
     Implicit equality rows are those whose inequality is tight on the whole
-    set (see implicit_equalities).  Raises EmptyUncertaintySet when the set
-    has no points at all.
+    set (see implicit_equalities).  The 2k coordinate maximizations and the
+    g row maximizations share one phase one.  Raises EmptyUncertaintySet
+    when the set has no points at all.
     """
     Theta, zeta = inst.Theta, inst.zeta
     g, k = Theta.shape
-
-    probe = lp.lp_feasible(uncertainty_lp(Theta, zeta, np.zeros(k)), tol)
-    if probe.status is lp.LpStatus.INFEASIBLE:
-        raise EmptyUncertaintySet("the uncertainty set is empty")
+    tab = _nonempty_tableau(Theta, zeta, tol)
 
     compact = True
     for j in range(k):
         for sgn in (1.0, -1.0):
             c = np.zeros(k)
             c[j] = sgn
-            res = lp.lp_solve(uncertainty_lp(Theta, zeta, c), tol)
-            if res.status is lp.LpStatus.UNBOUNDED:
+            if tab.maximize(c, tol).status is lp.LpStatus.UNBOUNDED:
                 compact = False
 
-    eq_rows, _ = implicit_equalities(Theta, zeta, tol)
+    eq_rows, _ = _row_maxima(tab, Theta, zeta, tol)
     eqset = frozenset(eq_rows)
     relint = all(abs(zeta[j]) <= tol for j in eq_rows) and all(
         zeta[j] < -tol for j in range(g) if j not in eqset

@@ -9,6 +9,12 @@ sparsity tricks for predictable, debuggable behavior.
 A model is built row by row and then solved.  Solving never mutates the
 model, so one model may be shared by concurrent calls.
 
+Phase one never reads the objective, so a row set that is maximized
+against several objectives runs it once: :func:`lp_feasible` returns its
+phase-one tableau in :attr:`LpResult.tableau`, and
+:meth:`Tableau.maximize` runs phase two for one objective on a copy of it.
+:func:`lp_solve` is exactly that pair, so every path shares one simplex.
+
 Internals, in brief: general bounds are reduced to shifts plus explicit
 rows, free variables are split into positive and negative parts, and rows
 are equilibrated.  A :class:`Tableau` grows by batches of rows: each batch
@@ -23,7 +29,7 @@ the loop to Bland's rule, which is kept until the phase ends.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from enum import Enum
 
 import numpy as np
@@ -53,13 +59,15 @@ class LpResult:
 
     value and point are filled only for OPTIMAL.  The point lives in the
     model's original variable space.  pivots counts the simplex pivots of
-    both phases.
+    both phases.  tableau is set only by :func:`lp_feasible` on a feasible
+    model: the phase-one tableau, ready for :meth:`Tableau.maximize`.
     """
 
     status: LpStatus
     value: float | None = None
     point: np.ndarray | None = None
     pivots: int = 0
+    tableau: Tableau | None = field(default=None, repr=False)
 
 
 class LpModel:
@@ -106,16 +114,23 @@ class LpModel:
 
 def lp_solve(model: LpModel, tol: float = 1e-8) -> LpResult:
     """Solve the model to optimality, infeasibility, or unboundedness."""
-    return _solve(model, tol, want_phase2=True)
+    tab = phase_one(model, tol)
+    if not tab.feasible:
+        return LpResult(LpStatus.INFEASIBLE, pivots=tab.pivots)
+    return tab.maximize(model.objective, tol)
 
 
 def lp_feasible(model: LpModel, tol: float = 1e-8) -> LpResult:
     """Feasibility probe: phase one only, objective untouched.
 
-    Returns OPTIMAL with some feasible point, or INFEASIBLE.  Never
-    UNBOUNDED.
+    Returns OPTIMAL with some feasible point and the phase-one tableau, or
+    INFEASIBLE.  Never UNBOUNDED.
     """
-    return _solve(model, tol, want_phase2=False)
+    tab = phase_one(model, tol)
+    if not tab.feasible:
+        return LpResult(LpStatus.INFEASIBLE, pivots=tab.pivots)
+    x = tab.point()
+    return LpResult(LpStatus.OPTIMAL, float(model.objective @ x), x, tab.pivots, tab)
 
 
 def _pivot(T: np.ndarray, r: int, j: int) -> None:
@@ -197,25 +212,6 @@ def phase_one(model: LpModel, tol: float = 1e-8) -> "Tableau":
     """Cold phase one: every row of the model, then its bound rows, as one
     batch onto an empty tableau."""
     return Tableau(model.lower, model.upper).extend(model.rows, tol)
-
-
-def _solve(model: LpModel, tol: float, want_phase2: bool) -> LpResult:
-    tab = phase_one(model, tol)
-    if not tab.feasible:
-        return LpResult(LpStatus.INFEASIBLE, pivots=tab.pivots)
-    T, basis, pivots = tab.T, tab.basis, 0
-    if want_phase2:
-        T, basis = T.copy(), basis.copy()
-        ns = tab.S.shape[1]
-        T[-1, :] = 0.0
-        T[-1, :ns] = tab.S.T @ model.objective
-        _price_out(T, basis)
-        status, pivots = _iterate(T, basis, tab.n_real, tol)
-        if status == "unbounded":
-            return LpResult(LpStatus.UNBOUNDED, pivots=tab.pivots + pivots)
-    x = tab._point(T, basis)
-    value = float(model.objective @ x)
-    return LpResult(LpStatus.OPTIMAL, value, x, tab.pivots + pivots)
 
 
 class Tableau:
@@ -387,6 +383,31 @@ class Tableau:
         child._bound_rows = []
         child._blocks = blocks
         return child
+
+    def maximize(self, objective, tol: float = 1e-8) -> LpResult:
+        """Phase two for one objective over this tableau's rows.
+
+        Runs on a copy, so the tableau stays as it is.  Returns OPTIMAL or
+        UNBOUNDED; pivots adds this tableau's own pivots, so for a cold
+        tableau the result equals :func:`lp_solve` on the same rows.
+        """
+        if not self.feasible:
+            raise ValueError("an infeasible tableau has no maximum")
+        if self._bound_rows:
+            raise ValueError(
+                "extend the tableau first: its bound rows join the first batch"
+            )
+        objective = np.asarray(objective, dtype=float)
+        T, basis = self.T.copy(), self.basis.copy()
+        T[-1, :] = 0.0
+        T[-1, : self.S.shape[1]] = self.S.T @ objective
+        _price_out(T, basis)
+        status, pivots = _iterate(T, basis, self.n_real, tol)
+        pivots += self.pivots
+        if status == "unbounded":
+            return LpResult(LpStatus.UNBOUNDED, pivots=pivots)
+        x = self._point(T, basis)
+        return LpResult(LpStatus.OPTIMAL, float(objective @ x), x, pivots)
 
     def point(self) -> np.ndarray:
         """The basic solution in the original variables.

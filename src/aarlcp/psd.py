@@ -172,25 +172,24 @@ def compute_support_p(
     tol: float = 1e-8,
     eps_zero: float = EPS_ZERO,
 ) -> frozenset:
-    """Indices some nominal solution makes positive: one maximization each."""
+    """Indices some nominal solution makes positive.
+
+    One maximization per index, all from one phase one over the solution
+    set rows.
+    """
     n = q.shape[0]
-    rows = solution_set_rows(M, q, zbar, tol)
+    model = lp.LpModel(n)
+    model.rows = solution_set_rows(M, q, zbar, tol)
+    tab = lp.lp_feasible(model, tol).tableau
+    if tab is None:
+        raise NumericalFailure("solution set probe infeasible around a valid point")
     members = set()
     for i in range(n):
         objective = np.zeros(n)
         objective[i] = 1.0
-        model = lp.LpModel(n, objective)
-        model.rows = list(rows)
-        res = lp.lp_solve(model, tol)
-        if res.status is lp.LpStatus.UNBOUNDED:
+        res = tab.maximize(objective, tol)
+        if res.status is lp.LpStatus.UNBOUNDED or res.value > eps_zero:
             members.add(i)
-        elif res.status is lp.LpStatus.OPTIMAL:
-            if res.value > eps_zero:
-                members.add(i)
-        else:
-            raise NumericalFailure(
-                "solution set probe infeasible around a valid point"
-            )
     return frozenset(members)
 
 

@@ -3,8 +3,8 @@
 A policy is accepted when the rows with positive nominal value satisfy the
 tight nominal and direction conditions, and when both affine pieces stay
 nonnegative over the whole uncertainty set.  The nonnegativity side is
-checked with fresh minimization LPs per row, independent of whatever dual
-reasoning produced the policy.
+checked with a minimization LP per row over the set, independent of
+whatever dual reasoning produced the policy.
 """
 
 from __future__ import annotations
@@ -22,7 +22,7 @@ from .core import (
     Instance,
     Policy,
     policy_matches_instance,
-    uncertainty_lp,
+    uncertainty_tableau,
 )
 from .errors import NotCompact, OracleLimitExceeded
 from .linhull import LinHullBasis
@@ -62,15 +62,13 @@ class VerifyReport:
         return "verified" if self.verified else "violations"
 
 
-def _min_over_set(Theta, zeta, c, tol) -> float:
+def _min_over_set(tab, c, tol) -> float:
     """Minimum of c @ u over the set, via maximizing the negation."""
     if not np.any(c):
         return 0.0
-    res = lp.lp_solve(uncertainty_lp(Theta, zeta, -np.asarray(c, float)), tol)
+    res = tab.maximize(-np.asarray(c, float), tol)
     if res.status is lp.LpStatus.UNBOUNDED:
         raise NotCompact("minimization over the uncertainty set is unbounded")
-    if res.status is not lp.LpStatus.OPTIMAL:
-        raise ValueError("the uncertainty set is empty")
     return -res.value
 
 
@@ -88,7 +86,10 @@ def certify_affine(
 
     r_trunc must already be truncated at the zero threshold; w_lin and
     w_const describe the slack piece w(u) = w_lin @ u + w_const computed
-    from the truncated policy.
+    from the truncated policy.  The 2n minimizations over the set share one
+    phase one, run only when some piece varies over the set.  Raises
+    NotCompact when a piece is unbounded below, and ValueError when the set
+    is empty and some piece varies.
     """
     n = len(r_trunc)
     support = sorted(i for i in range(n) if r_trunc[i] > 0.0)
@@ -102,11 +103,16 @@ def certify_affine(
             if d.size:
                 direction_residual = max(direction_residual, float(d.max()))
 
+    tab = None
+    if np.any(D) or np.any(w_lin):
+        tab = uncertainty_tableau(Theta, zeta, tol)
+        if tab is None:
+            raise ValueError("the uncertainty set is empty")
     min_z = np.zeros(n)
     min_w = np.zeros(n)
     for i in range(n):
-        min_z[i] = r_trunc[i] + _min_over_set(Theta, zeta, D[i], tol)
-        min_w[i] = w_const[i] + _min_over_set(Theta, zeta, w_lin[i], tol)
+        min_z[i] = r_trunc[i] + _min_over_set(tab, D[i], tol)
+        min_w[i] = w_const[i] + _min_over_set(tab, w_lin[i], tol)
 
     violations = []
     if nominal_residual > tol:

@@ -297,3 +297,22 @@ def bigm_status(parsed, tol=1e-8):
         if lp.lp_feasible(model, tol).status is lp.LpStatus.OPTIMAL:
             return "feasible"
     return "infeasible"
+
+
+def count_lp_calls(monkeypatch):
+    """Names of the lp_solve, lp_feasible and Tableau.maximize calls made
+    through the lp module until the test ends, in call order."""
+    calls = []
+
+    def counted(name, real):
+        def wrapper(*args, **kwargs):
+            calls.append(name)
+            return real(*args, **kwargs)
+
+        return wrapper
+
+    for name in ("lp_solve", "lp_feasible"):
+        monkeypatch.setattr(lp, name, counted(name, getattr(lp, name)))
+    maximize = counted("maximize", lp.Tableau.maximize)
+    monkeypatch.setattr(lp.Tableau, "maximize", maximize)
+    return calls

@@ -7,8 +7,8 @@ import numpy as np
 import pytest
 
 import aarlcp.cli
-from aarlcp import lp
-from aarlcp.cli import main, read_instance, read_policy
+from aarlcp.cli import build_parser, main, read_instance, read_policy
+from support import count_lp_calls
 
 GOLDEN = {
     "n": 2,
@@ -176,31 +176,47 @@ def test_solve_mixed_instance(tmp_path, capsys):
 
 
 def test_solve_runs_one_set_pass(tmp_path, monkeypatch):
-    # validation and the hull share one pass: 1 probe, 2k box LPs and g row
-    # maximizations before the search starts, and no second hull pass
-    calls = []
-
-    def counted(real):
-        def wrapper(*args, **kwargs):
-            calls.append(1)
-            return real(*args, **kwargs)
-
-        return wrapper
-
-    monkeypatch.setattr(lp, "lp_solve", counted(lp.lp_solve))
-    monkeypatch.setattr(lp, "lp_feasible", counted(lp.lp_feasible))
+    # validation and the hull share one pass from one phase one: a single
+    # lp_feasible, then 2k coordinate and g row maximizations before the
+    # search starts, and no second hull pass
+    calls = count_lp_calls(monkeypatch)
     before_search = []
     real_solve = aarlcp.cli.bnb_solve
 
     def solve(*args, **kwargs):
-        before_search.append(len(calls))
+        before_search.append(list(calls))
         return real_solve(*args, **kwargs)
 
     monkeypatch.setattr(aarlcp.cli, "bnb_solve", solve)
     path = write(tmp_path, "inst.json", GOLDEN)
     assert main(["solve", path, "--psd", "off"]) == 0
     k, g = GOLDEN["k"], GOLDEN["g"]
-    assert before_search == [1 + 2 * k + g]
+    assert before_search == [["lp_feasible"] + ["maximize"] * (2 * k + g)]
+
+
+def test_main_repeats_in_one_process(tmp_path, monkeypatch):
+    # the parser is built once; no flag of one call may reach the next
+    parser = build_parser()
+    assert build_parser() is parser
+    seen = []
+    real_parse = parser.parse_args
+
+    def parse(argv):
+        args = real_parse(argv)
+        seen.append(vars(args).copy())
+        return args
+
+    monkeypatch.setattr(parser, "parse_args", parse)
+    path = write(tmp_path, "inst.json", GOLDEN)
+    assert main(["solve", path, "--node-limit", "1", "--branching", "index"]) == 3
+    assert main(["solve", path]) == 0
+    assert main(["validate", path]) == 0
+    first, second, third = seen
+    assert (first["node_limit"], first["branching"]) == (1, "index")
+    assert (second["node_limit"], second["branching"]) == (None, "heuristic")
+    assert (second["psd"], second["parallel"], second["out"]) == ("auto", False, None)
+    assert third.keys() == {"command", "instance", "tol", "func"}
+    assert third["func"] is aarlcp.cli.cmd_validate
 
 
 def test_solve_node_limit_exit(tmp_path):

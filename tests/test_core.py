@@ -18,6 +18,7 @@ from aarlcp.core import (
     as_matrix,
     as_vector,
     check_support_consistency,
+    implicit_equalities,
     matrix_rank,
     policy_matches_instance,
 )
@@ -196,6 +197,8 @@ def test_validate_empty_set():
     inst = Instance(M=np.eye(1), q=np.zeros(1), T=np.ones((1, 1)), Theta=Theta, zeta=zeta)
     with pytest.raises(EmptyUncertaintySet):
         validate(inst)
+    with pytest.raises(EmptyUncertaintySet):
+        implicit_equalities(Theta, zeta)
 
 
 def test_validate_rank_warning():

@@ -51,6 +51,16 @@ def test_unbounded_direction_raises():
     )
     with pytest.raises(NotCompact):
         compute_lin_hull(inst)
+    # rows 2 and 3 are unbounded over the strip; the first one is named
+    strip = Instance(
+        M=np.eye(2),
+        q=np.zeros(2),
+        T=np.eye(2),
+        Theta=np.array([[1.0, 0.0], [-1.0, 0.0], [0.0, 1.0], [1.0, 2.0]]),
+        zeta=-np.ones(4),
+    )
+    with pytest.raises(NotCompact, match="^direction of row 2 is unbounded"):
+        compute_lin_hull(strip)
 
 
 def test_empty_set_raises():

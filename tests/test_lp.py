@@ -9,6 +9,7 @@ from hypothesis import strategies as st
 
 from aarlcp import lp
 from aarlcp.errors import NumericalFailure
+from support import random_set
 
 
 def test_simple_maximum():
@@ -286,3 +287,51 @@ def test_pivots_counted():
     model.add_row([1.0, -1.0], lp.EQ, 0.0)
     assert lp.lp_feasible(model).pivots >= 1
     assert lp.lp_solve(model).pivots >= lp.lp_feasible(model).pivots
+
+
+def _set_model(rng):
+    """Free variables over a random_set polytope with an implicit-equality
+    pair (zeta = 0); half of the draws lose the box rows of the first
+    coordinate, so some objectives are unbounded."""
+    k = int(rng.integers(2, 5))
+    Theta, zeta = random_set(rng, k, 2 * k + 3, tight_pair=True)
+    if rng.uniform() < 0.5:
+        Theta, zeta = Theta[2:], zeta[2:]
+    model = lp.LpModel(k)
+    model.set_free()
+    for a, b in zip(Theta, zeta):
+        model.add_row(a, lp.GE, b)
+    return model
+
+
+def test_maximize_matches_lp_solve():
+    rng = np.random.default_rng(41)
+    seen = set()
+    infeasible = 0
+    for t in range(120):
+        model = (_set_model if t % 2 else _batch_model)(rng)
+        tab = lp.lp_feasible(model).tableau
+        if tab is None:
+            infeasible += 1
+            with pytest.raises(ValueError):
+                lp.phase_one(model).maximize(np.ones(model.num_vars))
+            continue
+        T, basis = tab.T.copy(), tab.basis.copy()
+        for _ in range(4):
+            c = rng.normal(size=model.num_vars)
+            fresh = lp.LpModel(model.num_vars, c)
+            fresh.rows = list(model.rows)
+            fresh.lower, fresh.upper = model.lower.copy(), model.upper.copy()
+            ref = lp.lp_solve(fresh)
+            got = tab.maximize(c)
+            assert got.status is ref.status
+            assert got.value == ref.value
+            assert got.pivots == ref.pivots
+            if ref.point is None:
+                assert got.point is None
+            else:
+                assert np.array_equal(got.point, ref.point)
+            seen.add(got.status)
+        assert np.array_equal(tab.T, T) and np.array_equal(tab.basis, basis)
+    assert seen == {lp.LpStatus.OPTIMAL, lp.LpStatus.UNBOUNDED}
+    assert 10 <= infeasible <= 60

@@ -16,7 +16,12 @@ from aarlcp import (
     psd_solve,
     solution_set_rows,
 )
-from support import mixed_1d, psd_desk_instance, psd_infeasible_instance
+from support import (
+    count_lp_calls,
+    mixed_1d,
+    psd_desk_instance,
+    psd_infeasible_instance,
+)
 
 
 def test_check_psd_known_matrices():
@@ -84,12 +89,14 @@ def test_solution_set_rows_validates_reference():
         solution_set_rows(M, q, np.zeros(2))
 
 
-def test_support_probe():
+def test_support_probe(monkeypatch):
     # desk example: only the first index can ever be positive
     M = np.array([[2.0, 0.0], [0.0, 0.0]])
     q = np.array([-2.0, 1.0])
     zbar = lemke_nominal(M, q)
+    calls = count_lp_calls(monkeypatch)
     assert compute_support_p(M, q, zbar) == frozenset({0})
+    assert calls == ["lp_feasible", "maximize", "maximize"]  # one phase one
     # strictly positive unique solution: every index is in
     M2 = np.eye(2)
     q2 = np.array([-1.0, -2.0])

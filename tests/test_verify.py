@@ -4,15 +4,25 @@ import numpy as np
 import pytest
 
 from aarlcp import (
+    NotCompact,
     OracleLimitExceeded,
     Policy,
     SolveStatus,
     bnb_solve,
     compute_lin_hull,
+    mixed_solve,
     oracle_enumerate,
+    verify_mixed,
     verify_policy,
 )
-from support import golden_instance, planted_instance, sample_points
+from aarlcp.verify import certify_affine
+from support import (
+    count_lp_calls,
+    golden_instance,
+    mixed_1d,
+    planted_instance,
+    sample_points,
+)
 
 
 def test_golden_policy_verifies():
@@ -78,6 +88,60 @@ def test_reported_minima_are_sound():
         for u in pts:
             assert np.all(pol.D @ u + pol.r >= report.min_z - 1e-7)
             assert np.all(w_lin @ u + w_const >= report.min_w - 1e-7)
+
+
+def test_certification_runs_one_phase_one(monkeypatch):
+    # the 2n minimizations over the set share one phase one, for pure and
+    # mixed policies alike
+    inst = golden_instance()
+    basis = compute_lin_hull(inst)
+    pol = Policy(
+        D=np.array([[-1.0, 0.0], [0.0, 0.0]]),
+        r=np.array([2.0, 1.0]),
+        x=np.array([1, 1]),
+    )
+    mixed = mixed_1d(1.0)
+    mixed_basis = compute_lin_hull(mixed)
+    mixed_pol = mixed_solve(mixed, mixed_basis).policy
+    calls = count_lp_calls(monkeypatch)
+    for check in (
+        lambda: verify_policy(inst, basis, pol),
+        lambda: verify_mixed(mixed, mixed_basis, mixed_pol),
+    ):
+        calls.clear()
+        assert check().verified
+        assert calls[0] == "lp_feasible"
+        assert 1 <= calls.count("maximize") == len(calls) - 1 <= 2 * inst.n
+
+
+def test_certify_affine_set_errors(monkeypatch):
+    def certify(Theta, zeta, D, w_lin):
+        D = np.array(D, dtype=float)
+        zero = np.zeros(D.shape[0])
+        return certify_affine(
+            np.array(Theta, dtype=float),
+            np.array(zeta, dtype=float),
+            (),
+            zero,
+            D,
+            np.array(w_lin, dtype=float),
+            zero,
+            1e-7,
+        )
+
+    # -1 <= u1 <= 1 and u2 <= 1: u2 has no lower bound
+    strip = ([[1.0, 0.0], [-1.0, 0.0], [0.0, -1.0]], [-1.0, -1.0, -1.0])
+    with pytest.raises(NotCompact):
+        certify(*strip, [[0.0, 1.0]], [[0.0, 0.0]])
+    empty = ([[1.0], [-1.0]], [1.0, 1.0])  # u >= 1 and u <= -1
+    with pytest.raises(ValueError, match="the uncertainty set is empty"):
+        certify(*empty, [[1.0]], [[0.0]])
+    # nothing varies over the set: no LP runs, and the report comes back
+    calls = count_lp_calls(monkeypatch)
+    report = certify(*empty, [[0.0]], [[0.0]])
+    assert calls == []
+    assert report.verified
+    assert np.array_equal(report.min_z, [0.0])
 
 
 def test_oracle_finds_golden_support():
