@@ -13,11 +13,14 @@ and they feed back into the w side through N.  Two regimes matter:
 Freeing the block can only help: every constant-block policy is also an
 adjustable-block policy with E = 0.  The last section shows a model
 where that inclusion is strict.
+
+The same tree search and certifier as for pure instances handle the
+block: bnb_solve reads it off the instance.
 """
 
 import numpy as np
 
-from aarlcp import Instance, MixedExtension, compute_lin_hull, mixed_solve
+from aarlcp import Instance, MixedExtension, bnb_solve, compute_lin_hull
 
 
 def segment_box(radius=1.0):
@@ -77,7 +80,7 @@ def coupled_pair(y_adjustable):
 
 def report(tag, inst):
     basis = compute_lin_hull(inst)
-    rep = mixed_solve(inst, basis)
+    rep = bnb_solve(inst, basis)
     print(f"{tag}: {rep.status.value}")
     if rep.policy is not None:
         pol = rep.policy

@@ -32,7 +32,6 @@ from .milp import (
     build_milp,
     export_milp,
 )
-from .mixed import mixed_solve, verify_mixed
 from .psd import PsdStatus, check_psd, psd_solve
 from .verify import oracle_enumerate, verify_policy
 
@@ -230,8 +229,7 @@ def cmd_solve(args) -> int:
             parallel=args.parallel,
             branching=args.branching,
         )
-        solver = mixed_solve if inst.mixed is not None else bnb_solve
-        report = solver(inst, basis, opts)
+        report = bnb_solve(inst, basis, opts)
         feasible = report.status is SolveStatus.FEASIBLE
         policy = report.policy
         nodes = report.nodes_explored
@@ -259,10 +257,7 @@ def cmd_verify(args) -> int:
     inst = read_instance(args.instance)
     pol = read_policy(args.policy)
     basis = compute_lin_hull(inst, args.tol)
-    if inst.mixed is not None:
-        report = verify_mixed(inst, basis, pol)
-    else:
-        report = verify_policy(inst, basis, pol)
+    report = verify_policy(inst, basis, pol)
     print(f"verdict: {report.verdict}")
     print(
         "support: "

@@ -47,17 +47,6 @@ def as_vector(data, name: str = "vector") -> np.ndarray:
     return _freeze(arr)
 
 
-def mat_mul(a, b) -> np.ndarray:
-    """Matrix product with an explicit conformability check."""
-    a = as_matrix(a, "left factor")
-    b = as_matrix(b, "right factor")
-    if a.shape[1] != b.shape[0]:
-        raise DimensionMismatch(
-            f"cannot multiply {a.shape} by {b.shape}: inner dimensions differ"
-        )
-    return a @ b
-
-
 def _rref(a: np.ndarray, tol: float):
     """Reduced row echelon form with partial pivoting.
 
@@ -305,12 +294,13 @@ def policy_matches_instance(inst: Instance, pol: Policy) -> None:
         )
     if inst.h and np.any(np.abs(pol.D[: inst.h]) > 0):
         raise ValueError(f"first {inst.h} rows of D must be zero")
-    if pol.E is not None or pol.s is not None:
-        if inst.mixed is None:
+    if inst.mixed is None:
+        if pol.E is not None or pol.s is not None:
             raise DimensionMismatch("policy carries a free block but the instance has none")
+    else:
         m = inst.mixed.m
         if pol.E is None or pol.s is None:
-            raise DimensionMismatch("free-block policy needs both E and s")
+            raise DimensionMismatch("the instance has a free block; the policy needs both E and s")
         if pol.E.shape != (m, inst.k):
             raise DimensionMismatch(f"E must be {m}x{inst.k}, got {pol.E.shape}")
         if pol.s.shape != (m,):

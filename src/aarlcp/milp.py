@@ -9,8 +9,8 @@ tagged rows in :class:`Formulation`, and rendered two ways.  Node LPs
 (:class:`NodeLpBuilder`) keep the always-valid rows and add exact indicator
 rows for the already-fixed entries; no big-M rows exist there.  The export
 (:func:`build_milp`) relaxes each indicator row by a big-M multiple of its
-binary, for hand-off to external integer programming tools; it covers pure
-and mixed instances alike.
+binary, for hand-off to external integer programming tools.  Both, and so
+the tree search (:func:`bnb_solve`), cover pure and mixed instances alike.
 
 Node LPs are presolved: the rule D enters only through its certificate
 D_i = Theta^T A_i, so they carry neither D columns nor z_dual_match rows,
@@ -376,7 +376,7 @@ class NodeLpBuilder:
         """A node LP point in the formulation's columns, D = Theta^T A_i."""
         return self._Z @ point
 
-    def extract_policy(self, point, node, eps_zero: float = EPS_ZERO) -> Policy:
+    def extract_policy(self, point, node) -> Policy:
         """Read the affine rule off a node LP point at a fully fixed node."""
         fixed = _normalize_fixed(node, self.n)
         if any(f == UNFIXED for f in fixed):
@@ -485,50 +485,6 @@ def _dfs(builder, root, opts, budget, stop, parent=None, key=None):
     return None
 
 
-def _run_search(builder, opts, verify_fn) -> SolveReport:
-    n = builder.n
-    # a full binary tree over n indices has 2^(n+1) - 1 nodes counting the
-    # root, so this default lets an exhaustive run finish for n <= 20
-    limit = opts.node_limit if opts.node_limit else 2 ** min(n + 1, 21)
-    budget = _Budget(limit)
-
-    if opts.parallel:
-        leaf = _parallel_search(builder, opts, budget)
-    else:
-        leaf = _dfs(builder, tuple([UNFIXED] * n), opts, budget, None)
-
-    tolerances = {
-        "tol": opts.tol,
-        "eps_zero": opts.eps_zero,
-        "verify_tol": opts.verify_tol,
-    }
-    if leaf is None:
-        return SolveReport(
-            status=SolveStatus.INFEASIBLE,
-            nodes_explored=budget.used,
-            lp_calls=budget.lp_calls,
-            tolerances=tolerances,
-            lp_pivots=budget.pivots,
-        )
-    fixed, point = leaf
-    policy = builder.extract_policy(point, fixed, opts.eps_zero)
-    report = verify_fn(policy)
-    if not report.verified:
-        raise NumericalFailure(
-            "search returned a policy that fails certification: "
-            + "; ".join(report.violations)
-        )
-    return SolveReport(
-        status=SolveStatus.FEASIBLE,
-        policy=policy,
-        nodes_explored=budget.used,
-        lp_calls=budget.lp_calls,
-        verification=report,
-        tolerances=tolerances,
-        lp_pivots=budget.pivots,
-    )
-
-
 def _parallel_search(builder, opts, budget):
     """Split the root once and explore the two children concurrently.
 
@@ -580,21 +536,55 @@ def bnb_solve(
 ) -> SolveReport:
     """Search support vectors depth first, pruning by node LP infeasibility.
 
-    Feasible results always carry a policy that passed certification; an
-    Infeasible status means the whole tree was exhausted.  lp_calls counts
-    node relaxation solves, lp_pivots their pivots.  Mixed instances belong
-    to mixed_solve.
+    Pure and mixed instances take the same search: the node LPs carry the
+    free block's columns and coupling rows whenever the instance has one,
+    and certification checks its equations.  Feasible results always carry
+    a policy that passed certification; an Infeasible status means the
+    whole tree was exhausted.  lp_calls counts node relaxation solves,
+    lp_pivots their pivots.
     """
-    if inst.mixed is not None:
-        raise DimensionMismatch(
-            "instance carries a free block; use mixed_solve instead"
-        )
     opts = opts or SolveOptions()
     builder = NodeLpBuilder(inst, basis)
-    return _run_search(
-        builder,
-        opts,
-        lambda pol: verify_policy(inst, basis, pol, opts.verify_tol, opts.eps_zero),
+    n = builder.n
+    # a full binary tree over n indices has 2^(n+1) - 1 nodes counting the
+    # root, so this default lets an exhaustive run finish for n <= 20
+    limit = opts.node_limit if opts.node_limit else 2 ** min(n + 1, 21)
+    budget = _Budget(limit)
+
+    if opts.parallel:
+        leaf = _parallel_search(builder, opts, budget)
+    else:
+        leaf = _dfs(builder, tuple([UNFIXED] * n), opts, budget, None)
+
+    tolerances = {
+        "tol": opts.tol,
+        "eps_zero": opts.eps_zero,
+        "verify_tol": opts.verify_tol,
+    }
+    if leaf is None:
+        return SolveReport(
+            status=SolveStatus.INFEASIBLE,
+            nodes_explored=budget.used,
+            lp_calls=budget.lp_calls,
+            tolerances=tolerances,
+            lp_pivots=budget.pivots,
+        )
+    fixed, point = leaf
+    policy = builder.extract_policy(point, fixed)
+    report = verify_policy(inst, basis, policy, opts.verify_tol, opts.eps_zero)
+    if not report.verified:
+        raise NumericalFailure(
+            "search returned a policy that fails certification: "
+            + "; ".join(report.violations)
+        )
+    return SolveReport(
+        status=SolveStatus.FEASIBLE,
+        policy=policy,
+        nodes_explored=budget.used,
+        lp_calls=budget.lp_calls,
+        verification=report,
+        tolerances=tolerances,
+        lp_pivots=budget.pivots,
     )
 
 

@@ -174,17 +174,24 @@ def compute_support_p(
 ) -> frozenset:
     """Indices some nominal solution makes positive.
 
-    One maximization per index, all from one phase one over the solution
-    set rows.
+    Every solution z of a monotone problem has z^T w(zbar) = 0, so an index
+    whose slack w_i(zbar) is clearly positive is pinned to z_i = 0 and not
+    probed; a maximum there would only be LP noise.  Every other index gets
+    one maximization, all from one phase one over the solution set rows.
     """
     n = q.shape[0]
     model = lp.LpModel(n)
     model.rows = solution_set_rows(M, q, zbar, tol)
+    scale = max(1.0, float(np.abs(q).max()), float(np.abs(zbar).max()))
+    pinned = M @ zbar + q > tol * scale
+    model.rows += [(row, lp.EQ, 0.0) for row in np.eye(n)[pinned]]
     tab = lp.lp_feasible(model, tol).tableau
     if tab is None:
         raise NumericalFailure("solution set probe infeasible around a valid point")
     members = set()
     for i in range(n):
+        if pinned[i]:
+            continue
         objective = np.zeros(n)
         objective[i] = 1.0
         res = tab.maximize(objective, tol)
@@ -227,7 +234,7 @@ def psd_solve(
             lp_calls=lp_calls,
             lp_pivots=res.pivots,
         )
-    policy = builder.extract_policy(res.point, fixed, eps_zero)
+    policy = builder.extract_policy(res.point, fixed)
     report = verify_policy(inst, basis, policy, verify_tol, eps_zero)
     if not report.verified:
         raise NumericalFailure(

@@ -2,9 +2,10 @@
 
 A policy is accepted when the rows with positive nominal value satisfy the
 tight nominal and direction conditions, and when both affine pieces stay
-nonnegative over the whole uncertainty set.  The nonnegativity side is
-checked with a minimization LP per row over the set, independent of
-whatever dual reasoning produced the policy.
+nonnegative over the whole uncertainty set, and, on an instance with a
+free block, when the block's equations hold identically over the set.  The
+nonnegativity side is checked with a minimization LP per row over the set,
+independent of whatever dual reasoning produced the policy.
 """
 
 from __future__ import annotations
@@ -42,6 +43,9 @@ class VerifyReport:
         the support rows, over all hull basis vectors.
     min_z / min_w: per-row minima of the two affine pieces over the set.
     violations: human-readable failures; empty exactly when verified.
+    equality_residual / equality_direction_residual: worst violation of the
+        free block's equations at the nominal point and along the hull
+        basis; None on an instance without a free block.
     """
 
     support: frozenset[int]
@@ -146,19 +150,50 @@ def verify_policy(
     tol: float = EPS_FEAS,
     eps_zero: float = EPS_ZERO,
 ) -> VerifyReport:
-    """Certify an affine policy for a pure instance.
+    """Certify an affine policy, with its free-block pair on a mixed instance.
 
     Entries of r at or below eps_zero are truncated to zero first and the
-    truncated rule is what gets certified.
+    truncated rule is what gets certified.  On a mixed instance the free
+    block's rule (E, s) feeds the slack piece, and the equation block must
+    also vanish at the nominal point and along every hull basis vector;
+    those residuals land in the report's equality fields.
     """
     policy_matches_instance(inst, pol)
+    mx = inst.mixed
     r = pol.r.copy()
     r[r <= eps_zero] = 0.0
-    w_lin = inst.M @ pol.D + inst.T
-    w_const = inst.M @ r + inst.q
-    return certify_affine(
+    if mx is None:
+        w_lin = inst.M @ pol.D + inst.T
+        w_const = inst.M @ r + inst.q
+    else:
+        w_lin = inst.M @ pol.D + mx.N @ pol.E + inst.T
+        w_const = inst.M @ r + mx.N @ pol.s + inst.q
+    report = certify_affine(
         inst.Theta, inst.zeta, basis.vectors, r, pol.D, w_lin, w_const, tol
     )
+    if mx is None:
+        return report
+
+    eq_res = float(np.abs(mx.V @ r + mx.W @ pol.s + mx.p).max())
+    dir_mat = mx.V @ pol.D + mx.W @ pol.E + mx.P
+    eq_dir = 0.0
+    for v in basis.vectors:
+        d = np.abs(dir_mat @ v)
+        if d.size:
+            eq_dir = max(eq_dir, float(d.max()))
+    violations = list(report.violations)
+    if eq_res > tol:
+        violations.append(
+            f"free-block equations off at the nominal point: residual {eq_res:g}"
+        )
+    if eq_dir > tol:
+        violations.append(
+            f"free-block equations vary along the hull: residual {eq_dir:g}"
+        )
+    report.violations = tuple(violations)
+    report.equality_residual = eq_res
+    report.equality_direction_residual = eq_dir
+    return report
 
 
 def oracle_enumerate(
@@ -205,13 +240,8 @@ def oracle_enumerate(
             if res.status is lp.LpStatus.INFEASIBLE:
                 nonneg_infeasible += 1
                 continue
-            policy = builder.extract_policy(res.point, fixed, eps_zero)
-            if inst.mixed is None:
-                report = verify_policy(inst, basis, policy, max(tol, EPS_FEAS))
-            else:
-                from .mixed import verify_mixed
-
-                report = verify_mixed(inst, basis, policy, max(tol, EPS_FEAS))
+            policy = builder.extract_policy(res.point, fixed)
+            report = verify_policy(inst, basis, policy, max(tol, EPS_FEAS), eps_zero)
             return SolveReport(
                 status=SolveStatus.FEASIBLE,
                 policy=policy,

@@ -166,18 +166,23 @@ def random_instance(rng, n, k, g, tight_pair=False):
     )
 
 
-def planted_instance(rng, n, k, g, tight_pair=False):
-    """Instance built around a known feasible policy; returns (inst, support)."""
+def planted_instance(rng, n, k, g, tight_pair=False, M=None, size=None):
+    """Instance built around a known feasible policy; returns (inst, support).
+
+    M is drawn standard normal and the support size from 1..n unless given.
+    """
     Theta, zeta = random_set(rng, k, g, tight_pair)
     # the set sits inside the max box radius 2, so the L1 norm bounds minima
-    size = int(rng.integers(1, n + 1))
+    if size is None:
+        size = int(rng.integers(1, n + 1))
     S = set(int(i) for i in rng.choice(n, size=size, replace=False))
     D = np.zeros((n, k))
     r = np.zeros(n)
     for i in S:
         D[i] = rng.standard_normal(k) * 0.3
         r[i] = 2.0 * np.abs(D[i]).sum() + rng.uniform(0.1, 1.0)
-    M = rng.standard_normal((n, n))
+    if M is None:
+        M = rng.standard_normal((n, n))
     T = rng.standard_normal((n, k))
     q = rng.standard_normal(n)
     for i in range(n):
@@ -189,6 +194,33 @@ def planted_instance(rng, n, k, g, tight_pair=False):
                 rng.uniform(0.05, 0.5)
             )
     return Instance(M=M, q=q, T=T, Theta=Theta, zeta=zeta), S
+
+
+def gram_matrix(rng, n):
+    """PSD matrix G^T G, rank-deficient when G has fewer rows than n."""
+    G = rng.standard_normal((int(rng.integers(n // 2, n + 1)), n))
+    return G.T @ G
+
+
+def permuted_instance(rng, inst):
+    """The same pure problem with rows, coordinates and set rows reordered.
+
+    Complementarity rows follow a permutation p (M -> M[p][:, p]); the
+    uncertainty vector is replaced by a signed permutation of itself, which
+    maps the set and the channels onto each other exactly.  Policies map one
+    to one, so the status is unchanged, and no arithmetic rounds.
+    """
+    p = rng.permutation(inst.n)
+    cols = rng.permutation(inst.k)
+    signs = rng.choice((-1.0, 1.0), size=inst.k)
+    rows = rng.permutation(inst.g)
+    return Instance(
+        M=inst.M[p][:, p],
+        q=inst.q[p],
+        T=inst.T[p][:, cols] * signs,
+        Theta=inst.Theta[rows][:, cols] * signs,
+        zeta=inst.zeta[rows],
+    )
 
 
 def planted_mixed_instance(rng, n, m, k):

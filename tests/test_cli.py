@@ -175,6 +175,16 @@ def test_solve_mixed_instance(tmp_path, capsys):
     assert main(["solve", path, "--psd", "force"]) == 2
 
 
+def test_verify_mixed_instance_needs_free_block(tmp_path, capsys):
+    path = write(tmp_path, "mixed.json", MIXED_1D)
+    pure = {"status": "feasible", "x": [1], "r": [0.5], "D": [[-0.5]]}
+    pol = write(tmp_path, "pure.json", pure)
+    assert main(["verify", path, pol]) == 2
+    err = capsys.readouterr().err
+    assert "needs both E and s" in err
+    assert "matmul" not in err
+
+
 def test_solve_runs_one_set_pass(tmp_path, monkeypatch):
     # validation and the hull share one pass from one phase one: a single
     # lp_feasible, then 2k coordinate and g row maximizations before the

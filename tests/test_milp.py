@@ -7,7 +7,6 @@ import numpy as np
 import pytest
 
 from aarlcp import (
-    DimensionMismatch,
     NodeLimitExceeded,
     NumericalFailure,
     NodeLpBuilder,
@@ -345,11 +344,33 @@ def test_index_branching_matches_heuristic():
         assert a.status is b.status
 
 
-def test_solve_rejects_mixed_instances():
-    inst = mixed_1d(0.0)
-    basis = compute_lin_hull(inst)
-    with pytest.raises(DimensionMismatch):
-        bnb_solve(inst, basis)
+def test_solve_covers_mixed_instances():
+    # one search and one certifier for both kinds: verify_policy certifies
+    # the free block of every policy mixed_solve returns, and bnb_solve
+    # takes mixed instances and matches mixed_solve node for node
+    rng = np.random.default_rng(71)
+    cases = [coupled_mixed_instance(True), coupled_mixed_instance(False)]
+    for _ in range(6):
+        n, m = int(rng.integers(1, 5)), int(rng.integers(1, 3))
+        cases += planted_mixed_instance(rng, n, m, 2)[:2]
+    feasible = 0
+    for inst in cases:
+        basis = compute_lin_hull(inst)
+        want = mixed_solve(inst, basis)
+        if want.status is SolveStatus.FEASIBLE:
+            feasible += 1
+            report = verify_policy(inst, basis, want.policy)
+            assert report.verified, report.violations
+            assert report.equality_residual is not None
+        got = bnb_solve(inst, basis)
+        assert got.status is want.status
+        assert got.nodes_explored == want.nodes_explored
+        assert got.lp_pivots == want.lp_pivots
+        if want.policy is not None:
+            for name in ("D", "r", "x", "E", "s"):
+                a, b = getattr(got.policy, name), getattr(want.policy, name)
+                assert a.tobytes() == b.tobytes(), name
+    assert feasible == len(cases) - 1
 
 
 def test_milp_row_counts():

@@ -14,7 +14,9 @@ from aarlcp import (
     mixed_solve,
     oracle_enumerate,
     verify_mixed,
+    verify_policy,
 )
+from aarlcp.core import policy_matches_instance
 from support import coupled_mixed_instance, golden_instance, mixed_1d
 
 
@@ -68,7 +70,10 @@ def test_pinned_flag_forces_constant_rule():
     assert np.allclose(report.policy.E, 0.0)
 
 
-def test_verify_mixed_flags_broken_equality():
+@pytest.mark.parametrize(
+    "verify", [verify_policy, verify_mixed], ids=["verify_policy", "verify_mixed"]
+)
+def test_verify_mixed_flags_broken_equality(verify):
     inst = mixed_1d(0.0)
     basis = compute_lin_hull(inst)
     pol = Policy(
@@ -78,10 +83,23 @@ def test_verify_mixed_flags_broken_equality():
         E=np.zeros((1, 1)),
         s=np.array([7.0]),  # equation wants 3
     )
-    report = verify_mixed(inst, basis, pol)
+    report = verify(inst, basis, pol)
     assert not report.verified
     assert report.equality_residual == pytest.approx(4.0, abs=1e-9)
     assert any("equations off" in v for v in report.violations)
+
+
+def test_policy_without_free_block_is_rejected():
+    # a mixed instance needs the policy's E and s; without them the check
+    # names the gap instead of failing inside the matrix products
+    inst = mixed_1d(1.0)
+    basis = compute_lin_hull(inst)
+    pol = Policy(D=np.array([[-0.5]]), r=np.array([0.5]), x=np.array([1]))
+    with pytest.raises(DimensionMismatch, match="E and s"):
+        policy_matches_instance(inst, pol)
+    for verify in (verify_policy, verify_mixed):
+        with pytest.raises(DimensionMismatch, match="E and s"):
+            verify(inst, basis, pol)
 
 
 def test_mixed_node_lp_guard():

@@ -18,7 +18,10 @@ from aarlcp import (
 )
 from support import (
     count_lp_calls,
+    gram_matrix,
     mixed_1d,
+    permuted_instance,
+    planted_instance,
     psd_desk_instance,
     psd_infeasible_instance,
 )
@@ -96,11 +99,34 @@ def test_support_probe(monkeypatch):
     zbar = lemke_nominal(M, q)
     calls = count_lp_calls(monkeypatch)
     assert compute_support_p(M, q, zbar) == frozenset({0})
-    assert calls == ["lp_feasible", "maximize", "maximize"]  # one phase one
-    # strictly positive unique solution: every index is in
+    # one phase one; index 1 has slack 1 at zbar, so it is pinned, not probed
+    assert calls == ["lp_feasible", "maximize"]
+    # strictly positive unique solution: every index is in, and probed
     M2 = np.eye(2)
     q2 = np.array([-1.0, -2.0])
-    assert compute_support_p(M2, q2, lemke_nominal(M2, q2)) == frozenset({0, 1})
+    zbar2 = lemke_nominal(M2, q2)
+    calls.clear()
+    assert compute_support_p(M2, q2, zbar2) == frozenset({0, 1})
+    assert calls == ["lp_feasible", "maximize", "maximize"]
+
+
+def test_support_skips_rows_with_positive_slack():
+    # every nominal solution of a monotone problem is complementary to
+    # w(zbar), so no index whose slack is clearly positive at zbar belongs to
+    # the forced support; LP noise used to admit some on permuted
+    # presentations of gram-matrix instances, and the single node LP at the
+    # wrong support then answered infeasible on a feasible instance
+    rng = np.random.default_rng(1)
+    for trial in range(200):
+        inst, _ = planted_instance(
+            rng, 16, 2, 6, M=gram_matrix(rng, 16), size=1 + trial % 4
+        )
+        inst = permuted_instance(rng, inst)
+        zbar = lemke_nominal(inst.M, inst.q)
+        w = inst.M @ zbar + inst.q
+        scale = max(1.0, float(np.abs(inst.q).max()), float(np.abs(zbar).max()))
+        support = compute_support_p(inst.M, inst.q, zbar)
+        assert not [i for i in support if w[i] > 1e-8 * scale], trial
 
 
 def test_psd_solve_desk_example():
