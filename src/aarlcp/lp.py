@@ -25,6 +25,11 @@ full artificial basis; the tree search extends a parent's tableau by the
 few rows of a child, so its phase one starts from the parent's basis.
 Pricing is Dantzig's rule until a long run of degenerate pivots switches
 the loop to Bland's rule, which is kept until the phase ends.
+
+The pivot loop works in place: each phase allocates one tableau-sized
+buffer for the rank-1 updates and one row-sized buffer for the ratio test,
+and its guard on the right-hand side (zero the entries in (-1e-9, 0), fail
+below -1e-6) runs only after a pivot that left some entry negative.
 """
 
 from __future__ import annotations
@@ -133,27 +138,39 @@ def lp_feasible(model: LpModel, tol: float = 1e-8) -> LpResult:
     return LpResult(LpStatus.OPTIMAL, float(model.objective @ x), x, tab.pivots, tab)
 
 
-def _pivot(T: np.ndarray, r: int, j: int) -> None:
+def _pivot(T: np.ndarray, r: int, j: int, buf: np.ndarray | None = None) -> None:
+    """Pivot on ``T[r, j]`` in place.  ``buf``, an array shaped like ``T``,
+    holds the rank-1 update; the loop passes one so that no pivot allocates
+    a tableau-sized array."""
+    if buf is None:
+        buf = np.empty_like(T)
     T[r, :] /= T[r, j]
     col = T[:, j].copy()
     col[r] = 0.0
-    T -= np.outer(col, T[r, :])
+    np.multiply(col[:, None], T[r], out=buf)
+    T -= buf
     T[:, j] = 0.0
     T[r, j] = 1.0
 
 
 def _price_out(T: np.ndarray, basis: np.ndarray) -> None:
-    m = T.shape[0] - 1
-    for r in range(m):
-        cb = T[-1, basis[r]]
-        if cb != 0.0:
-            T[-1, :] -= cb * T[r, :]
+    # Basic columns are exact unit columns, so a row whose basic cost is
+    # zero stays zero while the others are priced out, and skipping it up
+    # front subtracts the same rows in the same order.
+    for r in np.flatnonzero(T[-1, basis]):
+        T[-1, :] -= T[-1, basis[r]] * T[r, :]
 
 
 def _iterate(T: np.ndarray, basis: np.ndarray, nact: int, tol: float):
     """Run the pivot loop on the priced tableau.  Returns "optimal" or
     "unbounded" with the number of pivots; raises NumericalFailure when
-    safeguards run out."""
+    safeguards run out.
+
+    ``T`` is pivoted in place and never rebound, so the reduced-cost and
+    right-hand-side views stay valid for the whole loop.  The update and
+    ratio buffers belong to this call: concurrent searches run the loop at
+    once, so none may be shared.
+    """
     m = T.shape[0] - 1
     bland = False
     degen_run = 0
@@ -161,38 +178,43 @@ def _iterate(T: np.ndarray, basis: np.ndarray, nact: int, tol: float):
     total_pivots = 0
     budget = 50 * (T.shape[0] + T.shape[1])
     hard_cap = 10 * budget
+    red = T[-1, :nact]
+    rhs = T[:m, -1]
+    buf = np.empty_like(T)
+    ratios = np.empty(m)
+    pos = np.empty(m, dtype=bool)
     while True:
-        red = T[-1, :nact]
         if bland:
             cand = np.nonzero(red > tol)[0]
             if cand.size == 0:
                 return "optimal", total_pivots
             j = int(cand[0])
         else:
-            j = int(np.argmax(red))
+            j = int(red.argmax())
             if red[j] <= tol:
                 return "optimal", total_pivots
         col = T[:m, j]
-        pos = col > _PIV_EPS
-        if not pos.any():
+        np.greater(col, _PIV_EPS, out=pos)
+        ratios.fill(np.inf)
+        np.divide(rhs, col, out=ratios, where=pos)
+        best = float(ratios.min(initial=np.inf))
+        # a ratio may overflow to inf: only no candidate row means unbounded
+        if best == np.inf and not pos.any():
             return "unbounded", total_pivots
-        rhs = T[:m, -1]
-        ratios = np.full(m, np.inf)
-        ratios[pos] = rhs[pos] / col[pos]
-        best = float(ratios.min())
-        ties = np.nonzero(ratios <= best + 1e-12 * (1.0 + abs(best)))[0]
+        thr = best + 1e-12 * (1.0 + abs(best))
         if bland:
+            ties = np.nonzero(ratios <= thr)[0]
             r = int(ties[np.argmin(basis[ties])])
         else:
-            r = int(ties[0])
-        _pivot(T, r, j)
+            r = int((ratios <= thr).argmax())
+        _pivot(T, r, j, buf)
         basis[r] = j
-        rhs = T[:m, -1]
-        small = (rhs < 0.0) & (rhs > -1e-9)
-        if small.any():
-            rhs[small] = 0.0
-        if (rhs < -1e-6).any():
-            raise NumericalFailure("tableau right-hand side went negative")
+        if rhs.min() < 0.0:
+            small = (rhs < 0.0) & (rhs > -1e-9)
+            if small.any():
+                rhs[small] = 0.0
+            if (rhs < -1e-6).any():
+                raise NumericalFailure("tableau right-hand side went negative")
         total_pivots += 1
         if best <= tol:
             degen_run += 1
@@ -286,7 +308,11 @@ class Tableau:
             C[r] = coeffs
             rhs0[r] = b
             senses.append(relation)
-        blocks = self._blocks + ((C, rhs0, np.array(senses, dtype=object)),)
+        blocks = self._blocks
+        if nrows:
+            rels = np.array(senses, dtype=object)
+            sign = np.where(rels == GE, -1.0, 1.0)
+            blocks += ((C, rhs0, sign, rels == EQ, float(np.abs(rhs0).max())),)
 
         m_new = nrows + len(self._bound_rows)
         old = self.n_real
@@ -412,10 +438,11 @@ class Tableau:
     def point(self) -> np.ndarray:
         """The basic solution in the original variables.
 
-        Raises NumericalFailure when the point misses a row of any batch by
-        more than 1e-5 * max(1, |rhs|), a catastrophic-failure detector
-        only; fine-grained residual checks are the callers' and the tests'
-        job.
+        Raises NumericalFailure when the worst miss of any row of any batch,
+        rows the purge dropped included, exceeds 1e-5 times the largest of
+        1 and every |rhs| of every batch.  That is one threshold for all
+        rows, not one per row: a catastrophic-failure detector only;
+        fine-grained residual checks are the callers' and the tests' job.
         """
         return self._point(self.T, self.basis)
 
@@ -424,18 +451,15 @@ class Tableau:
         y[basis] = T[: len(basis), -1]
         x = self.offsets + self.S @ y[: self.S.shape[1]]
 
+        # sign makes each miss positive (GE rows flip, EQ rows take |d|), so
+        # one max covers a batch
         worst, big = 0.0, 1.0
-        for C, rhs0, rels in self._blocks:
-            if not len(rhs0):
-                continue
+        for C, rhs0, sign, eq, rhs_max in self._blocks:
             d = C @ x - rhs0
-            worst = max(
-                worst,
-                float(d[rels == LE].max(initial=0.0)),
-                float((-d[rels == GE]).max(initial=0.0)),
-                float(np.abs(d[rels == EQ]).max(initial=0.0)),
-            )
-            big = max(big, float(np.abs(rhs0).max()))
+            d *= sign
+            np.abs(d, out=d, where=eq)
+            worst = max(worst, float(d.max(initial=0.0)))
+            big = max(big, rhs_max)
         if worst > 1e-5 * big:
             raise NumericalFailure("solution failed the residual check")
         return x

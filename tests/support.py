@@ -12,6 +12,7 @@ import numpy as np
 
 from aarlcp import Instance, MixedExtension
 from aarlcp import lp
+from aarlcp.errors import NumericalFailure
 
 
 def box_set(k, radius=1.0):
@@ -329,6 +330,88 @@ def bigm_status(parsed, tol=1e-8):
         if lp.lp_feasible(model, tol).status is lp.LpStatus.OPTIMAL:
             return "feasible"
     return "infeasible"
+
+
+# The pivot kernel of ``lp`` as it was before the in-place rewrite: one
+# allocation per ratio test and per rank-1 update, and the right-hand-side
+# guard on every pivot.  The differential test runs these verbatim copies as
+# the oracle for ``lp._pivot``, ``lp._price_out`` and ``lp._iterate``, which
+# must pivot identically, bit for bit.
+
+
+def reference_pivot(T: np.ndarray, r: int, j: int) -> None:
+    T[r, :] /= T[r, j]
+    col = T[:, j].copy()
+    col[r] = 0.0
+    T -= np.outer(col, T[r, :])
+    T[:, j] = 0.0
+    T[r, j] = 1.0
+
+
+def reference_price_out(T: np.ndarray, basis: np.ndarray) -> None:
+    m = T.shape[0] - 1
+    for r in range(m):
+        cb = T[-1, basis[r]]
+        if cb != 0.0:
+            T[-1, :] -= cb * T[r, :]
+
+
+def reference_iterate(T: np.ndarray, basis: np.ndarray, nact: int, tol: float):
+    """Run the pivot loop on the priced tableau.  Returns "optimal" or
+    "unbounded" with the number of pivots; raises NumericalFailure when
+    safeguards run out."""
+    m = T.shape[0] - 1
+    bland = False
+    degen_run = 0
+    bland_pivots = 0
+    total_pivots = 0
+    budget = 50 * (T.shape[0] + T.shape[1])
+    hard_cap = 10 * budget
+    while True:
+        red = T[-1, :nact]
+        if bland:
+            cand = np.nonzero(red > tol)[0]
+            if cand.size == 0:
+                return "optimal", total_pivots
+            j = int(cand[0])
+        else:
+            j = int(np.argmax(red))
+            if red[j] <= tol:
+                return "optimal", total_pivots
+        col = T[:m, j]
+        pos = col > lp._PIV_EPS
+        if not pos.any():
+            return "unbounded", total_pivots
+        rhs = T[:m, -1]
+        ratios = np.full(m, np.inf)
+        ratios[pos] = rhs[pos] / col[pos]
+        best = float(ratios.min())
+        ties = np.nonzero(ratios <= best + 1e-12 * (1.0 + abs(best)))[0]
+        if bland:
+            r = int(ties[np.argmin(basis[ties])])
+        else:
+            r = int(ties[0])
+        reference_pivot(T, r, j)
+        basis[r] = j
+        rhs = T[:m, -1]
+        small = (rhs < 0.0) & (rhs > -1e-9)
+        if small.any():
+            rhs[small] = 0.0
+        if (rhs < -1e-6).any():
+            raise NumericalFailure("tableau right-hand side went negative")
+        total_pivots += 1
+        if best <= tol:
+            degen_run += 1
+            if not bland and degen_run >= 10 * max(m, 1):
+                bland = True
+        else:
+            degen_run = 0
+        if bland:
+            bland_pivots += 1
+            if bland_pivots > budget:
+                raise NumericalFailure("pivot limit exhausted")
+        if total_pivots > hard_cap:
+            raise NumericalFailure("pivot limit exhausted")
 
 
 def count_lp_calls(monkeypatch):

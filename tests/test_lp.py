@@ -7,9 +7,15 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from aarlcp import lp
+from aarlcp import bnb_solve, compute_lin_hull, lp
 from aarlcp.errors import NumericalFailure
-from support import random_set
+from support import (
+    planted_instance,
+    random_set,
+    reference_iterate,
+    reference_pivot,
+    reference_price_out,
+)
 
 
 def test_simple_maximum():
@@ -335,3 +341,161 @@ def test_maximize_matches_lp_solve():
         assert np.array_equal(tab.T, T) and np.array_equal(tab.basis, basis)
     assert seen == {lp.LpStatus.OPTIMAL, lp.LpStatus.UNBOUNDED}
     assert 10 <= infeasible <= 60
+
+
+def _identical(a, b):
+    return a.shape == b.shape and a.dtype == b.dtype and a.tobytes() == b.tobytes()
+
+
+def _outcome(loop, T, basis, nact, tol):
+    """(status, pivots) of a pivot loop, or the message of its failure."""
+    try:
+        return loop(T, basis, nact, tol)
+    except NumericalFailure as exc:
+        return str(exc)
+
+
+def _both_loops(T, basis, nact, tol=1e-8, loop=None):
+    """Run the reference loop on a copy of a priced tableau and ``loop``
+    (lp's by default) on the tableau itself; they must agree bit for bit.
+    Returns the outcome."""
+    want_T, want_basis = T.copy(), basis.copy()
+    want = _outcome(reference_iterate, want_T, want_basis, nact, tol)
+    got = _outcome(loop or lp._iterate, T, basis, nact, tol)
+    assert got == want
+    assert _identical(T, want_T) and _identical(basis, want_basis)
+    return got
+
+
+def _check_kernel(monkeypatch):
+    """Route lp's kernel through wrappers that replay each call on a copy
+    with the reference kernel and require the same result, tableau and
+    basis.  Returns the outcome of every pivot loop, in call order."""
+    outcomes = []
+    real_pivot, real_price_out, real_iterate = lp._pivot, lp._price_out, lp._iterate
+
+    def pivot(T, r, j, buf=None):
+        want = T.copy()
+        reference_pivot(want, r, j)
+        real_pivot(T, r, j, buf)
+        assert _identical(T, want)
+
+    def price_out(T, basis):
+        want = T.copy()
+        reference_price_out(want, basis)
+        real_price_out(T, basis)
+        assert _identical(T, want)
+
+    def iterate(T, basis, nact, tol):
+        got = _both_loops(T, basis, nact, tol, real_iterate)
+        outcomes.append(got)
+        if isinstance(got, str):
+            raise NumericalFailure(got)
+        return got
+
+    monkeypatch.setattr(lp, "_pivot", pivot)
+    monkeypatch.setattr(lp, "_price_out", price_out)
+    monkeypatch.setattr(lp, "_iterate", iterate)
+    return outcomes
+
+
+def test_kernel_matches_reference(monkeypatch):
+    outcomes = _check_kernel(monkeypatch)
+    rng = np.random.default_rng(29)
+    for t in range(120):
+        model = (_set_model if t % 2 else _batch_model)(rng)
+        model.objective = rng.normal(size=model.num_vars)
+        lp.lp_solve(model)
+        cut = int(rng.integers(0, len(model.rows) + 1))
+        tab = lp.Tableau(model.lower, model.upper).extend(model.rows[:cut])
+        if tab.feasible:
+            tab.extend(model.rows[cut:])
+    # cold roots and warm children of two search trees
+    for seed in (2, 3):
+        inst, _ = planted_instance(np.random.default_rng(seed), 6, 3, 8)
+        assert bnb_solve(inst, compute_lin_hull(inst)).nodes_explored >= 20
+    assert len(outcomes) >= 300
+    assert {o[0] for o in outcomes} == {"optimal", "unbounded"}
+
+
+def _degenerate_tableau(seed):
+    """Slack basis, zero right-hand side and log-uniform entries: every
+    pivot is degenerate."""
+    rng = np.random.default_rng(seed)
+    m, n = int(rng.integers(2, 4)), int(rng.integers(4, 8))
+    T = np.zeros((m + 1, n + m + 1))
+    T[:m, :n] = rng.choice((-1.0, 1.0), size=(m, n)) * 10.0 ** rng.uniform(-2, 2, (m, n))
+    T[:m, n : n + m] = np.eye(m)
+    T[-1, :n] = rng.choice((-1.0, 1.0), size=n) * 10.0 ** rng.uniform(-2, 2, n)
+    return T, np.arange(n, n + m), n + m
+
+
+def test_kernel_edge_tableaux():
+    # no rows: a positive reduced cost is unbounded, none is optimal
+    assert _both_loops(np.array([[1.0, 0.0]]), np.zeros(0, dtype=int), 1) == ("unbounded", 0)
+    assert _both_loops(np.array([[-1.0, 0.0]]), np.zeros(0, dtype=int), 1) == ("optimal", 0)
+    # column 0 has no positive entry
+    T = np.array([[-1.0, 1.0, 0.0, 2.0], [0.0, 0.0, 1.0, 1.0], [1.0, 0.0, 0.0, 0.0]])
+    assert _both_loops(T, np.array([1, 2]), 3) == ("unbounded", 0)
+    # both rows tie in the ratio test; Dantzig's rule takes the first
+    T = np.array([[1.0, 1.0, 0.0, 1.0], [2.0, 0.0, 1.0, 2.0], [1.0, 0.0, 0.0, 0.0]])
+    basis = np.array([1, 2])
+    assert _both_loops(T, basis, 3) == ("optimal", 1)
+    assert basis.tolist() == [0, 2]
+    # Seed found by a search over _degenerate_tableau draws: Dantzig's rule
+    # makes 10 * m = 20 degenerate pivots, so the loop switches to Bland's
+    # rule, which ends it one pivot later.
+    T, basis, nact = _degenerate_tableau(146742)
+    m = T.shape[0] - 1
+    assert m == 2 and not T[:m, -1].any()
+    assert _both_loops(T, basis, nact) == ("optimal", 10 * m + 1)
+
+
+def _guard_tableau(rhs1):
+    """x0 pivots into row 0; row 1 has right-hand side rhs1 and a zero in
+    x0's column, so the pivot leaves it as it is."""
+    T = np.array([[1.0, 1.0, 0.0, 1.0], [0.0, 0.0, 1.0, rhs1], [1.0, 0.0, 0.0, 0.0]])
+    return T, np.array([1, 2])
+
+
+def test_iterate_raises_on_negative_rhs():
+    T, basis = _guard_tableau(-1e-3)
+    with pytest.raises(NumericalFailure, match="tableau right-hand side went negative"):
+        lp._iterate(T, basis, 3, 1e-8)
+
+
+def test_iterate_zeroes_tiny_negative_rhs():
+    T, basis = _guard_tableau(-5e-10)
+    assert lp._iterate(T, basis, 3, 1e-8) == ("optimal", 1)
+    assert T[1, -1] == 0.0
+
+
+def _shifted(second, shift):
+    """Phase-one tableau of x0 = 1 over x0, x1 >= 0, extended by a batch of
+    the second row, with the basic value of x0 moved by shift."""
+    model = lp.LpModel(2)
+    model.add_row([1.0, 0.0], lp.EQ, 1.0)
+    tab = lp.phase_one(model).extend([second])
+    tab.T[list(tab.basis).index(0), -1] += shift
+    return tab
+
+
+def test_point_residual_guard():
+    # The guard compares the worst miss of any row with 1e-5 times the
+    # largest |rhs| of any row, here 100: x0 = 1 may be missed by 1e-4.
+    far = ([0.0, 1.0], lp.LE, 100.0)
+    assert _shifted(far, 1e-4).point()[0] == pytest.approx(1.0 + 1e-4)
+    assert _shifted(([100.0, 0.0], lp.LE, 100.0), -1e-4).point()[0] < 1.0
+    with pytest.raises(NumericalFailure, match="solution failed the residual check"):
+        _shifted(far, 2e-3).point()
+    # the row 100 x0 ~ 100 is missed by 1e-2 > 1e-3, x0 = 1 only by 1e-4
+    for second, shift in (
+        (([100.0, 0.0], lp.LE, 100.0), 1e-4),
+        (([100.0, 0.0], lp.GE, 100.0), -1e-4),
+        (([100.0, 0.0], lp.EQ, 100.0), -1e-4),
+    ):
+        tab = _shifted(second, shift)
+        if second[1] == lp.EQ:
+            assert tab.T.shape[0] == 2  # the purge dropped the redundant row
+        with pytest.raises(NumericalFailure, match="solution failed the residual check"):
+            tab.point()
