@@ -24,7 +24,7 @@ import numpy as np
 
 from .core import EPS_ZERO, Instance, MixedExtension, Policy, validate
 from .errors import AarlcpError, NodeLimitExceeded, NumericalFailure
-from .linhull import compute_lin_hull, hull_from_equalities
+from .linhull import compute_lin_hull
 from .milp import (
     SolveOptions,
     SolveStatus,
@@ -192,7 +192,7 @@ def cmd_solve(args) -> int:
         raise ValueError(
             "the uncertainty set fails validation; run the validate command"
         )
-    basis = hull_from_equalities(inst, vreport.implicit_equality_rows, args.tol)
+    basis = vreport.basis
 
     use_psd = False
     if args.psd == "force":

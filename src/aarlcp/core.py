@@ -9,11 +9,15 @@ after construction, so instances can be shared freely across threads.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from typing import TYPE_CHECKING
 
 import numpy as np
 
 from . import lp
 from .errors import DimensionMismatch, EmptyUncertaintySet
+
+if TYPE_CHECKING:
+    from .linhull import LinHullBasis
 
 # Entries of a policy vector at or below this threshold count as zero when
 # the support set is read off.
@@ -279,13 +283,6 @@ class Policy:
         return self.D.shape[1]
 
 
-def check_support_consistency(pol: Policy, eps_zero: float = EPS_ZERO) -> None:
-    """Raise when some r entry is positive while its indicator is off."""
-    bad = [int(i) for i in range(pol.n) if pol.x[i] == 0 and pol.r[i] > eps_zero]
-    if bad:
-        raise ValueError(f"indicator is off but r is positive at rows {bad}")
-
-
 def policy_matches_instance(inst: Instance, pol: Policy) -> None:
     """Shape and pinning checks of a policy against an instance."""
     if pol.D.shape != (inst.n, inst.k):
@@ -319,40 +316,31 @@ def uncertainty_lp(Theta: np.ndarray, zeta: np.ndarray, objective) -> lp.LpModel
 
 def uncertainty_tableau(
     Theta: np.ndarray, zeta: np.ndarray, tol: float = 1e-8
-) -> lp.Tableau | None:
-    """Phase one over {u : Theta u >= zeta}, or None when the set is empty.
+) -> lp.Tableau:
+    """Phase one over {u : Theta u >= zeta}.
 
     Every maximization over the set starts from this one tableau through
-    lp.Tableau.maximize, so a row set runs phase one once, whatever the
-    number of objectives.
+    lp.Tableau.maximize, so a set runs phase one once, whatever the number
+    of objectives.  Raises EmptyUncertaintySet when the set has no points.
     """
     probe = uncertainty_lp(Theta, zeta, np.zeros(Theta.shape[1]))
-    return lp.lp_feasible(probe, tol).tableau
-
-
-def _nonempty_tableau(Theta: np.ndarray, zeta: np.ndarray, tol: float) -> lp.Tableau:
-    tab = uncertainty_tableau(Theta, zeta, tol)
+    tab = lp.lp_feasible(probe, tol).tableau
     if tab is None:
         raise EmptyUncertaintySet("the uncertainty set is empty")
     return tab
 
 
 def implicit_equalities(
-    Theta: np.ndarray, zeta: np.ndarray, tol: float = 1e-8
+    tab: lp.Tableau, Theta: np.ndarray, zeta: np.ndarray, tol: float = 1e-8
 ) -> tuple[list[int], list[int]]:
     """Rows of {u : Theta u >= zeta} that are tight on the whole set.
 
-    One maximization per row, all from one shared phase one; a row is tight
-    everywhere exactly when its maximum equals its right-hand side, tested
-    relative to the magnitude of that side.  Returns the tight rows and the
-    rows whose maximum is unbounded; raises EmptyUncertaintySet when the
-    set has no points.
+    One maximization per row from tab, the set's phase-one tableau (see
+    uncertainty_tableau); a row is tight everywhere exactly when its
+    maximum equals its right-hand side, tested relative to the magnitude
+    of that side.  Returns the tight rows and the rows whose maximum is
+    unbounded.
     """
-    return _row_maxima(_nonempty_tableau(Theta, zeta, tol), Theta, zeta, tol)
-
-
-def _row_maxima(tab: lp.Tableau, Theta, zeta, tol: float):
-    """The tight and the unbounded rows, from the set's phase-one tableau."""
     tight: list[int] = []
     unbounded: list[int] = []
     for j in range(Theta.shape[0]):
@@ -373,6 +361,7 @@ class ValidationReport:
     t_full_column_rank: bool
     implicit_equality_rows: frozenset[int]
     warnings: tuple[str, ...]
+    basis: LinHullBasis | None  # the hull, when ok
 
     @property
     def ok(self) -> bool:
@@ -385,12 +374,15 @@ def validate(inst: Instance, tol: float = 1e-8) -> ValidationReport:
 
     Implicit equality rows are those whose inequality is tight on the whole
     set (see implicit_equalities).  The 2k coordinate maximizations and the
-    g row maximizations share one phase one.  Raises EmptyUncertaintySet
+    g row maximizations share one phase one, whose tableau the report's
+    hull basis carries on when the set passes.  Raises EmptyUncertaintySet
     when the set has no points at all.
     """
+    from .linhull import hull_from_equalities  # linhull imports this module
+
     Theta, zeta = inst.Theta, inst.zeta
     g, k = Theta.shape
-    tab = _nonempty_tableau(Theta, zeta, tol)
+    tab = uncertainty_tableau(Theta, zeta, tol)
 
     compact = True
     for j in range(k):
@@ -400,7 +392,7 @@ def validate(inst: Instance, tol: float = 1e-8) -> ValidationReport:
             if tab.maximize(c, tol).status is lp.LpStatus.UNBOUNDED:
                 compact = False
 
-    eq_rows, _ = _row_maxima(tab, Theta, zeta, tol)
+    eq_rows, _ = implicit_equalities(tab, Theta, zeta, tol)
     eqset = frozenset(eq_rows)
     relint = all(abs(zeta[j]) <= tol for j in eq_rows) and all(
         zeta[j] < -tol for j in range(g) if j not in eqset
@@ -411,10 +403,12 @@ def validate(inst: Instance, tol: float = 1e-8) -> ValidationReport:
     if not t_full:
         warnings.append("T rank-deficient")
 
+    ok = compact and relint
     return ValidationReport(
         compact=compact,
         zero_in_relint=relint,
         t_full_column_rank=t_full,
         implicit_equality_rows=eqset,
         warnings=tuple(warnings),
+        basis=hull_from_equalities(inst, eq_rows, tab, tol) if ok else None,
     )

@@ -13,8 +13,9 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .core import Instance, implicit_equalities, rref_kernel_basis
+from .core import Instance, implicit_equalities, rref_kernel_basis, uncertainty_tableau
 from .errors import NotCompact, RelintViolation
+from .lp import Tableau
 
 
 @dataclass(frozen=True, eq=False)
@@ -25,11 +26,15 @@ class LinHullBasis:
     infinity norm, ordered by the free column of the underlying elimination.
     phi: the stacked implicit-equality rows (possibly zero rows).
     inequality_rows: indices of the rows that stay strict somewhere.
+    tableau: the set's phase-one tableau (core.uncertainty_tableau), so the
+    set is nonempty; every later maximization over the set starts from it.
+    Tableau.maximize works on a copy, so the basis may be shared.
     """
 
     vectors: tuple[np.ndarray, ...]
     phi: np.ndarray
     inequality_rows: frozenset[int]
+    tableau: Tableau
 
     @property
     def dimension(self) -> int:
@@ -41,10 +46,12 @@ def compute_lin_hull(inst: Instance, tol: float = 1e-8) -> LinHullBasis:
     then return a kernel basis of the equality part.
 
     Expects a validated instance (compact set, origin in the relative
-    interior).  The split is the one pass of core.implicit_equalities.
+    interior).  The split is the one pass of core.implicit_equalities over
+    the set's one phase one.
     """
     Theta, zeta = inst.Theta, inst.zeta
-    tight, unbounded = implicit_equalities(Theta, zeta, tol)
+    tab = uncertainty_tableau(Theta, zeta, tol)
+    tight, unbounded = implicit_equalities(tab, Theta, zeta, tol)
     for j in range(inst.g):  # the first offending row decides the error
         if j in unbounded:
             raise NotCompact(f"direction of row {j} is unbounded over the set")
@@ -52,14 +59,14 @@ def compute_lin_hull(inst: Instance, tol: float = 1e-8) -> LinHullBasis:
             raise RelintViolation(
                 f"row {j} is tight everywhere with nonzero right-hand side"
             )
-    return hull_from_equalities(inst, tight, tol)
+    return hull_from_equalities(inst, tight, tab, tol)
 
 
-def hull_from_equalities(inst: Instance, eq_rows, tol: float = 1e-8) -> LinHullBasis:
-    """Hull basis from known implicit-equality rows, with no LP.
-
-    eq_rows come from core.implicit_equalities, directly or through the
-    implicit_equality_rows of a validation report that passed.
+def hull_from_equalities(
+    inst: Instance, eq_rows, tab: Tableau, tol: float = 1e-8
+) -> LinHullBasis:
+    """Hull basis from known implicit-equality rows and the set's phase-one
+    tableau, with no further LP; core.validate and compute_lin_hull share it.
     """
     eq_rows = sorted(eq_rows)
     phi = inst.Theta[eq_rows] if eq_rows else np.zeros((0, inst.k))
@@ -75,4 +82,5 @@ def hull_from_equalities(inst: Instance, eq_rows, tol: float = 1e-8) -> LinHullB
         vectors=tuple(vectors),
         phi=phi,
         inequality_rows=frozenset(range(inst.g)) - frozenset(eq_rows),
+        tableau=tab,
     )

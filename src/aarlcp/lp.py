@@ -438,11 +438,12 @@ class Tableau:
     def point(self) -> np.ndarray:
         """The basic solution in the original variables.
 
-        Raises NumericalFailure when the worst miss of any row of any batch,
-        rows the purge dropped included, exceeds 1e-5 times the largest of
-        1 and every |rhs| of every batch.  That is one threshold for all
-        rows, not one per row: a catastrophic-failure detector only;
-        fine-grained residual checks are the callers' and the tests' job.
+        Raises NumericalFailure when the point is not finite, or when the
+        worst miss of any row of any batch, rows the purge dropped included,
+        is not at most 1e-5 times the largest of 1 and every |rhs| of every
+        batch.  That is one threshold for all rows, not one per row: a
+        catastrophic-failure detector only; fine-grained residual checks are
+        the callers' and the tests' job.
         """
         return self._point(self.T, self.basis)
 
@@ -451,17 +452,17 @@ class Tableau:
         y[basis] = T[: len(basis), -1]
         x = self.offsets + self.S @ y[: self.S.shape[1]]
 
+        if not np.isfinite(x).all():
+            raise NumericalFailure("solution failed the residual check")
         # sign makes each miss positive (GE rows flip, EQ rows take |d|), so
-        # one max covers a batch
-        worst, big = 0.0, 1.0
-        for C, rhs0, sign, eq, rhs_max in self._blocks:
+        # one max covers a batch; a NaN miss fails the negated test
+        limit = 1e-5 * max([1.0] + [blk[4] for blk in self._blocks])
+        for C, rhs0, sign, eq, _ in self._blocks:
             d = C @ x - rhs0
             d *= sign
             np.abs(d, out=d, where=eq)
-            worst = max(worst, float(d.max(initial=0.0)))
-            big = max(big, rhs_max)
-        if worst > 1e-5 * big:
-            raise NumericalFailure("solution failed the residual check")
+            if not d.max(initial=0.0) <= limit:
+                raise NumericalFailure("solution failed the residual check")
         return x
 
 

@@ -79,14 +79,11 @@ UNFIXED = -1
 class SolveStatus(Enum):
     FEASIBLE = "feasible"
     INFEASIBLE = "infeasible"
-    NUMERICAL_FAILURE = "numerical_failure"
 
 
 @dataclass
 class SolveOptions:
     tol: float = 1e-8
-    eps_zero: float = EPS_ZERO
-    verify_tol: float = EPS_FEAS
     node_limit: int | None = None
     branching: str = "heuristic"  # or "index"
     parallel: bool = False
@@ -426,7 +423,7 @@ def _branch_choice(fixed, rhat, opts):
     if opts.branching == "index":
         return unfixed[0], 0
     i = max(unfixed, key=lambda t: (rhat[t], -t))
-    first = 1 if rhat[i] > opts.eps_zero else 0
+    first = 1 if rhat[i] > EPS_ZERO else 0
     return i, first
 
 
@@ -558,8 +555,8 @@ def bnb_solve(
 
     tolerances = {
         "tol": opts.tol,
-        "eps_zero": opts.eps_zero,
-        "verify_tol": opts.verify_tol,
+        "eps_zero": EPS_ZERO,
+        "verify_tol": EPS_FEAS,
     }
     if leaf is None:
         return SolveReport(
@@ -571,7 +568,7 @@ def bnb_solve(
         )
     fixed, point = leaf
     policy = builder.extract_policy(point, fixed)
-    report = verify_policy(inst, basis, policy, opts.verify_tol, opts.eps_zero)
+    report = verify_policy(inst, basis, policy, EPS_FEAS)
     if not report.verified:
         raise NumericalFailure(
             "search returned a policy that fails certification: "

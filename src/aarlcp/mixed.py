@@ -12,7 +12,7 @@ instance without one.
 
 from __future__ import annotations
 
-from .core import EPS_FEAS, EPS_ZERO, Instance, Policy
+from .core import EPS_FEAS, Instance, Policy
 from .errors import DimensionMismatch
 from .linhull import LinHullBasis
 from .milp import SolveOptions, SolveReport, bnb_solve
@@ -24,12 +24,11 @@ def verify_mixed(
     basis: LinHullBasis,
     pol: Policy,
     tol: float = EPS_FEAS,
-    eps_zero: float = EPS_ZERO,
 ) -> VerifyReport:
     """:func:`verify_policy` for an instance that must have a free block."""
     if inst.mixed is None:
         raise DimensionMismatch("instance has no free block")
-    return verify_policy(inst, basis, pol, tol, eps_zero)
+    return verify_policy(inst, basis, pol, tol)
 
 
 def mixed_solve(

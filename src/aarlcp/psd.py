@@ -16,7 +16,7 @@ from enum import Enum
 import numpy as np
 
 from . import lp
-from .core import EPS_FEAS, EPS_ZERO, Instance
+from .core import EPS_ZERO, Instance
 from .errors import DimensionMismatch, NotPsd, NumericalFailure
 from .linhull import LinHullBasis
 from .milp import NodeLpBuilder
@@ -170,7 +170,6 @@ def compute_support_p(
     q: np.ndarray,
     zbar: np.ndarray,
     tol: float = 1e-8,
-    eps_zero: float = EPS_ZERO,
 ) -> frozenset:
     """Indices some nominal solution makes positive.
 
@@ -195,7 +194,7 @@ def compute_support_p(
         objective = np.zeros(n)
         objective[i] = 1.0
         res = tab.maximize(objective, tol)
-        if res.status is lp.LpStatus.UNBOUNDED or res.value > eps_zero:
+        if res.status is lp.LpStatus.UNBOUNDED or res.value > EPS_ZERO:
             members.add(i)
     return frozenset(members)
 
@@ -204,8 +203,6 @@ def psd_solve(
     inst: Instance,
     basis: LinHullBasis,
     tol: float = 1e-8,
-    eps_zero: float = EPS_ZERO,
-    verify_tol: float = EPS_FEAS,
 ) -> PsdReport:
     """Single-node solve for PSD instances.
 
@@ -220,7 +217,7 @@ def psd_solve(
     zbar = lemke_nominal(inst.M, inst.q, max(tol, 1e-9))
     if zbar is None:
         return PsdReport(is_psd=True, status=PsdStatus.INFEASIBLE)
-    support = compute_support_p(inst.M, inst.q, zbar, tol, eps_zero)
+    support = compute_support_p(inst.M, inst.q, zbar, tol)
     fixed = tuple(1 if i in support else 0 for i in range(inst.n))
     builder = NodeLpBuilder(inst, basis)
     res = lp.lp_feasible(builder.model(fixed), tol)
@@ -235,7 +232,7 @@ def psd_solve(
             lp_pivots=res.pivots,
         )
     policy = builder.extract_policy(res.point, fixed)
-    report = verify_policy(inst, basis, policy, verify_tol, eps_zero)
+    report = verify_policy(inst, basis, policy)
     if not report.verified:
         raise NumericalFailure(
             "forced-support policy failed certification: "

@@ -17,14 +17,7 @@ from typing import TYPE_CHECKING
 import numpy as np
 
 from . import lp
-from .core import (
-    EPS_FEAS,
-    EPS_ZERO,
-    Instance,
-    Policy,
-    policy_matches_instance,
-    uncertainty_tableau,
-)
+from .core import EPS_FEAS, EPS_ZERO, Instance, Policy, policy_matches_instance
 from .errors import NotCompact, OracleLimitExceeded
 from .linhull import LinHullBasis
 
@@ -77,9 +70,7 @@ def _min_over_set(tab, c, tol) -> float:
 
 
 def certify_affine(
-    Theta: np.ndarray,
-    zeta: np.ndarray,
-    vectors: tuple[np.ndarray, ...],
+    basis: LinHullBasis,
     r_trunc: np.ndarray,
     D: np.ndarray,
     w_lin: np.ndarray,
@@ -90,10 +81,9 @@ def certify_affine(
 
     r_trunc must already be truncated at the zero threshold; w_lin and
     w_const describe the slack piece w(u) = w_lin @ u + w_const computed
-    from the truncated policy.  The 2n minimizations over the set share one
-    phase one, run only when some piece varies over the set.  Raises
-    NotCompact when a piece is unbounded below, and ValueError when the set
-    is empty and some piece varies.
+    from the truncated policy.  The 2n minimizations over the set all start
+    from the basis's phase-one tableau, and a piece that does not vary over
+    the set runs none.  Raises NotCompact when a piece is unbounded below.
     """
     n = len(r_trunc)
     support = sorted(i for i in range(n) if r_trunc[i] > 0.0)
@@ -102,16 +92,12 @@ def certify_affine(
     direction_residual = 0.0
     if support:
         nominal_residual = float(np.abs(w_const[support]).max())
-        for v in vectors:
+        for v in basis.vectors:
             d = np.abs(w_lin[support] @ v)
             if d.size:
                 direction_residual = max(direction_residual, float(d.max()))
 
-    tab = None
-    if np.any(D) or np.any(w_lin):
-        tab = uncertainty_tableau(Theta, zeta, tol)
-        if tab is None:
-            raise ValueError("the uncertainty set is empty")
+    tab = basis.tableau
     min_z = np.zeros(n)
     min_w = np.zeros(n)
     for i in range(n):
@@ -148,11 +134,10 @@ def verify_policy(
     basis: LinHullBasis,
     pol: Policy,
     tol: float = EPS_FEAS,
-    eps_zero: float = EPS_ZERO,
 ) -> VerifyReport:
     """Certify an affine policy, with its free-block pair on a mixed instance.
 
-    Entries of r at or below eps_zero are truncated to zero first and the
+    Entries of r at or below EPS_ZERO are truncated to zero first and the
     truncated rule is what gets certified.  On a mixed instance the free
     block's rule (E, s) feeds the slack piece, and the equation block must
     also vanish at the nominal point and along every hull basis vector;
@@ -161,16 +146,14 @@ def verify_policy(
     policy_matches_instance(inst, pol)
     mx = inst.mixed
     r = pol.r.copy()
-    r[r <= eps_zero] = 0.0
+    r[r <= EPS_ZERO] = 0.0
     if mx is None:
         w_lin = inst.M @ pol.D + inst.T
         w_const = inst.M @ r + inst.q
     else:
         w_lin = inst.M @ pol.D + mx.N @ pol.E + inst.T
         w_const = inst.M @ r + mx.N @ pol.s + inst.q
-    report = certify_affine(
-        inst.Theta, inst.zeta, basis.vectors, r, pol.D, w_lin, w_const, tol
-    )
+    report = certify_affine(basis, r, pol.D, w_lin, w_const, tol)
     if mx is None:
         return report
 
@@ -200,7 +183,6 @@ def oracle_enumerate(
     inst: Instance,
     basis: LinHullBasis,
     tol: float = 1e-8,
-    eps_zero: float = EPS_ZERO,
     limit: int = 16,
 ) -> "SolveReport":
     """Exhaustive search over all support vectors, smallest supports first.
@@ -241,14 +223,14 @@ def oracle_enumerate(
                 nonneg_infeasible += 1
                 continue
             policy = builder.extract_policy(res.point, fixed)
-            report = verify_policy(inst, basis, policy, max(tol, EPS_FEAS), eps_zero)
+            report = verify_policy(inst, basis, policy, max(tol, EPS_FEAS))
             return SolveReport(
                 status=SolveStatus.FEASIBLE,
                 policy=policy,
                 nodes_explored=tested,
                 lp_calls=lp_calls,
                 verification=report,
-                tolerances={"tol": tol, "eps_zero": eps_zero},
+                tolerances={"tol": tol, "eps_zero": EPS_ZERO},
                 tally={
                     "tested": tested,
                     "equality_infeasible": eq_infeasible,
@@ -263,7 +245,7 @@ def oracle_enumerate(
         nodes_explored=tested,
         lp_calls=lp_calls,
         verification=None,
-        tolerances={"tol": tol, "eps_zero": eps_zero},
+        tolerances={"tol": tol, "eps_zero": EPS_ZERO},
         tally={
             "tested": tested,
             "equality_infeasible": eq_infeasible,

@@ -204,6 +204,31 @@ def test_solve_runs_one_set_pass(tmp_path, monkeypatch):
     assert before_search == [["lp_feasible"] + ["maximize"] * (2 * k + g)]
 
 
+def test_commands_run_one_set_phase_one(tmp_path, monkeypatch):
+    # the hull carries the set's phase-one tableau into the search,
+    # the PSD shortcut, certification and the oracle
+    built = []
+    real_lp = aarlcp.core.uncertainty_lp
+
+    def counted(*args):
+        built.append(args)
+        return real_lp(*args)
+
+    monkeypatch.setattr(aarlcp.core, "uncertainty_lp", counted)
+    golden = write(tmp_path, "golden.json", GOLDEN)
+    pol = str(tmp_path / "pol.json")
+    for argv in (
+        ["solve", golden, "--out", pol],
+        ["solve", write(tmp_path, "desk.json", PSD_DESK), "--psd", "force"],
+        ["solve", write(tmp_path, "mixed.json", MIXED_1D)],
+        ["verify", golden, pol],
+        ["oracle", golden],
+    ):
+        built.clear()
+        assert main(argv) == 0
+        assert len(built) == 1, argv
+
+
 def test_main_repeats_in_one_process(tmp_path, monkeypatch):
     # the parser is built once; no flag of one call may reach the next
     parser = build_parser()

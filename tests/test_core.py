@@ -17,8 +17,7 @@ from aarlcp import (
 from aarlcp.core import (
     as_matrix,
     as_vector,
-    check_support_consistency,
-    implicit_equalities,
+    uncertainty_tableau,
     matrix_rank,
     policy_matches_instance,
 )
@@ -135,13 +134,6 @@ def test_policy_validation():
     assert pol.x.dtype.kind == "i"
 
 
-def test_support_consistency():
-    pol = Policy(D=np.zeros((2, 1)), r=[0.5, 0.0], x=[0, 0])
-    with pytest.raises(ValueError):
-        check_support_consistency(pol)
-    check_support_consistency(Policy(D=np.zeros((2, 1)), r=[0.5, 0.0], x=[1, 0]))
-
-
 def test_policy_matches_instance_pins():
     Theta, zeta = box_set(1)
     inst = Instance(
@@ -179,6 +171,7 @@ def test_validate_unbounded_set():
     report = validate(inst)
     assert not report.compact
     assert not report.ok
+    assert report.basis is None
 
 
 def test_validate_origin_outside():
@@ -189,6 +182,7 @@ def test_validate_origin_outside():
     assert report.compact
     assert not report.zero_in_relint
     assert not report.ok
+    assert report.basis is None
 
 
 def test_validate_empty_set():
@@ -198,7 +192,7 @@ def test_validate_empty_set():
     with pytest.raises(EmptyUncertaintySet):
         validate(inst)
     with pytest.raises(EmptyUncertaintySet):
-        implicit_equalities(Theta, zeta)
+        uncertainty_tableau(Theta, zeta)
 
 
 def test_validate_rank_warning():

@@ -12,7 +12,6 @@ from aarlcp import (
     validate,
 )
 from aarlcp.core import matrix_rank
-from aarlcp.linhull import hull_from_equalities
 from support import golden_instance, random_set, reduction_instance
 
 
@@ -105,7 +104,7 @@ def test_dimension_count_and_normalization():
 
 
 def test_hull_from_validation_matches():
-    # the CLI builds the hull from the rows validation found, with no LP
+    # the CLI takes the hull, phase-one tableau included, from validation
     rng = np.random.default_rng(23)
     for trial in range(20):
         k = int(rng.integers(1, 4))
@@ -117,7 +116,10 @@ def test_hull_from_validation_matches():
         report = validate(inst)
         assert report.ok
         direct = compute_lin_hull(inst)
-        reused = hull_from_equalities(inst, report.implicit_equality_rows)
+        reused = report.basis
+        eq_rows = report.implicit_equality_rows
+        assert reused.inequality_rows == frozenset(range(inst.g)) - eq_rows
+        assert np.array_equal(reused.tableau.T, direct.tableau.T)
         assert reused.inequality_rows == direct.inequality_rows
         assert np.array_equal(reused.phi, direct.phi)
         assert len(reused.vectors) == len(direct.vectors)

@@ -499,3 +499,15 @@ def test_point_residual_guard():
             assert tab.T.shape[0] == 2  # the purge dropped the redundant row
         with pytest.raises(NumericalFailure, match="solution failed the residual check"):
             tab.point()
+
+
+def test_point_rejects_non_finite():
+    # a NaN used to slip through: max(worst, nan) kept worst
+    for bad in (np.nan, np.inf, -np.inf):
+        model = lp.LpModel(1)
+        model.add_row([1.0], lp.EQ, 1.0)
+        tab = lp.phase_one(model)
+        assert tab.point().tolist() == [1.0]
+        tab.T[0, -1] = bad
+        with pytest.raises(NumericalFailure, match="solution failed the residual check"):
+            tab.point()

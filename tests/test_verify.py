@@ -4,6 +4,7 @@ import numpy as np
 import pytest
 
 from aarlcp import (
+    Instance,
     NotCompact,
     OracleLimitExceeded,
     Policy,
@@ -91,8 +92,8 @@ def test_reported_minima_are_sound():
 
 
 def test_certification_runs_one_phase_one(monkeypatch):
-    # the 2n minimizations over the set share one phase one, for pure and
-    # mixed policies alike
+    # the one phase one is the hull's: the 2n minimizations over the set
+    # start from the basis's tableau, for pure and mixed policies alike
     inst = golden_instance()
     basis = compute_lin_hull(inst)
     pol = Policy(
@@ -110,35 +111,35 @@ def test_certification_runs_one_phase_one(monkeypatch):
     ):
         calls.clear()
         assert check().verified
-        assert calls[0] == "lp_feasible"
-        assert 1 <= calls.count("maximize") == len(calls) - 1 <= 2 * inst.n
+        assert "lp_feasible" not in calls
+        assert 1 <= calls.count("maximize") == len(calls) <= 2 * inst.n
 
 
 def test_certify_affine_set_errors(monkeypatch):
-    def certify(Theta, zeta, D, w_lin):
-        D = np.array(D, dtype=float)
-        zero = np.zeros(D.shape[0])
-        return certify_affine(
-            np.array(Theta, dtype=float),
-            np.array(zeta, dtype=float),
-            (),
-            zero,
-            D,
-            np.array(w_lin, dtype=float),
-            zero,
-            1e-7,
-        )
+    # -1 <= u1 <= 1 and u2 free: every row is bounded over the set, so the
+    # hull exists, but the set is not compact
+    strip = Instance(
+        M=np.eye(1),
+        q=np.zeros(1),
+        T=np.zeros((1, 2)),
+        Theta=np.array([[1.0, 0.0], [-1.0, 0.0]]),
+        zeta=-np.ones(2),
+    )
+    basis = compute_lin_hull(strip)
+    assert basis.dimension == 2
 
-    # -1 <= u1 <= 1 and u2 <= 1: u2 has no lower bound
-    strip = ([[1.0, 0.0], [-1.0, 0.0], [0.0, -1.0]], [-1.0, -1.0, -1.0])
+    def certify(D, w_lin):
+        zero = np.zeros(1)
+        return certify_affine(basis, zero, np.array(D), np.array(w_lin), zero, 1e-7)
+
     with pytest.raises(NotCompact):
-        certify(*strip, [[0.0, 1.0]], [[0.0, 0.0]])
-    empty = ([[1.0], [-1.0]], [1.0, 1.0])  # u >= 1 and u <= -1
-    with pytest.raises(ValueError, match="the uncertainty set is empty"):
-        certify(*empty, [[1.0]], [[0.0]])
+        certify([[0.0, 1.0]], [[0.0, 0.0]])
+    with pytest.raises(NotCompact):
+        certify([[0.0, 0.0]], [[0.0, -1.0]])
+    assert certify([[1.0, 0.0]], [[0.0, 0.0]]).min_z.tolist() == [-1.0]
     # nothing varies over the set: no LP runs, and the report comes back
     calls = count_lp_calls(monkeypatch)
-    report = certify(*empty, [[0.0]], [[0.0]])
+    report = certify([[0.0, 0.0]], [[0.0, 0.0]])
     assert calls == []
     assert report.verified
     assert np.array_equal(report.min_z, [0.0])
