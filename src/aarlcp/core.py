@@ -330,26 +330,67 @@ def uncertainty_tableau(
     return tab
 
 
-def implicit_equalities(
-    tab: lp.Tableau, Theta: np.ndarray, zeta: np.ndarray, tol: float = 1e-8
-) -> tuple[list[int], list[int]]:
-    """Rows of {u : Theta u >= zeta} that are tight on the whole set.
+@dataclass(frozen=True)
+class SetPass:
+    """Outcome of set_pass over {u : Theta u >= zeta}.
 
-    One maximization per row from tab, the set's phase-one tableau (see
-    uncertainty_tableau); a row is tight everywhere exactly when its
-    maximum equals its right-hand side, tested relative to the magnitude
-    of that side.  Returns the tight rows and the rows whose maximum is
-    unbounded.
+    tableau: the set's phase-one tableau (uncertainty_tableau).
+    compact: every coordinate has a finite maximum and minimum over the set.
+    tight: rows whose maximum equals their right-hand side, so the row is
+    tight on the whole set.
+    unbounded: rows whose maximum is unbounded; only a set that is not
+    compact has any.
     """
+
+    tableau: lp.Tableau
+    compact: bool
+    tight: tuple[int, ...]
+    unbounded: tuple[int, ...]
+
+
+def set_pass(Theta: np.ndarray, zeta: np.ndarray, tol: float = 1e-8) -> SetPass:
+    """Compactness and implicit equalities of {u : Theta u >= zeta}.
+
+    Runs phase one once, then every maximization from its tableau: the 2k
+    coordinate maxima, then the row maxima that are still needed.  A row is
+    tight on the whole set exactly when its maximum is within
+    tol * max(1, |zeta_j|) of zeta_j.  A point of the set with
+    Theta_j u - zeta_j above that threshold proves the maximum above it, so
+    once the set is known to be compact, a row that the phase-one point or
+    an earlier maximum's point leaves that slack is strict without an LP
+    of its own (Telgen, Management Science 29(10), 1983).  On a set that is
+    not compact every row is maximized, so the unbounded rows are all
+    found.  Raises EmptyUncertaintySet when the set has no points.
+    """
+    tab = uncertainty_tableau(Theta, zeta, tol)
+    g, k = Theta.shape
+    threshold = tol * np.maximum(1.0, np.abs(zeta))
+    slack = Theta @ tab.point() - zeta  # the largest slack seen so far
+
+    compact = True
+    for j in range(k):
+        for sgn in (1.0, -1.0):
+            c = np.zeros(k)
+            c[j] = sgn
+            res = tab.maximize(c, tol)
+            if res.status is lp.LpStatus.UNBOUNDED:
+                compact = False
+            else:
+                np.maximum(slack, Theta @ res.point - zeta, out=slack)
+
     tight: list[int] = []
     unbounded: list[int] = []
-    for j in range(Theta.shape[0]):
+    for j in range(g):
+        if compact and slack[j] > threshold[j]:
+            continue
         res = tab.maximize(Theta[j], tol)
         if res.status is lp.LpStatus.UNBOUNDED:
             unbounded.append(j)
-        elif abs(res.value - zeta[j]) <= tol * max(1.0, abs(zeta[j])):
+            continue
+        if abs(res.value - zeta[j]) <= threshold[j]:
             tight.append(j)
-    return tight, unbounded
+        np.maximum(slack, Theta @ res.point - zeta, out=slack)
+    return SetPass(tab, compact, tuple(tight), tuple(unbounded))
 
 
 @dataclass(frozen=True)
@@ -372,43 +413,33 @@ def validate(inst: Instance, tol: float = 1e-8) -> ValidationReport:
     """Check compactness of the uncertainty set, membership of the origin in
     its relative interior, and the column rank of the channel.
 
-    Implicit equality rows are those whose inequality is tight on the whole
-    set (see implicit_equalities).  The 2k coordinate maximizations and the
-    g row maximizations share one phase one, whose tableau the report's
-    hull basis carries on when the set passes.  Raises EmptyUncertaintySet
-    when the set has no points at all.
+    Compactness and the implicit equality rows, those whose inequality is
+    tight on the whole set, come from one set_pass: one phase one, the 2k
+    coordinate maximizations, and a maximization for each row that no point
+    found on the way leaves strictly slack.  The report's hull basis carries
+    that phase-one tableau on when the set passes.  Raises
+    EmptyUncertaintySet when the set has no points at all.
     """
     from .linhull import hull_from_equalities  # linhull imports this module
 
-    Theta, zeta = inst.Theta, inst.zeta
-    g, k = Theta.shape
-    tab = uncertainty_tableau(Theta, zeta, tol)
-
-    compact = True
-    for j in range(k):
-        for sgn in (1.0, -1.0):
-            c = np.zeros(k)
-            c[j] = sgn
-            if tab.maximize(c, tol).status is lp.LpStatus.UNBOUNDED:
-                compact = False
-
-    eq_rows, _ = implicit_equalities(tab, Theta, zeta, tol)
-    eqset = frozenset(eq_rows)
-    relint = all(abs(zeta[j]) <= tol for j in eq_rows) and all(
-        zeta[j] < -tol for j in range(g) if j not in eqset
+    zeta = inst.zeta
+    sp = set_pass(inst.Theta, zeta, tol)
+    eqset = frozenset(sp.tight)
+    relint = all(abs(zeta[j]) <= tol for j in sp.tight) and all(
+        zeta[j] < -tol for j in range(inst.g) if j not in eqset
     )
 
     warnings = []
-    t_full = matrix_rank(inst.T, tol) == k
+    t_full = matrix_rank(inst.T, tol) == inst.k
     if not t_full:
         warnings.append("T rank-deficient")
 
-    ok = compact and relint
+    ok = sp.compact and relint
     return ValidationReport(
-        compact=compact,
+        compact=sp.compact,
         zero_in_relint=relint,
         t_full_column_rank=t_full,
         implicit_equality_rows=eqset,
         warnings=tuple(warnings),
-        basis=hull_from_equalities(inst, eq_rows, tab, tol) if ok else None,
+        basis=hull_from_equalities(inst, sp.tight, sp.tableau, tol) if ok else None,
     )

@@ -13,7 +13,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .core import Instance, implicit_equalities, rref_kernel_basis, uncertainty_tableau
+from .core import Instance, rref_kernel_basis, set_pass
 from .errors import NotCompact, RelintViolation
 from .lp import Tableau
 
@@ -46,20 +46,24 @@ def compute_lin_hull(inst: Instance, tol: float = 1e-8) -> LinHullBasis:
     then return a kernel basis of the equality part.
 
     Expects a validated instance (compact set, origin in the relative
-    interior).  The split is the one pass of core.implicit_equalities over
-    the set's one phase one.
+    interior).  The split is the one core.set_pass that validate runs too.
+    The first offending row decides the error: NotCompact for a row that is
+    unbounded over the set, RelintViolation for a row tight everywhere with
+    a nonzero right-hand side.  A set that is not compact raises NotCompact
+    even when every row is bounded over it.
     """
-    Theta, zeta = inst.Theta, inst.zeta
-    tab = uncertainty_tableau(Theta, zeta, tol)
-    tight, unbounded = implicit_equalities(tab, Theta, zeta, tol)
-    for j in range(inst.g):  # the first offending row decides the error
-        if j in unbounded:
+    zeta = inst.zeta
+    sp = set_pass(inst.Theta, zeta, tol)
+    for j in range(inst.g):
+        if j in sp.unbounded:
             raise NotCompact(f"direction of row {j} is unbounded over the set")
-        if j in tight and abs(zeta[j]) > tol:
+        if j in sp.tight and abs(zeta[j]) > tol:
             raise RelintViolation(
                 f"row {j} is tight everywhere with nonzero right-hand side"
             )
-    return hull_from_equalities(inst, tight, tab, tol)
+    if not sp.compact:
+        raise NotCompact("the set is unbounded along a coordinate direction")
+    return hull_from_equalities(inst, sp.tight, sp.tableau, tol)
 
 
 def hull_from_equalities(

@@ -414,6 +414,79 @@ def reference_iterate(T: np.ndarray, basis: np.ndarray, nact: int, tol: float):
             raise NumericalFailure("pivot limit exhausted")
 
 
+# Implicit-equality detection as it was before core.set_pass: every
+# coordinate and every row maximized from the set's phase-one tableau.  The
+# differential test requires the set pass to match it.
+
+
+def reference_implicit_equalities(
+    tab: lp.Tableau, Theta: np.ndarray, zeta: np.ndarray, tol: float = 1e-8
+) -> tuple[list[int], list[int]]:
+    tight: list[int] = []
+    unbounded: list[int] = []
+    for j in range(Theta.shape[0]):
+        res = tab.maximize(Theta[j], tol)
+        if res.status is lp.LpStatus.UNBOUNDED:
+            unbounded.append(j)
+        elif abs(res.value - zeta[j]) <= tol * max(1.0, abs(zeta[j])):
+            tight.append(j)
+    return tight, unbounded
+
+
+def reference_compact(tab: lp.Tableau, k: int, tol: float = 1e-8) -> bool:
+    compact = True
+    for j in range(k):
+        for sgn in (1.0, -1.0):
+            c = np.zeros(k)
+            c[j] = sgn
+            if tab.maximize(c, tol).status is lp.LpStatus.UNBOUNDED:
+                compact = False
+    return compact
+
+
+def seeded_sets(seed, count):
+    """count (kind, Theta, zeta) sets of five kinds, in turn: random_set
+    with a tight pair, duplicated rows, rows scaled by 1e6 or 1e-6, a
+    singleton, and a strip that leaves some coordinates unbounded."""
+    rng = np.random.default_rng(seed)
+    kinds = ("tight", "duplicated", "scaled", "singleton", "strip")
+    out = []
+    for t in range(count):
+        kind = kinds[t % len(kinds)]
+        k = int(rng.integers(2, 4))
+        g = 2 * k + int(rng.integers(2, 5))
+        Theta, zeta = random_set(rng, k, g, tight_pair=kind != "singleton")
+        if kind == "duplicated":
+            dup = rng.choice(g, size=int(rng.integers(1, 4)))
+            Theta, zeta = np.vstack([Theta, Theta[dup]]), np.concatenate([zeta, zeta[dup]])
+        elif kind == "scaled":
+            s = 10.0 ** rng.choice([-6.0, 0.0, 6.0], size=g)
+            Theta, zeta = Theta * s[:, None], zeta * s
+        elif kind == "singleton":
+            # the box collapses to one point, origin or not
+            p = rng.choice([0.0, 1.0], size=k) * rng.uniform(-1.0, 1.0, size=k)
+            zeta = zeta.copy()
+            zeta[: 2 * k] = np.ravel(np.column_stack([p, -p]))
+            zeta[2 * k :] = np.minimum(zeta[2 * k :], Theta[2 * k :] @ p - 0.5)
+            if t % 2:
+                # box rows scaled by 1e6 around a point off the origin, each
+                # 1e-4 loose: tight within tol * |zeta_j|, but not within tol
+                p = rng.choice([-1.0, 1.0], size=k) * rng.uniform(0.1, 1.0, size=k)
+                Theta[: 2 * k] *= 1e6
+                zeta[: 2 * k] = 1e6 * np.ravel(np.column_stack([p, -p])) - 1e-4
+                zeta[2 * k :] = np.minimum(zeta[2 * k :], Theta[2 * k :] @ p - 0.5)
+        elif kind == "strip":
+            # drop the box rows of some coordinates; the cuts may still bound them
+            free = rng.choice(k, size=int(rng.integers(1, k + 1)), replace=False)
+            keep = [j for j in range(g) if j >= 2 * k or j // 2 not in free]
+            Theta, zeta = Theta[keep], zeta[keep]
+            if rng.uniform() < 0.5:  # and no row bounds them: a cylinder
+                Theta[:, free] = 0.0
+        order = rng.permutation(len(zeta))
+        out.append((kind, Theta[order], zeta[order]))
+    return out
+
+
 def count_lp_calls(monkeypatch):
     """Names of the lp_solve, lp_feasible and Tableau.maximize calls made
     through the lp module until the test ends, in call order."""

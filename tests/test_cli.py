@@ -185,10 +185,32 @@ def test_verify_mixed_instance_needs_free_block(tmp_path, capsys):
     assert "matmul" not in err
 
 
+# the box [-1, 1]^2 with the cuts u1 + u2 >= -1.5 and u1 - u2 >= -1.5
+BOX_CUTS = dict(
+    GOLDEN,
+    g=6,
+    Theta=[[1, 0], [-1, 0], [0, 1], [0, -1], [1, 1], [1, -1]],
+    zeta=[-1, -1, -1, -1, -1.5, -1.5],
+)
+
+# -1 <= u1 <= 1 and u2 free: every row is bounded, the set is not
+STRIP = {
+    "n": 1,
+    "k": 2,
+    "g": 2,
+    "M": [[1]],
+    "q": [-1],
+    "T": [[1, 0]],
+    "Theta": [[1, 0], [-1, 0]],
+    "zeta": [-1, -1],
+}
+
+
 def test_solve_runs_one_set_pass(tmp_path, monkeypatch):
     # validation and the hull share one pass from one phase one: a single
-    # lp_feasible, then 2k coordinate and g row maximizations before the
-    # search starts, and no second hull pass
+    # lp_feasible, then 2k coordinate maximizations and one for each row
+    # that no point found on the way shows strict, before the search
+    # starts, and no second hull pass
     calls = count_lp_calls(monkeypatch)
     before_search = []
     real_solve = aarlcp.cli.bnb_solve
@@ -198,10 +220,27 @@ def test_solve_runs_one_set_pass(tmp_path, monkeypatch):
         return real_solve(*args, **kwargs)
 
     monkeypatch.setattr(aarlcp.cli, "bnb_solve", solve)
-    path = write(tmp_path, "inst.json", GOLDEN)
-    assert main(["solve", path, "--psd", "off"]) == 0
-    k, g = GOLDEN["k"], GOLDEN["g"]
-    assert before_search == [["lp_feasible"] + ["maximize"] * (2 * k + g)]
+    # GOLDEN's two tight rows are strict at no point, so each takes a
+    # maximization; every row of BOX_CUTS is strict at a coordinate maximum
+    # (and no affine rule exists for it)
+    for name, payload, rows, code in (
+        ("golden", GOLDEN, 2, 0),
+        ("box_cuts", BOX_CUTS, 0, 1),
+    ):
+        calls.clear()
+        before_search.clear()
+        path = write(tmp_path, f"{name}.json", payload)
+        assert main(["solve", path, "--psd", "off"]) == code, name
+        k = payload["k"]
+        assert before_search == [["lp_feasible"] + ["maximize"] * (2 * k + rows)], name
+
+
+def test_hull_commands_reject_non_compact_set(tmp_path, capsys):
+    path = write(tmp_path, "strip.json", STRIP)
+    assert main(["validate", path]) == 1
+    for command in ("linhull", "oracle", "export"):
+        assert main([command, path]) == 2, command
+        assert "the set is unbounded along" in capsys.readouterr().err
 
 
 def test_commands_run_one_set_phase_one(tmp_path, monkeypatch):

@@ -11,8 +11,16 @@ from aarlcp import (
     compute_lin_hull,
     validate,
 )
-from aarlcp.core import matrix_rank
-from support import golden_instance, random_set, reduction_instance
+from aarlcp.core import matrix_rank, set_pass, uncertainty_tableau
+from aarlcp.linhull import hull_from_equalities
+from support import (
+    golden_instance,
+    random_set,
+    reduction_instance,
+    reference_compact,
+    reference_implicit_equalities,
+    seeded_sets,
+)
 
 
 def test_golden_basis():
@@ -59,6 +67,16 @@ def test_unbounded_direction_raises():
         zeta=-np.ones(4),
     )
     with pytest.raises(NotCompact, match="^direction of row 2 is unbounded"):
+        compute_lin_hull(strip)
+    # -1 <= u1 <= 1 and u2 free: every row is bounded, the set is not
+    strip = Instance(
+        M=np.eye(1),
+        q=np.zeros(1),
+        T=np.zeros((1, 2)),
+        Theta=np.array([[1.0, 0.0], [-1.0, 0.0]]),
+        zeta=-np.ones(2),
+    )
+    with pytest.raises(NotCompact, match="^the set is unbounded along"):
         compute_lin_hull(strip)
 
 
@@ -125,3 +143,88 @@ def test_hull_from_validation_matches():
         assert len(reused.vectors) == len(direct.vectors)
         for a, b in zip(reused.vectors, direct.vectors):
             assert np.array_equal(a, b)
+
+
+def test_set_pass_matches_every_row_reference():
+    # skipping the rows that a point already shows strict changes no answer
+    outcomes = set()
+    for kind, Theta, zeta in seeded_sets(41, 250):
+        sp = set_pass(Theta, zeta)
+        tab = uncertainty_tableau(Theta, zeta)
+        compact = reference_compact(tab, Theta.shape[1])
+        tight, unbounded = reference_implicit_equalities(tab, Theta, zeta)
+        assert sp.compact == compact, kind
+        assert list(sp.tight) == tight, kind
+        assert list(sp.unbounded) == unbounded, kind
+        assert np.array_equal(sp.tableau.T, tab.T)
+
+        # compute_lin_hull fails on the first offending row, else on a set
+        # that is not compact, else returns the reference hull
+        inst = Instance(
+            M=np.eye(1), q=np.zeros(1), T=np.ones((1, Theta.shape[1])), Theta=Theta, zeta=zeta
+        )
+        expected = None
+        for j in range(len(zeta)):
+            if j in unbounded:
+                expected = (NotCompact, f"direction of row {j} is unbounded", "unbounded row")
+            elif j in tight and abs(zeta[j]) > 1e-8:
+                expected = (RelintViolation, f"row {j} is tight everywhere", "tight off 0")
+            if expected:
+                break
+        if expected is None and not compact:
+            expected = (NotCompact, "the set is unbounded along", "not compact")
+        if expected is None:
+            outcomes.add((kind, "hull"))
+            reference = hull_from_equalities(inst, tight, tab)
+            basis = compute_lin_hull(inst)
+            assert basis.inequality_rows == reference.inequality_rows
+            assert len(basis.vectors) == len(reference.vectors)
+            for a, b in zip(basis.vectors, reference.vectors):
+                assert np.array_equal(a, b)
+        else:
+            outcomes.add((kind, expected[2]))
+            with pytest.raises(expected[0], match="^" + expected[1]):
+                compute_lin_hull(inst)
+    # every kind of set reaches the outcomes it exists for
+    for want in (
+        ("tight", "hull"),
+        ("duplicated", "hull"),
+        ("scaled", "hull"),
+        ("singleton", "hull"),
+        ("singleton", "tight off 0"),
+        ("strip", "unbounded row"),
+        ("strip", "not compact"),
+    ):
+        assert want in outcomes, want
+
+
+def test_set_pass_matches_highs():
+    linprog = pytest.importorskip("scipy.optimize").linprog
+
+    def maxima(C, Theta, zeta):
+        # one HiGHS LP over a copy of the set per objective; None when any
+        # objective is unbounded
+        m, k = C.shape
+        res = linprog(
+            -C.ravel(),
+            A_ub=-np.kron(np.eye(m), Theta),
+            b_ub=-np.tile(zeta, m),
+            bounds=(None, None),
+            method="highs",
+        )
+        assert res.status in (0, 3), res.message
+        return None if res.status == 3 else (C * res.x.reshape(m, k)).sum(axis=1)
+
+    for kind, Theta, zeta in seeded_sets(41, 250):
+        g, k = Theta.shape
+        sp = set_pass(Theta, zeta)
+        coordinates = np.vstack([np.eye(k), -np.eye(k)])
+        assert sp.compact == (maxima(coordinates, Theta, zeta) is not None), kind
+        top = maxima(Theta, Theta, zeta)
+        if top is None:
+            top = [maxima(Theta[j : j + 1], Theta, zeta) for j in range(g)]
+            top = [np.inf if t is None else t[0] for t in top]
+        # HiGHS's tolerances are looser than the pass's; every strict row of
+        # these sets has a slack of at least 0.3 times its norm
+        tight = np.asarray(top) - zeta <= 1e-6 * np.abs(Theta).max(axis=1)
+        assert list(sp.tight) == np.nonzero(tight)[0].tolist(), kind

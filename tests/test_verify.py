@@ -16,6 +16,8 @@ from aarlcp import (
     verify_mixed,
     verify_policy,
 )
+from aarlcp.core import uncertainty_tableau
+from aarlcp.linhull import hull_from_equalities
 from aarlcp.verify import certify_affine
 from support import (
     count_lp_calls,
@@ -125,7 +127,9 @@ def test_certify_affine_set_errors(monkeypatch):
         Theta=np.array([[1.0, 0.0], [-1.0, 0.0]]),
         zeta=-np.ones(2),
     )
-    basis = compute_lin_hull(strip)
+    # compute_lin_hull refuses the strip, so build its hull from the parts
+    tab = uncertainty_tableau(strip.Theta, strip.zeta)
+    basis = hull_from_equalities(strip, [], tab)
     assert basis.dimension == 2
 
     def certify(D, w_lin):
