@@ -186,6 +186,9 @@ def cmd_linhull(args) -> int:
 
 
 def cmd_solve(args) -> int:
+    opts = SolveOptions(
+        tol=args.tol, node_limit=args.node_limit, branching=args.branching
+    )
     inst = read_instance(args.instance)
     vreport = validate(inst, args.tol)
     if not vreport.ok:
@@ -223,12 +226,6 @@ def cmd_solve(args) -> int:
                 )
             )
     else:
-        opts = SolveOptions(
-            tol=args.tol,
-            node_limit=args.node_limit,
-            parallel=args.parallel,
-            branching=args.branching,
-        )
         report = bnb_solve(inst, basis, opts)
         feasible = report.status is SolveStatus.FEASIBLE
         policy = report.policy
@@ -371,7 +368,6 @@ def build_parser() -> argparse.ArgumentParser:
         default="heuristic",
         help="branch variable selection",
     )
-    p.add_argument("--parallel", action="store_true", help="split the root in two threads")
     p.add_argument("--out", help="write the policy as JSON to this path")
     p.set_defaults(func=cmd_solve)
 

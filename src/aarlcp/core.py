@@ -3,7 +3,7 @@
 An instance bundles the square coupling matrix, the nominal vector, the
 uncertainty channel, and a polyhedral uncertainty set in inequality form
 ``{u : Theta @ u >= zeta}``.  All arrays are dense float64 and are frozen
-after construction, so instances can be shared freely across threads.
+after construction, so instances can be shared freely.
 """
 
 from __future__ import annotations

@@ -46,21 +46,26 @@ def compute_lin_hull(inst: Instance, tol: float = 1e-8) -> LinHullBasis:
     then return a kernel basis of the equality part.
 
     Expects a validated instance (compact set, origin in the relative
-    interior).  The split is the one core.set_pass that validate runs too.
-    The first offending row decides the error: NotCompact for a row that is
-    unbounded over the set, RelintViolation for a row tight everywhere with
-    a nonzero right-hand side.  A set that is not compact raises NotCompact
-    even when every row is bounded over it.
+    interior).  The split is the one core.set_pass that validate runs too,
+    and so is the origin rule.  The first offending row decides the error:
+    NotCompact for a row that is unbounded over the set, RelintViolation
+    for a row tight everywhere with a nonzero right-hand side or for a
+    strict row that the origin does not satisfy strictly (zeta_j >= -tol).
+    A set that is not compact raises NotCompact even when every row is
+    bounded over it.
     """
     zeta = inst.zeta
     sp = set_pass(inst.Theta, zeta, tol)
     for j in range(inst.g):
         if j in sp.unbounded:
             raise NotCompact(f"direction of row {j} is unbounded over the set")
-        if j in sp.tight and abs(zeta[j]) > tol:
-            raise RelintViolation(
-                f"row {j} is tight everywhere with nonzero right-hand side"
-            )
+        if j in sp.tight:
+            if abs(zeta[j]) > tol:
+                raise RelintViolation(
+                    f"row {j} is tight everywhere with nonzero right-hand side"
+                )
+        elif zeta[j] >= -tol:
+            raise RelintViolation(f"row {j} does not hold strictly at the origin")
     if not sp.compact:
         raise NotCompact("the set is unbounded along a coordinate direction")
     return hull_from_equalities(inst, sp.tight, sp.tableau, tol)

@@ -7,7 +7,8 @@ are desk scale by design, so the solver keeps a dense tableau and trades
 sparsity tricks for predictable, debuggable behavior.
 
 A model is built row by row and then solved.  Solving never mutates the
-model, so one model may be shared by concurrent calls.
+model, so a model may be solved more than once and models may share their
+bound arrays.
 
 Phase one never reads the objective, so a row set that is maximized
 against several objectives runs it once: :func:`lp_feasible` returns its
@@ -168,8 +169,7 @@ def _iterate(T: np.ndarray, basis: np.ndarray, nact: int, tol: float):
 
     ``T`` is pivoted in place and never rebound, so the reduced-cost and
     right-hand-side views stay valid for the whole loop.  The update and
-    ratio buffers belong to this call: concurrent searches run the loop at
-    once, so none may be shared.
+    ratio buffers belong to this call and are never shared with another.
     """
     m = T.shape[0] - 1
     bland = False
@@ -244,8 +244,8 @@ class Tableau:
     variable, two per free one, and a row per finite upper bound, which
     joins the first batch.  :meth:`extend` returns a new tableau with the
     equilibrated rows after phase one and the purge of its artificials, and
-    the basis.  A tableau is never mutated once built, so several threads
-    may extend one, and a search may keep one on its stack.
+    the basis.  A tableau is never mutated once built, so sibling nodes
+    may both extend their parent's, and a search may keep one on its stack.
 
     feasible is False when phase one ended above the tolerance; such a
     tableau cannot be extended.  pivots counts the pivots of the batch that

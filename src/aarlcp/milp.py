@@ -33,7 +33,7 @@ Row families:
 
 from __future__ import annotations
 
-import threading
+import warnings
 from dataclasses import dataclass, field
 from enum import Enum
 from functools import cached_property
@@ -84,9 +84,23 @@ class SolveStatus(Enum):
 @dataclass
 class SolveOptions:
     tol: float = 1e-8
-    node_limit: int | None = None
+    node_limit: int | None = None  # None for the default budget, else >= 1
     branching: str = "heuristic"  # or "index"
+    # The search is serial and ignores this field.  It is accepted, with a
+    # DeprecationWarning when True, only because bench/run.py still passes it.
     parallel: bool = False
+
+    def __post_init__(self):
+        """Raise ValueError on an unknown branching rule or a bad node limit."""
+        if self.branching not in ("heuristic", "index"):
+            raise ValueError(f"unknown branching rule {self.branching!r}")
+        limit = self.node_limit
+        integral = isinstance(limit, (int, np.integer)) and not isinstance(limit, bool)
+        if limit is not None and not (integral and limit >= 1):
+            raise ValueError(f"node limit must be an integer >= 1, not {limit!r}")
+        if self.parallel:
+            msg = "SolveOptions.parallel is ignored: the search is serial"
+            warnings.warn(msg, DeprecationWarning, stacklevel=3)
 
 
 @dataclass(eq=False)
@@ -394,28 +408,25 @@ class NodeLpBuilder:
 
 
 class _Budget:
-    """Thread-safe node counter with a hard cap, plus the node-LP tallies."""
+    """Node counter with a hard cap, plus the node-LP tallies of one search."""
 
     def __init__(self, limit: int):
         self.limit = limit
         self.used = 0
         self.lp_calls = 0
         self.pivots = 0
-        self._lock = threading.Lock()
 
     def tick(self) -> None:
-        with self._lock:
-            self.used += 1
-            if self.used > self.limit:
-                raise NodeLimitExceeded(
-                    f"node budget of {self.limit} exhausted without a conclusion"
-                )
+        self.used += 1
+        if self.used > self.limit:
+            raise NodeLimitExceeded(
+                f"node budget of {self.limit} exhausted without a conclusion"
+            )
 
     def spend(self, pivots: int) -> None:
         """Count one node LP and its pivots."""
-        with self._lock:
-            self.lp_calls += 1
-            self.pivots += pivots
+        self.lp_calls += 1
+        self.pivots += pivots
 
 
 def _branch_choice(fixed, rhat, opts):
@@ -456,19 +467,16 @@ def _node_lp(builder, fixed, parent, key, tol, budget):
     return tab, (tab.point() if tab.feasible else None)
 
 
-def _dfs(builder, root, opts, budget, stop, parent=None, key=None):
-    """Depth-first search below one root assignment.
+def _dfs(builder, opts, budget):
+    """Depth-first search from the all-unfixed root, which is solved cold.
 
     A stack entry is a fixing, the phase-one tableau of its parent and the
     (index, value) the child adds; the tableau is shared by both children
-    and never changed.  The root entry extends parent by key, or is solved
-    cold without one.  Returns (fixed, point) of the first feasible leaf, or
-    None when the subtree is exhausted or the stop event fires.
+    and never changed.  Returns (fixed, point) of the first feasible leaf,
+    or None when the tree is exhausted.
     """
-    stack = [(root, parent, key)]
+    stack = [(tuple([UNFIXED] * builder.n), None, None)]
     while stack:
-        if stop is not None and stop.is_set():
-            return None
         fixed, parent, key = stack.pop()
         budget.tick()
         tab, point = _node_lp(builder, fixed, parent, key, opts.tol, budget)
@@ -479,52 +487,6 @@ def _dfs(builder, root, opts, budget, stop, parent=None, key=None):
         i, first = _branch_choice(fixed, builder.r_of(point), opts)
         stack.append((_with(fixed, i, 1 - first), tab, (i, 1 - first)))
         stack.append((_with(fixed, i, first), tab, (i, first)))
-    return None
-
-
-def _parallel_search(builder, opts, budget):
-    """Split the root once and explore the two children concurrently.
-
-    Both threads extend the root's tableau, which neither changes."""
-    n = builder.n
-    root = tuple([UNFIXED] * n)
-    budget.tick()
-    tab, point = _node_lp(builder, root, None, None, opts.tol, budget)
-    if point is None:
-        return None
-    if all(f != UNFIXED for f in root):
-        return root, point
-    i, first = _branch_choice(root, builder.r_of(point), opts)
-    children = [(i, first), (i, 1 - first)]
-
-    stop = threading.Event()
-    results: list = [None, None]
-    errors: list = [None, None]
-
-    def work(slot, key):
-        try:
-            out = _dfs(builder, _with(root, *key), opts, budget, stop, tab, key)
-            if out is not None:
-                results[slot] = out
-                stop.set()
-        except BaseException as exc:  # propagate to the caller
-            errors[slot] = exc
-            stop.set()
-
-    threads = [
-        threading.Thread(target=work, args=(slot, key))
-        for slot, key in enumerate(children)
-    ]
-    for t in threads:
-        t.start()
-    for t in threads:
-        t.join()
-    for exc in errors:
-        if exc is not None:
-            raise exc
-    for out in results:
-        if out is not None:
-            return out
     return None
 
 
@@ -542,16 +504,10 @@ def bnb_solve(
     """
     opts = opts or SolveOptions()
     builder = NodeLpBuilder(inst, basis)
-    n = builder.n
     # a full binary tree over n indices has 2^(n+1) - 1 nodes counting the
     # root, so this default lets an exhaustive run finish for n <= 20
-    limit = opts.node_limit if opts.node_limit else 2 ** min(n + 1, 21)
-    budget = _Budget(limit)
-
-    if opts.parallel:
-        leaf = _parallel_search(builder, opts, budget)
-    else:
-        leaf = _dfs(builder, tuple([UNFIXED] * n), opts, budget, None)
+    budget = _Budget(opts.node_limit or 2 ** min(builder.n + 1, 21))
+    leaf = _dfs(builder, opts, budget)
 
     tolerances = {
         "tol": opts.tol,

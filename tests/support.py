@@ -504,3 +504,12 @@ def count_lp_calls(monkeypatch):
     maximize = counted("maximize", lp.Tableau.maximize)
     monkeypatch.setattr(lp.Tableau, "maximize", maximize)
     return calls
+
+
+def search_answer(report):
+    """Status, node and LP tallies and policy bytes of a search report."""
+    pol = report.policy
+    arrays = () if pol is None else (pol.D, pol.r, pol.x, pol.E, pol.s)
+    policy = tuple(None if a is None else a.tobytes() for a in arrays)
+    tallies = (report.nodes_explored, report.lp_calls, report.lp_pivots)
+    return report.status, tallies, policy

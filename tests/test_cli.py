@@ -243,6 +243,35 @@ def test_hull_commands_reject_non_compact_set(tmp_path, capsys):
         assert "the set is unbounded along" in capsys.readouterr().err
 
 
+# u in [0.5, 2]: the origin is outside the set
+OFF_ORIGIN = {
+    "n": 1,
+    "k": 1,
+    "g": 2,
+    "M": [[1]],
+    "q": [-1],
+    "T": [[1]],
+    "Theta": [[1], [-1]],
+    "zeta": [0.5, -2],
+}
+# u in [0, 1]: the origin is on the boundary
+ON_BOUNDARY = dict(OFF_ORIGIN, zeta=[0, -1])
+
+
+def test_hull_commands_reject_origin_off_relint(tmp_path, capsys):
+    policy = {"status": "feasible", "x": [1], "r": [0], "D": [[0]]}
+    pol = write(tmp_path, "pol.json", policy)
+    for payload in (OFF_ORIGIN, ON_BOUNDARY):
+        path = write(tmp_path, "set.json", payload)
+        assert main(["validate", path]) == 1
+        assert "zero in relative interior: no" in capsys.readouterr().out
+        for argv in (["linhull", path], ["oracle", path], ["export", path]):
+            assert main(argv) == 2, argv
+            assert "row 0 does not hold strictly" in capsys.readouterr().err
+        assert main(["verify", path, pol]) == 2
+        assert "row 0 does not hold strictly" in capsys.readouterr().err
+
+
 def test_commands_run_one_set_phase_one(tmp_path, monkeypatch):
     # the hull carries the set's phase-one tableau into the search,
     # the PSD shortcut, certification and the oracle
@@ -288,7 +317,8 @@ def test_main_repeats_in_one_process(tmp_path, monkeypatch):
     first, second, third = seen
     assert (first["node_limit"], first["branching"]) == (1, "index")
     assert (second["node_limit"], second["branching"]) == (None, "heuristic")
-    assert (second["psd"], second["parallel"], second["out"]) == ("auto", False, None)
+    assert (second["psd"], second["out"]) == ("auto", None)
+    assert "parallel" not in second
     assert third.keys() == {"command", "instance", "tol", "func"}
     assert third["func"] is aarlcp.cli.cmd_validate
 
@@ -296,6 +326,22 @@ def test_main_repeats_in_one_process(tmp_path, monkeypatch):
 def test_solve_node_limit_exit(tmp_path):
     path = write(tmp_path, "inst.json", GOLDEN)
     assert main(["solve", path, "--node-limit", "1"]) == 3
+
+
+@pytest.mark.parametrize(
+    "flags",
+    [
+        ["--node-limit", "0"],
+        ["--node-limit", "-3"],
+        ["--parallel"],
+    ],
+)
+def test_solve_rejects_bad_options(tmp_path, capsys, flags):
+    # checked before any work, on the PSD path too
+    for payload in (GOLDEN, PSD_DESK):
+        path = write(tmp_path, "inst.json", payload)
+        assert main(["solve", path, *flags]) == 2, flags
+        assert capsys.readouterr().err
 
 
 def test_oracle_command(tmp_path, capsys):

@@ -97,6 +97,27 @@ def test_tight_row_off_origin_raises():
         compute_lin_hull(inst)
 
 
+@pytest.mark.parametrize(
+    "zeta",
+    [
+        [0.5, -2.0],  # u in [0.5, 2]: the origin is outside the set
+        [0.0, -1.0],  # u in [0, 1]: the origin is on its boundary
+    ],
+)
+def test_strict_row_off_origin_raises(zeta):
+    # validate's rule: a row that is not tight needs zeta_j < -tol
+    inst = Instance(
+        M=np.eye(1),
+        q=-np.ones(1),
+        T=np.ones((1, 1)),
+        Theta=np.array([[1.0], [-1.0]]),
+        zeta=np.array(zeta),
+    )
+    assert not validate(inst).zero_in_relint
+    with pytest.raises(RelintViolation, match="^row 0 does not hold strictly"):
+        compute_lin_hull(inst)
+
+
 def test_dimension_count_and_normalization():
     rng = np.random.default_rng(17)
     for trial in range(30):
@@ -169,6 +190,8 @@ def test_set_pass_matches_every_row_reference():
                 expected = (NotCompact, f"direction of row {j} is unbounded", "unbounded row")
             elif j in tight and abs(zeta[j]) > 1e-8:
                 expected = (RelintViolation, f"row {j} is tight everywhere", "tight off 0")
+            elif j not in tight and zeta[j] >= -1e-8:
+                expected = (RelintViolation, f"row {j} does not hold strictly", "strict off 0")
             if expected:
                 break
         if expected is None and not compact:

@@ -1,7 +1,6 @@
 """Node LPs, the tree search, and the big-M export with its parser."""
 
 import dataclasses
-import sys
 
 import numpy as np
 import pytest
@@ -45,6 +44,7 @@ from support import (
     planted_mixed_instance,
     random_instance,
     reduction_instance,
+    search_answer,
 )
 
 
@@ -124,21 +124,33 @@ def test_node_limit_enforced():
 
 
 def test_parallel_matches_sequential():
+    # the field is accepted and ignored: the search is serial either way
     rng = np.random.default_rng(31)
-    for _ in range(6):
-        inst, _ = planted_instance(rng, 4, 2, 5)
+    cases = [planted_instance(rng, 4, 2, 5)[0] for _ in range(6)]
+    cases.append(random_instance(rng, 3, 2, 5))
+    for inst in cases:
         basis = compute_lin_hull(inst)
-        seq = bnb_solve(inst, basis)
-        par = bnb_solve(inst, basis, SolveOptions(parallel=True))
-        assert seq.status is par.status
-        if par.status is SolveStatus.FEASIBLE:
-            assert par.verification.verified
-    inst = random_instance(rng, 3, 2, 5)
-    basis = compute_lin_hull(inst)
-    assert (
-        bnb_solve(inst, basis, SolveOptions(parallel=True)).status
-        is bnb_solve(inst, basis).status
-    )
+        with pytest.warns(DeprecationWarning, match="parallel is ignored"):
+            opts = SolveOptions(parallel=True)
+        assert search_answer(bnb_solve(inst, basis, opts)) == search_answer(
+            bnb_solve(inst, basis)
+        )
+
+
+@pytest.mark.parametrize(
+    "bad",
+    [
+        {"branching": "idx"},
+        {"branching": ""},
+        {"node_limit": 0},
+        {"node_limit": -3},
+        {"node_limit": 2.5},
+        {"node_limit": True},
+    ],
+)
+def test_solve_options_reject_bad_values(bad):
+    with pytest.raises(ValueError):
+        SolveOptions(**bad)
 
 
 def _node_residual(model, point):
@@ -230,25 +242,6 @@ def test_warm_failure_falls_back_to_a_cold_solve(monkeypatch):
     with pytest.raises(NumericalFailure):
         bnb_solve(inst, basis, opts)
     assert calls[0] == 0 and calls[1] > 0 and calls[2] == 0
-
-
-def test_parallel_tallies_survive_thread_switching():
-    # an infeasible tree is exhausted on both sides, and every node's warm
-    # solve depends only on its ancestors, so a lost update shows
-    rng = np.random.default_rng(44)
-    inst = random_instance(rng, 4, 2, 5)
-    basis = compute_lin_hull(inst)
-    seq = bnb_solve(inst, basis, SolveOptions(branching="index"))
-    assert seq.status is SolveStatus.INFEASIBLE
-    old = sys.getswitchinterval()
-    sys.setswitchinterval(1e-6)
-    try:
-        for _ in range(3):
-            par = bnb_solve(inst, basis, SolveOptions(branching="index", parallel=True))
-            assert par.nodes_explored == par.lp_calls == seq.nodes_explored
-            assert par.lp_pivots == seq.lp_pivots
-    finally:
-        sys.setswitchinterval(old)
 
 
 def _full_space_model(builder, fixed):
