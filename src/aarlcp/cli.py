@@ -146,6 +146,14 @@ def read_policy(path: str) -> Policy:
     )
 
 
+def _tolerance(text: str) -> float:
+    """A --tol value: a finite positive number, else a usage error."""
+    tol = float(text)
+    if not 0.0 < tol < float("inf"):
+        raise argparse.ArgumentTypeError(f"must be finite and positive, not {text!r}")
+    return tol
+
+
 def _support_str(x) -> str:
     members = [str(i + 1) for i, v in enumerate(x) if int(v) == 1]
     return " ".join(members) if members else "(empty)"
@@ -332,7 +340,7 @@ def build_parser() -> argparse.ArgumentParser:
         p.add_argument("instance", help="instance JSON file")
         p.add_argument(
             "--tol",
-            type=float,
+            type=_tolerance,
             default=1e-8,
             help="feasibility tolerance (default 1e-8)",
         )

@@ -17,13 +17,17 @@ phase-one tableau in :attr:`LpResult.tableau`, and
 :func:`lp_solve` is exactly that pair, so every path shares one simplex.
 
 Internals, in brief: general bounds are reduced to shifts plus explicit
-rows, free variables are split into positive and negative parts, and rows
-are equilibrated.  A :class:`Tableau` grows by batches of rows: each batch
-is reduced against the current basis, and only the rows whose slack cannot
-start basic get an artificial, which phase one drives to zero.  A cold
-solve is one batch of every row onto an empty tableau, so it starts from a
-full artificial basis; the tree search extends a parent's tableau by the
-few rows of a child, so its phase one starts from the parent's basis.
+rows, a variable with equal bounds becomes a constant with no column, free
+variables are split into positive and negative parts, and rows are
+equilibrated.  A :class:`Tableau` grows by batches of rows: each batch is
+reduced against the current basis, and only the rows whose slack cannot
+start basic get an artificial, which phase one drives to zero.  A batch may
+also fix variables at zero (``zero=``) or name variables its rows force to
+zero (``implied=``); their nonbasic columns leave the tableau, so this and
+later batches pivot on fewer columns.  A cold solve is one batch of every row onto an
+empty tableau, so it starts from a full artificial basis; the tree search
+extends a parent's tableau by the few rows and fixings of a child, so its
+phase one starts from the parent's basis.
 Pricing is Dantzig's rule until a long run of degenerate pivots switches
 the loop to Bland's rule, which is kept until the phase ends.
 
@@ -240,12 +244,15 @@ class Tableau:
     """Phase-one tableau of a row set that grows batch by batch.
 
     An empty tableau holds the standard-form transform of the variable
-    bounds, x = offsets + S @ y with y >= 0: one column per bounded
-    variable, two per free one, and a row per finite upper bound, which
-    joins the first batch.  :meth:`extend` returns a new tableau with the
-    equilibrated rows after phase one and the purge of its artificials, and
-    the basis.  A tableau is never mutated once built, so sibling nodes
-    may both extend their parent's, and a search may keep one on its stack.
+    bounds: x_i is offsets[i] plus sign[c] * y[c] summed over the
+    structural columns c with var[c] = i, and y >= 0.  A variable whose
+    bounds are equal has no column, another bounded one has one, a free
+    one two, and each finite upper bound gives a row, which joins the
+    first batch.  A batch that fixes variables at zero cuts their columns.
+    :meth:`extend` returns a new tableau with the equilibrated rows after
+    phase one and the purge of its artificials, and the basis.  A tableau
+    is never mutated once built, so sibling nodes may both extend their
+    parent's, and a search may keep one on its stack.
 
     feasible is False when phase one ended above the tolerance; such a
     tableau cannot be extended.  pivots counts the pivots of the batch that
@@ -265,7 +272,9 @@ class Tableau:
         bound_rows: list[tuple[int, float]] = []
         for i in range(n):
             lo, hi = lower[i], upper[i]
-            if np.isfinite(lo):
+            if lo == hi:
+                offsets[i] = lo
+            elif np.isfinite(lo):
                 offsets[i] = lo
                 scols.append((i, 1.0))
                 if np.isfinite(hi):
@@ -276,32 +285,49 @@ class Tableau:
             else:
                 scols.append((i, 1.0))
                 scols.append((i, -1.0))
-        ns = len(scols)
-        S = np.zeros((n, ns))
-        for c, (i, sgn) in enumerate(scols):
-            S[i, c] = sgn
-        self.offsets, self.S = offsets, S
-        self.T = np.zeros((1, ns + 1))
+        self.offsets = offsets
+        self.var = np.array([i for i, _ in scols], dtype=int)
+        self.sign = np.array([sgn for _, sgn in scols])
+        self.T = np.zeros((1, len(scols) + 1))
         self.basis = np.zeros(0, dtype=int)
-        self.n_real = ns
+        self.n_real = len(scols)
         self.feasible = True
         self.pivots = 0
         self._bound_rows = bound_rows
         self._blocks: tuple = ()
 
-    def extend(self, rows, tol: float = 1e-8) -> "Tableau":
+    def extend(self, rows, tol: float = 1e-8, zero=(), implied=()) -> "Tableau":
         """This tableau plus rows of (coefficients, relation, rhs).
 
         The new rows are shifted into the transform, equilibrated, reduced
         against the current basis and flipped to a nonnegative right-hand
         side.  Rows whose slack can start basic need no artificial; phase
         one runs on the artificials of the others alone.
+
+        zero lists variables that this batch fixes at zero, and implied
+        variables that the rows force to zero; each needs a zero offset.
+        Their nonbasic columns are cut, so they never enter.  A basic
+        column of a zero variable joins the artificials: phase one drives
+        it to zero, and the purge pivots it out and cuts it.  A basic
+        column of an implied variable is cut if phase one leaves it
+        nonbasic, and otherwise stays an ordinary column.
         """
         if not self.feasible:
             raise ValueError("an infeasible tableau cannot be extended")
-        ns = self.S.shape[1]
+        ns, old, m_old = len(self.var), self.n_real, len(self.basis)
+        drive = np.zeros(old, dtype=bool)
+        drive[self._columns(zero)] = True
+        cut = drive.copy()
+        held = self._columns(implied)
+        cut[held] = True
+        if cut.any():
+            basic = np.zeros(old, dtype=bool)
+            basic[self.basis] = True
+            drive &= basic
+            cut &= ~basic
+            held = held[basic[held]]
         nrows = len(rows)
-        C = np.zeros((nrows, self.S.shape[0]))
+        C = np.zeros((nrows, len(self.offsets)))
         rhs0 = np.zeros(nrows)
         senses = []
         for r, (coeffs, relation, b) in enumerate(rows):
@@ -315,11 +341,10 @@ class Tableau:
             blocks += ((C, rhs0, sign, rels == EQ, float(np.abs(rhs0).max())),)
 
         m_new = nrows + len(self._bound_rows)
-        old = self.n_real
         A = np.zeros((m_new, old))
         b = np.zeros(m_new)
         if nrows:
-            A[:nrows, :ns] = C @ self.S
+            A[:nrows, :ns] = C[:, self.var] * self.sign
             b[:nrows] = rhs0 - C @ self.offsets
         for t, (col, ub) in enumerate(self._bound_rows):
             A[nrows + t, col] = 1.0
@@ -329,12 +354,12 @@ class Tableau:
         # Row equilibration keeps big coefficients (for example big-M rows)
         # from washing out the tolerances.
         if m_new:
-            scale = np.maximum(1.0, np.maximum(np.abs(A).max(axis=1), np.abs(b)))
+            big = np.abs(A).max(axis=1, initial=0.0)
+            scale = np.maximum(1.0, np.maximum(big, np.abs(b)))
             A /= scale[:, None]
             b /= scale
 
         # Express the rows in the current basis: the basic columns vanish.
-        m_old = len(self.basis)
         if m_old and m_new:
             lift = A[:, self.basis]
             A -= lift @ self.T[:m_old, :-1]
@@ -351,20 +376,30 @@ class Tableau:
                 elif senses[r] == GE:
                     senses[r] = LE
 
+        # Column order: the carried columns, the new slacks, the driven
+        # columns and the artificials, so phase one and the purge treat the
+        # last two blocks alike.
+        keep = ~(cut | drive)
+        carry = np.flatnonzero(keep)
+        driven = np.flatnonzero(drive)
         n_slack = sum(1 for s in senses if s != EQ)
         n_art = sum(1 for s in senses if s != LE)
-        total = old + n_slack + n_art
+        n_real = len(carry) + n_slack
+        total = n_real + len(driven) + n_art
         m = m_old + m_new
         T = np.zeros((m + 1, total + 1))
-        T[:m_old, :old] = self.T[:m_old, :old]
+        T[:m_old, : len(carry)] = self.T[:m_old, carry]
+        T[:m_old, n_real : n_real + len(driven)] = self.T[:m_old, driven]
         T[:m_old, -1] = self.T[:m_old, -1]
-        T[m_old:m, :old] = A
+        T[m_old:m, : len(carry)] = A[:, carry]
         T[m_old:m, -1] = b
+        place = np.zeros(old, dtype=int)
+        place[carry] = np.arange(len(carry))
+        place[driven] = np.arange(n_real, n_real + len(driven))
         basis = np.zeros(m, dtype=int)
-        basis[:m_old] = self.basis
-        sl = old
-        ar = old + n_slack
-        art_cols = []
+        basis[:m_old] = place[self.basis]
+        sl = len(carry)
+        ar = n_real + len(driven)
         for t in range(m_new):
             r = m_old + t
             s = senses[t]
@@ -377,19 +412,16 @@ class Tableau:
                 sl += 1
                 T[r, ar] = 1.0
                 basis[r] = ar
-                art_cols.append(ar)
                 ar += 1
             else:
                 T[r, ar] = 1.0
                 basis[r] = ar
-                art_cols.append(ar)
                 ar += 1
 
-        n_real = old + n_slack
         pivots = 0
         feasible = True
-        if art_cols:
-            T[-1, art_cols] = -1.0
+        if total > n_real:
+            T[-1, n_real:total] = -1.0
             _price_out(T, basis)
             status, pivots = _iterate(T, basis, total, tol)
             if status == "unbounded":
@@ -402,13 +434,37 @@ class Tableau:
                 T, basis, purged = _purge_artificials(T, basis, n_real)
                 pivots += purged
 
+        var, sgn = self.var[keep[:ns]], self.sign[keep[:ns]]
+        if feasible and held.size:
+            # implied columns that phase one left nonbasic are cut as well
+            dead = np.zeros(n_real, dtype=bool)
+            dead[place[held]] = True
+            dead[basis] = False
+            if dead.any():
+                alive = ~dead
+                T = T[:, np.append(np.flatnonzero(alive), n_real)]
+                basis = (np.cumsum(alive) - 1)[basis]
+                n_real = int(alive.sum())
+                var, sgn = var[alive[: len(var)]], sgn[alive[: len(var)]]
+
         child = Tableau.__new__(Tableau)
-        child.offsets, child.S = self.offsets, self.S
+        child.offsets = self.offsets
+        child.var, child.sign = var, sgn
         child.T, child.basis, child.n_real = T, basis, n_real
         child.feasible, child.pivots = feasible, pivots
         child._bound_rows = []
         child._blocks = blocks
         return child
+
+    def _columns(self, variables) -> np.ndarray:
+        """The standard-form columns of variables with a zero offset."""
+        if not len(variables):
+            return np.zeros(0, dtype=int)
+        if self.offsets[variables].any():
+            raise ValueError("only a variable with a zero offset can be fixed at zero")
+        marked = np.zeros(len(self.offsets), dtype=bool)
+        marked[variables] = True
+        return np.flatnonzero(marked[self.var])
 
     def maximize(self, objective, tol: float = 1e-8) -> LpResult:
         """Phase two for one objective over this tableau's rows.
@@ -426,7 +482,7 @@ class Tableau:
         objective = np.asarray(objective, dtype=float)
         T, basis = self.T.copy(), self.basis.copy()
         T[-1, :] = 0.0
-        T[-1, : self.S.shape[1]] = self.S.T @ objective
+        T[-1, : len(self.var)] = objective[self.var] * self.sign
         _price_out(T, basis)
         status, pivots = _iterate(T, basis, self.n_real, tol)
         pivots += self.pivots
@@ -450,7 +506,10 @@ class Tableau:
     def _point(self, T: np.ndarray, basis: np.ndarray) -> np.ndarray:
         y = np.zeros(self.n_real)
         y[basis] = T[: len(basis), -1]
-        x = self.offsets + self.S @ y[: self.S.shape[1]]
+        ns = len(self.var)
+        x = self.offsets + np.bincount(
+            self.var, weights=self.sign * y[:ns], minlength=len(self.offsets)
+        )
 
         if not np.isfinite(x).all():
             raise NumericalFailure("solution failed the residual check")

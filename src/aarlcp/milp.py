@@ -14,9 +14,12 @@ the tree search (:func:`bnb_solve`), cover pure and mixed instances alike.
 
 Node LPs are presolved: the rule D enters only through its certificate
 D_i = Theta^T A_i, so they carry neither D columns nor z_dual_match rows,
-and every other row has D replaced by that product.  The export still
-carries both.  :meth:`NodeLpBuilder.lift` maps a node LP point back to the
-formulation's columns.
+and every other row has D replaced by that product.  A fixing drops the
+columns it forces to zero instead of adding support_link rows: r_i and
+the A_i of the strict set rows for x_i = 0, the C_i of those rows for
+x_i = 1.  The export still carries D, z_dual_match and support_link.
+:meth:`NodeLpBuilder.lift` maps a node LP point back to the formulation's
+columns.
 
 Row families:
 
@@ -28,13 +31,14 @@ Row families:
 * mixed_pin: a pinned free block does not react to the uncertainty.
 * indicator rows: x_i = 1 pins the slack rule of row i to zero at the
   nominal point (nominal_comp) and along the hull (direction_comp);
-  x_i = 0 pins r_i to zero (support_link).
+  x_i = 0 pins r_i to zero (support_link, export only: node LPs fix the
+  column instead).
 """
 
 from __future__ import annotations
 
 import warnings
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, replace
 from enum import Enum
 from functools import cached_property
 
@@ -91,7 +95,12 @@ class SolveOptions:
     parallel: bool = False
 
     def __post_init__(self):
-        """Raise ValueError on an unknown branching rule or a bad node limit."""
+        """Raise ValueError on a tolerance that is not finite and positive,
+        an unknown branching rule or a bad node limit."""
+        tol = self.tol
+        real = isinstance(tol, (int, float, np.integer, np.floating))
+        if not (real and 0 < tol < np.inf):
+            raise ValueError(f"tol must be finite and positive, not {tol!r}")
         if self.branching not in ("heuristic", "index"):
             raise ValueError(f"unknown branching rule {self.branching!r}")
         limit = self.node_limit
@@ -300,17 +309,32 @@ class NodeLpBuilder:
     formulation's columns without D, and :meth:`lift` maps a node point back
     to the formulation's columns.  The export keeps D and z_dual_match.
 
+    A fixing also forces columns to zero (:meth:`forced`), and node LPs
+    drop them instead of carrying support_link rows, which only the export
+    keeps.  x_i = 0 fixes r_i at zero; since zeta_j < 0 on every strict set
+    row j, z_dual_value then leaves A_i zeta >= 0 with A_i >= 0, which
+    implies A_ij = 0 on those rows.  x_i = 1 pins the nominal slack to zero,
+    so w_dual_value implies C_ij = 0 on them alike.
+
+    Pure instances are solved with each row of [M q T] divided by its
+    infinity norm (:attr:`form` is built on the scaled rows).  That maps
+    every policy to itself and only rescales the C multipliers, so the
+    answer is the same; certification and the export keep the original
+    rows.  Mixed instances keep their rows as given.
+
     The always-valid rows are built once, and so are the indicator rows of
     every (index, value).  :meth:`model` appends the indicator rows of the
-    fixed entries for a cold solve; the tree search instead keeps each
-    parent's phase-one tableau on its stack and extends it by the
-    :meth:`indicator` rows of the one entry a child fixes.  Models share the
-    bound arrays, which the solver never mutates.
+    fixed entries for a cold solve and gives each forced column equal zero
+    bounds, which the solver turns into a constant; the tree search instead
+    keeps each parent's phase-one tableau on its stack and extends it by
+    the :meth:`indicator` rows and the :meth:`forced` columns of the one
+    entry a child fixes.  Models share the bound arrays of the unfixed
+    root, which the solver never mutates.
     """
 
     def __init__(self, inst: Instance, basis: LinHullBasis):
         self.inst = inst
-        form = self.form = Formulation(inst, basis)
+        form = self.form = Formulation(_row_scaled(inst), basis)
         kept = np.setdiff1d(np.arange(form.total), form.D.ravel())
         self.n, self.total = inst.n, len(kept)
         pos = np.full(form.total, -1)
@@ -350,35 +374,57 @@ class NodeLpBuilder:
         self._indicator: dict[tuple[int, int], list] = {
             (i, f): [] for i in range(self.n) for f in (0, 1)
         }
-        indicator_tags = (TAG_NOMINAL_COMP, TAG_DIRECTION_COMP, TAG_SUPPORT_LINK)
-        for row, coeffs in render(*indicator_tags):
+        for row, coeffs in render(TAG_NOMINAL_COMP, TAG_DIRECTION_COMP):
             self._indicator[row.when].append((coeffs, row.rel, row.rhs))
+        strict = sorted(basis.inequality_rows)
+        none = np.zeros(0, dtype=int)
+        self._forced: dict[tuple[int, int], tuple] = {}
+        for i in range(self.n):
+            self._forced[i, 0] = (pos[form.r[i : i + 1]], pos[form.A[i, strict]])
+            self._forced[i, 1] = (none, pos[form.C[i, strict]])
 
-    def _assemble(self, rows, node) -> lp.LpModel:
+    def _assemble(self, rows, node, implied: bool) -> lp.LpModel:
+        zero = []
         for i, f in enumerate(_normalize_fixed(node, self.n)):
             if f != UNFIXED:
                 rows.extend(self._indicator[i, f])
+                fixed_cols, implied_cols = self._forced[i, f]
+                zero += [fixed_cols, implied_cols] if implied else [fixed_cols]
         model = lp.LpModel.__new__(lp.LpModel)
         model.num_vars = self.total
         model.objective = self._objective
         model.rows = rows
         model.lower = self._lower
         model.upper = self._upper
+        if zero:
+            # the forced columns are nonnegative, so lower is 0 already
+            model.upper = self._upper.copy()
+            model.upper[np.concatenate(zero)] = 0.0
         return model
 
     def model(self, node) -> lp.LpModel:
-        """Full node LP: always-valid rows plus indicators for fixed entries."""
-        return self._assemble(list(self._static), node)
+        """Full node LP: always-valid rows plus indicators for fixed
+        entries, with every column a fixing forces pinned at zero."""
+        return self._assemble(list(self._static), node, True)
 
     def indicator(self, i: int, value: int) -> list:
-        """The rows that fixing entry i to value adds to a node LP."""
+        """The rows that fixing entry i to value adds to a node LP: none
+        for value 0, whose only indicator row is a column fixing."""
         return self._indicator[i, value]
 
+    def forced(self, i: int, value: int) -> tuple[np.ndarray, np.ndarray]:
+        """Node columns that fixing entry i to value forces to zero, as
+        (zero, implied) for :meth:`lp.Tableau.extend`: r_i is fixed by
+        x_i = 0, and the A_i (x_i = 0) or C_i (x_i = 1) multipliers of the
+        strict set rows are implied zero by the rows."""
+        return self._forced[i, value]
+
     def support_model(self, node) -> lp.LpModel:
-        """Equality side only: indicators and pinning rows, nothing else.
+        """Equality side only: indicators, pinning rows and r_i = 0 for
+        x_i = 0, nothing else.
 
         Used to split infeasibility causes when enumerating supports."""
-        return self._assemble(list(self._eq_static), node)
+        return self._assemble(list(self._eq_static), node, False)
 
     def r_of(self, point: np.ndarray) -> np.ndarray:
         return point[self._r]
@@ -405,6 +451,17 @@ class NodeLpBuilder:
             if not mixed.y_adjustable:
                 E[:] = 0.0
         return Policy(D=D, r=r, x=np.array(fixed, dtype=int), E=E, s=s)
+
+
+def _row_scaled(inst: Instance) -> Instance:
+    """A pure instance with each row of [M q T] divided by its infinity
+    norm (zero rows stay); a mixed instance as it is."""
+    if inst.mixed is not None:
+        return inst
+    norm = np.abs(np.column_stack([inst.M, inst.q, inst.T])).max(axis=1)
+    d = np.where(norm > 0.0, norm, 1.0)
+    col = d[:, None]
+    return replace(inst, M=inst.M / col, q=inst.q / d, T=inst.T / col)
 
 
 class _Budget:
@@ -448,15 +505,16 @@ def _node_lp(builder, fixed, parent, key, tol, budget):
     """Phase one at one node: (tableau, point), the point None if infeasible.
 
     A node with a parent extends the parent's tableau by the indicator rows
-    of key, its one new (index, value).  If that warm solve fails, by its
-    residual guard or otherwise, the node is solved once more, cold, from
-    its full model; a failure there propagates.  A node without a parent is
-    solved cold.  Every attempt counts as an LP call.
+    and forced columns of key, its one new (index, value).  If that warm
+    solve fails, by its residual guard or otherwise, the node is solved once
+    more, cold, from its full model; a failure there propagates.  A node
+    without a parent is solved cold.  Every attempt counts as an LP call.
     """
     if parent is not None:
         tab = None
+        zero, implied = builder.forced(*key)
         try:
-            tab = parent.extend(builder.indicator(*key), tol)
+            tab = parent.extend(builder.indicator(*key), tol, zero, implied)
             return tab, (tab.point() if tab.feasible else None)
         except NumericalFailure:
             pass

@@ -11,7 +11,7 @@ import itertools
 import numpy as np
 
 from aarlcp import Instance, MixedExtension
-from aarlcp import lp
+from aarlcp import lp, milp
 from aarlcp.errors import NumericalFailure
 
 
@@ -513,3 +513,34 @@ def search_answer(report):
     policy = tuple(None if a is None else a.tobytes() for a in arrays)
     tallies = (report.nodes_explored, report.lp_calls, report.lp_pivots)
     return report.status, tallies, policy
+
+
+def reference_node_model(builder, fixed) -> lp.LpModel:
+    """A node LP as built before fixings cut columns.
+
+    Every node column keeps its default bounds, and x_i = 0 adds the
+    support_link row r_i = 0.  The rows are the builder's formulation rows,
+    rendered with D = Theta^T A_i and in the same order as before: the
+    always-valid rows, then the indicator rows of each fixed entry.
+    """
+    form = builder.form
+    Z = builder.lift(np.eye(builder.total))
+    root = builder.model([milp.UNFIXED] * builder.n)
+    model = lp.LpModel(builder.total)
+    model.lower, model.upper = root.lower.copy(), root.upper.copy()
+    static = (
+        milp.TAG_Z_DUAL_VALUE,
+        milp.TAG_W_DUAL_VALUE,
+        milp.TAG_W_DUAL_MATCH,
+        milp.TAG_HERE_AND_NOW,
+        milp.TAG_MIXED_NOMINAL,
+        milp.TAG_MIXED_DIRECTION,
+        milp.TAG_MIXED_PIN,
+    )
+    indicators = (milp.TAG_NOMINAL_COMP, milp.TAG_DIRECTION_COMP, milp.TAG_SUPPORT_LINK)
+    rows = list(form.rows(*static))
+    for i, f in enumerate(fixed):
+        rows += [row for row in form.rows(*indicators) if row.when == (i, f)]
+    for row in rows:
+        model.add_row(form.dense(row) @ Z, row.rel, row.rhs)
+    return model

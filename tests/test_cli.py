@@ -344,6 +344,23 @@ def test_solve_rejects_bad_options(tmp_path, capsys, flags):
         assert capsys.readouterr().err
 
 
+@pytest.mark.parametrize("tol", ["-1", "nan", "inf", "0", "abc"])
+def test_commands_reject_bad_tol(tmp_path, capsys, tol):
+    # --tol -1 and --tol nan used to end solve in "pivot limit exhausted"
+    path = write(tmp_path, "inst.json", GOLDEN)
+    for argv in (
+        ["validate", path],
+        ["linhull", path],
+        ["solve", path],
+        ["solve", write(tmp_path, "psd.json", PSD_DESK)],
+        ["verify", path, path],
+        ["oracle", path],
+        ["export", path],
+    ):
+        assert main([*argv, f"--tol={tol}"]) == 2, argv
+        assert "argument --tol" in capsys.readouterr().err
+
+
 def test_oracle_command(tmp_path, capsys):
     path = write(tmp_path, "inst.json", GOLDEN)
     assert main(["oracle", path]) == 0

@@ -272,6 +272,59 @@ def test_two_batches_match_one():
     assert 30 <= feasible <= 130
 
 
+def test_fixed_variables_are_constants():
+    # lower == upper: an offset and no column, and no bound row
+    model = lp.LpModel(3, [1.0, 1.0, 1.0])
+    model.set_bounds(0, 2.0, 2.0)
+    model.set_bounds(1, 0.0, 0.0)
+    model.add_row([1.0, 1.0, 1.0], lp.LE, 5.0)
+    tab = lp.phase_one(model)
+    assert tab.var.tolist() == [2] and tab.T.shape == (2, 3)
+    res = lp.lp_solve(model)
+    assert res.value == pytest.approx(5.0)
+    assert res.point.tolist() == pytest.approx([2.0, 0.0, 3.0])
+
+
+def test_extend_fixes_variables_at_zero():
+    """A warm batch that fixes variables at zero agrees with a cold solve
+    that gives them zero bounds, and cuts every column they had."""
+    rng = np.random.default_rng(19)
+    feasible = 0
+    for _ in range(150):
+        model = _batch_model(rng)
+        offset_free = np.flatnonzero((model.lower == 0.0) | np.isinf(model.lower))
+        zero = offset_free[rng.uniform(size=offset_free.size) < 0.4]
+        cold = lp.LpModel(model.num_vars)
+        cold.rows = model.rows
+        cold.lower, cold.upper = model.lower.copy(), model.upper.copy()
+        cold.lower[zero] = cold.upper[zero] = 0.0
+        whole = lp.phase_one(cold).feasible
+        cut = int(rng.integers(0, len(model.rows) + 1))
+        tab = lp.Tableau(model.lower, model.upper).extend(model.rows[:cut])
+        if not tab.feasible:
+            continue
+        tab = tab.extend(model.rows[cut:], zero=zero)
+        assert tab.feasible is whole
+        if whole:
+            feasible += 1
+            x = tab.point()
+            assert not x[zero].any() and not np.isin(tab.var, zero).any()
+            assert _worst_miss(model, x) <= 1e-8
+    assert feasible >= 30
+    shifted = lp.LpModel(2)
+    shifted.set_bounds(0, 1.0, np.inf)
+    with pytest.raises(ValueError, match="zero offset"):
+        lp.Tableau(shifted.lower, shifted.upper).extend([], zero=[0])
+
+
+def _worst_miss(model, x):
+    worst = 0.0
+    for a, rel, b in model.rows:
+        d = float(a @ x) - b
+        worst = max(worst, d if rel == lp.LE else -d if rel == lp.GE else abs(d))
+    return worst
+
+
 def test_extend_leaves_the_parent_alone():
     model = lp.LpModel(3)
     model.add_row([1.0, 1.0, 1.0], lp.EQ, 2.0)
@@ -411,7 +464,7 @@ def test_kernel_matches_reference(monkeypatch):
         if tab.feasible:
             tab.extend(model.rows[cut:])
     # cold roots and warm children of two search trees
-    for seed in (2, 3):
+    for seed in (70, 158):
         inst, _ = planted_instance(np.random.default_rng(seed), 6, 3, 8)
         assert bnb_solve(inst, compute_lin_hull(inst)).nodes_explored >= 20
     assert len(outcomes) >= 300

@@ -44,6 +44,7 @@ from support import (
     planted_mixed_instance,
     random_instance,
     reduction_instance,
+    reference_node_model,
     search_answer,
 )
 
@@ -146,11 +147,35 @@ def test_parallel_matches_sequential():
         {"node_limit": -3},
         {"node_limit": 2.5},
         {"node_limit": True},
+        {"tol": -1.0},
+        {"tol": 0.0},
+        {"tol": np.nan},
+        {"tol": np.inf},
+        {"tol": "1e-8"},
+        {"tol": None},
     ],
 )
 def test_solve_options_reject_bad_values(bad):
     with pytest.raises(ValueError):
         SolveOptions(**bad)
+
+
+def test_row_scaling_keeps_the_status():
+    # A positive scaling of the rows of (M, q, T) maps every policy to
+    # itself.  Node LPs divide each row by its infinity norm first, so rows
+    # scaled by 1e6 or 1e-6 get the status of the unscaled instance.
+    rng = np.random.default_rng(61)
+    for trial in range(30):
+        if trial % 2:
+            inst = random_instance(rng, 5, 3, 8)
+        else:
+            inst, _ = planted_instance(rng, 5, 3, 8)
+        want = bnb_solve(inst, compute_lin_hull(inst)).status
+        d = 10.0 ** rng.choice((-6.0, 6.0), size=inst.n)
+        scaled = dataclasses.replace(
+            inst, M=inst.M * d[:, None], q=inst.q * d, T=inst.T * d[:, None]
+        )
+        assert bnb_solve(scaled, compute_lin_hull(scaled)).status is want, trial
 
 
 def _node_residual(model, point):
@@ -173,7 +198,7 @@ def _walk(builder, warm):
         model = builder.model(fixed)
         cold = lp.lp_feasible(model)
         if warm and parent is not None:
-            tab = parent.extend(builder.indicator(*key))
+            tab = parent.extend(builder.indicator(*key), 1e-8, *builder.forced(*key))
             assert tab.feasible is (cold.status is lp.LpStatus.OPTIMAL), fixed
         else:
             tab = lp.phase_one(model)
@@ -217,10 +242,10 @@ def test_warm_failure_falls_back_to_a_cold_solve(monkeypatch):
     assert want.nodes_explored > 3
     real = lp.Tableau.extend
 
-    def warm_fails(self, rows, tol=1e-8):
+    def warm_fails(self, rows, tol=1e-8, zero=(), implied=()):
         if len(self.basis):  # a child extending its parent
             raise NumericalFailure("injected")
-        return real(self, rows, tol)
+        return real(self, rows, tol, zero, implied)
 
     monkeypatch.setattr(lp.Tableau, "extend", warm_fails)
     report = bnb_solve(inst, basis, opts)
@@ -232,16 +257,60 @@ def test_warm_failure_falls_back_to_a_cold_solve(monkeypatch):
     # the root solves; below it the warm attempt and the cold re-solve fail
     calls = []
 
-    def fails_after_root(self, rows, tol=1e-8):
+    def fails_after_root(self, rows, tol=1e-8, zero=(), implied=()):
         calls.append(len(self.basis))
         if len(calls) > 1:
             raise NumericalFailure("injected")
-        return real(self, rows, tol)
+        return real(self, rows, tol, zero, implied)
 
     monkeypatch.setattr(lp.Tableau, "extend", fails_after_root)
     with pytest.raises(NumericalFailure):
         bnb_solve(inst, basis, opts)
     assert calls[0] == 0 and calls[1] > 0 and calls[2] == 0
+
+
+def test_fixings_cut_only_columns_forced_to_zero():
+    """Cold models and warm chains that cut the forced columns give the
+    feasibility of the uncut reference node LP, and each cut column stays
+    at most about tol / |zeta_j| over the reference's feasible set."""
+    tol = 1e-8
+    rng = np.random.default_rng(53)
+    for trial in range(18):
+        n, k = 4 + trial % 3, 2 + trial % 2
+        g, tight = 2 * k + 3, trial % 2 == 0
+        if trial % 3 == 2:
+            inst = random_instance(rng, n, k, g, tight)
+            values = rng.integers(0, 2, n)
+        else:
+            inst, support = planted_instance(rng, n, k, g, tight)
+            values = [int(i in support) for i in range(n)]
+            if trial % 3 == 1:  # random values: pruned at some depth
+                values = rng.integers(0, 2, n)
+        basis = compute_lin_hull(inst)
+        bound = 10 * tol / np.abs(inst.zeta[sorted(basis.inequality_rows)]).min()
+        builder = NodeLpBuilder(inst, basis)
+        fixed = [UNFIXED] * n
+        tab = lp.phase_one(builder.model(fixed), tol)
+        for i in rng.permutation(n):
+            if not tab.feasible:
+                break
+            fixed[i] = values[i]
+            where = (trial, tuple(fixed))
+            reference = reference_node_model(builder, fixed)
+            ref = lp.lp_feasible(reference, tol)
+            feasible = ref.status is lp.LpStatus.OPTIMAL
+            cold = lp.lp_feasible(builder.model(fixed), tol)
+            assert (cold.status is lp.LpStatus.OPTIMAL) is feasible, where
+            zero, implied = builder.forced(i, values[i])
+            tab = tab.extend(builder.indicator(i, values[i]), tol, zero, implied)
+            assert tab.feasible is feasible, where
+            if not feasible:
+                continue
+            assert _node_residual(reference, tab.point()) <= 1e-7, where
+            for col in np.concatenate([zero, implied]):
+                top = ref.tableau.maximize(np.eye(builder.total)[col], tol)
+                assert top.status is lp.LpStatus.OPTIMAL, where
+                assert top.value <= bound, where
 
 
 def _full_space_model(builder, fixed):

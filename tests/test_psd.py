@@ -169,3 +169,17 @@ def test_psd_solve_rejects_mixed():
     basis = compute_lin_hull(inst)
     with pytest.raises(DimensionMismatch):
         psd_solve(inst, basis)
+
+
+@pytest.mark.parametrize("n, s", [(12, 82), (16, 14), (16, 31)])
+def test_gram_draws_answer_feasible(n, s):
+    # Planted gram draws on which psd_solve raised: "tableau right-hand
+    # side went negative" at (12, 82), where bnb_solve raised it too, and at
+    # (16, 14); a failed certification, residual 1.03e-7, at (16, 31).
+    rng = np.random.default_rng([7, s])
+    k = 2 + s % 2
+    M = gram_matrix(rng, n)
+    inst, _ = planted_instance(rng, n, k, 2 * k + 2, M=M, size=1 + s % n)
+    basis = compute_lin_hull(inst)
+    assert psd_solve(inst, basis).status is PsdStatus.FEASIBLE
+    assert bnb_solve(inst, basis).status is SolveStatus.FEASIBLE
