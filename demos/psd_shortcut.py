@@ -1,24 +1,26 @@
-"""When M is positive semidefinite the tree collapses to one probe.
+"""When M is positive semidefinite the tree collapses to one node.
 
 For PSD coupling the nominal problem is solvable by complementary
 pivoting, its solution set is a polyhedron, and the rows that can carry a
 positive value anywhere on that polyhedron are exactly the support the
-robust problem needs.  So instead of branching over 2^n supports we:
+robust problem needs.  So instead of branching over 2^n supports,
+bnb_solve (with its default psd="auto"):
 
-  1. run Lemke's method on (M, q) at u = 0,
-  2. probe each row's maximum over the nominal solution set (n LPs),
-  3. solve a single node LP with the support fixed to the positive-capable
-     rows.
+  1. runs Lemke's method on (M, q) at u = 0,
+  2. probes each row's maximum over the nominal solution set,
+  3. starts the search at the support fixed to the positive-capable rows,
+     where one node LP decides the matter.
 
-The script runs the shortcut next to the general search and compares
-work counts.
+The script runs that forced start next to the full tree search
+(psd="off") and compares work counts.
 """
 
 import numpy as np
 
 from aarlcp import (
     Instance,
-    PsdStatus,
+    NotPsd,
+    SolveOptions,
     bnb_solve,
     check_psd,
     compute_lin_hull,
@@ -26,6 +28,8 @@ from aarlcp import (
     lemke_nominal,
     psd_solve,
 )
+
+TREE = SolveOptions(psd="off")
 
 
 def desk_example():
@@ -56,11 +60,13 @@ def main():
     print(f"positive-capable rows: {sorted(support)}")
 
     print()
-    print("== shortcut vs general search ==")
-    fast = psd_solve(inst, basis)
-    slow = bnb_solve(inst, basis)
-    print(f"shortcut: {fast.status.value}, {fast.lp_calls} LP calls")
-    print(f"tree:     {slow.status.value}, {slow.nodes_explored} nodes")
+    print("== forced start vs full tree search ==")
+    fast = bnb_solve(inst, basis)
+    slow = bnb_solve(inst, basis, TREE)
+    print(f"forced:   {fast.status.value}, {fast.nodes_explored} node, "
+          f"{fast.lp_calls} LP call, support {sorted(fast.support_p)}")
+    print(f"tree:     {slow.status.value}, {slow.nodes_explored} nodes, "
+          f"{slow.lp_calls} LP calls")
     print(f"shortcut policy r = {fast.policy.r}, verified: "
           f"{fast.verification.verified}")
 
@@ -84,11 +90,8 @@ def main():
         )
         b = compute_lin_hull(cand)
         fast = psd_solve(cand, b)
-        slow = bnb_solve(cand, b)
-        same = (fast.status is PsdStatus.FEASIBLE) == (
-            slow.status.value == "feasible"
-        )
-        agree += int(same)
+        slow = bnb_solve(cand, b, TREE)
+        agree += int(fast.status is slow.status)
     print(f"status agreement: {agree}/{trials}")
 
     print()
@@ -100,8 +103,14 @@ def main():
         Theta=np.array([[1.0], [-1.0]]),
         zeta=np.array([-1.0, -1.0]),
     )
-    rep = psd_solve(skew, compute_lin_hull(skew))
-    print(f"status: {rep.status.value} (fall back to bnb_solve instead)")
+    basis = compute_lin_hull(skew)
+    try:
+        psd_solve(skew, basis)
+    except NotPsd as exc:
+        print(f"psd_solve: {exc}")
+    rep = bnb_solve(skew, basis)
+    print(f"bnb_solve falls back to the tree search: {rep.status.value}, "
+          f"forced start: {rep.forced}")
 
 
 if __name__ == "__main__":

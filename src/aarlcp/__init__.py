@@ -4,9 +4,10 @@ The package answers one question: given a square system whose data shifts
 with an uncertain vector ranging over a compact polyhedron, is there an
 affine rule for the decision that satisfies nonnegativity and
 complementarity for every point of the set?  The search runs over binary
-support vectors with LP relaxations at every node; verification,
-exhaustive enumeration, a shortcut for positive semidefinite matrices, a
-free-variable extension, and a big-M text export round out the toolkit.
+support vectors with LP relaxations at every node, and starts at the one
+support a positive semidefinite matrix forces; verification, exhaustive
+enumeration, a free-variable extension, and a big-M text export round out
+the toolkit.
 """
 
 from .core import (
@@ -49,10 +50,9 @@ from .milp import (
 )
 from .mixed import mixed_solve, verify_mixed
 from .psd import (
-    PsdReport,
-    PsdStatus,
     check_psd,
     compute_support_p,
+    forced_support,
     lemke_nominal,
     psd_solve,
     solution_set_rows,
@@ -83,8 +83,6 @@ __all__ = [
     "OracleLimitExceeded",
     "ParsedLp",
     "Policy",
-    "PsdReport",
-    "PsdStatus",
     "RelintViolation",
     "SolveOptions",
     "SolveReport",
@@ -100,6 +98,7 @@ __all__ = [
     "compute_support_p",
     "default_big_m",
     "export_milp",
+    "forced_support",
     "lemke_nominal",
     "lp_feasible",
     "lp_solve",

@@ -22,7 +22,7 @@ import sys
 
 import numpy as np
 
-from .core import EPS_ZERO, Instance, MixedExtension, Policy, validate
+from .core import Instance, MixedExtension, Policy, validate
 from .errors import AarlcpError, NodeLimitExceeded, NumericalFailure
 from .linhull import compute_lin_hull
 from .milp import (
@@ -32,7 +32,6 @@ from .milp import (
     build_milp,
     export_milp,
 )
-from .psd import PsdStatus, check_psd, psd_solve
 from .verify import oracle_enumerate, verify_policy
 
 
@@ -101,8 +100,10 @@ def read_instance(path: str) -> Instance:
     )
 
 
-def _policy_payload(status: str, policy, report, nodes: int, tolerances) -> dict:
-    payload: dict = {"status": status}
+def _policy_payload(report) -> dict:
+    """The policy file of a solve or oracle report."""
+    policy = report.policy
+    payload: dict = {"status": report.status.value}
     if policy is not None:
         payload["x"] = [int(v) for v in policy.x]
         payload["r"] = [float(v) for v in policy.r]
@@ -111,10 +112,10 @@ def _policy_payload(status: str, policy, report, nodes: int, tolerances) -> dict
             payload["E"] = [[float(v) for v in row] for row in policy.E]
             payload["s"] = [float(v) for v in policy.s]
     payload["diagnostics"] = {
-        "nodes_explored": int(nodes),
+        "nodes_explored": int(report.nodes_explored),
         "lp_calls": int(report.lp_calls),
         "lp_pivots": int(report.lp_pivots),
-        "tolerances": {kk: float(vv) for kk, vv in dict(tolerances).items()},
+        "tolerances": {kk: float(vv) for kk, vv in report.tolerances.items()},
     }
     return payload
 
@@ -195,7 +196,7 @@ def cmd_linhull(args) -> int:
 
 def cmd_solve(args) -> int:
     opts = SolveOptions(
-        tol=args.tol, node_limit=args.node_limit, branching=args.branching
+        tol=args.tol, node_limit=args.node_limit, branching=args.branching, psd=args.psd
     )
     inst = read_instance(args.instance)
     vreport = validate(inst, args.tol)
@@ -203,57 +204,25 @@ def cmd_solve(args) -> int:
         raise ValueError(
             "the uncertainty set fails validation; run the validate command"
         )
-    basis = vreport.basis
-
-    use_psd = False
-    if args.psd == "force":
-        if inst.mixed is not None:
-            raise ValueError("the PSD shortcut covers pure instances only")
-        if not check_psd(inst.M):
-            raise ValueError("matrix is not positive semidefinite")
-        use_psd = True
-    elif args.psd == "auto":
-        use_psd = inst.mixed is None and check_psd(inst.M)
-
-    if use_psd:
-        report = psd_solve(inst, basis, tol=args.tol)
-        if report.status is PsdStatus.NOT_PSD:
-            raise ValueError("matrix is not positive semidefinite")
-        feasible = report.status is PsdStatus.FEASIBLE
-        policy = report.policy
-        nodes = 1
-        tolerances = {"tol": args.tol, "eps_zero": EPS_ZERO}
-        print("path: forced support")
-        if report.nominal is not None:
-            print(f"nominal solution: {_vec_str(report.nominal)}")
-            print(
-                "positive-capable rows: "
-                + (
-                    " ".join(str(i + 1) for i in sorted(report.support_p))
-                    or "(none)"
-                )
-            )
-    else:
-        report = bnb_solve(inst, basis, opts)
-        feasible = report.status is SolveStatus.FEASIBLE
-        policy = report.policy
-        nodes = report.nodes_explored
-        tolerances = report.tolerances
-        print("path: tree search")
-
-    status = "feasible" if feasible else "infeasible"
-    print(f"status: {status}")
-    print(f"nodes explored: {nodes}")
+    report = bnb_solve(inst, vreport.basis, opts)
+    feasible = report.status is SolveStatus.FEASIBLE
+    policy = report.policy
+    print(f"path: {'forced support' if report.forced else 'tree search'}")
+    if report.nominal is not None:
+        print(f"nominal solution: {_vec_str(report.nominal)}")
+        print(
+            "positive-capable rows: "
+            + (" ".join(str(i + 1) for i in sorted(report.support_p)) or "(none)")
+        )
+    print(f"status: {report.status.value}")
+    print(f"nodes explored: {report.nodes_explored}")
     print(f"lp calls: {report.lp_calls}")
     print(f"lp pivots: {report.lp_pivots}")
     if feasible:
         print(f"support: {_support_str(policy.x)}")
         print(f"r: {_vec_str(policy.r)}")
     if args.out:
-        payload = _policy_payload(
-            status, policy if feasible else None, report, nodes, tolerances
-        )
-        write_policy_file(args.out, payload)
+        write_policy_file(args.out, _policy_payload(report))
         print(f"policy written to {args.out}")
     return 0 if feasible else 1
 
@@ -286,22 +255,15 @@ def cmd_oracle(args) -> int:
     report = oracle_enumerate(inst, basis, tol=args.tol, limit=args.limit)
     feasible = report.status is SolveStatus.FEASIBLE
     print(f"status: {'feasible' if feasible else 'infeasible'}")
-    tally = report.tally or {}
-    print(f"supports tested: {tally.get('tested', report.nodes_explored)}")
-    print(f"equality-stage prunes: {tally.get('equality_infeasible', 0)}")
-    print(f"nonnegativity-stage prunes: {tally.get('nonnegativity_infeasible', 0)}")
+    tally = report.tally
+    print(f"supports tested: {tally['tested']}")
+    print(f"equality-stage prunes: {tally['equality_infeasible']}")
+    print(f"nonnegativity-stage prunes: {tally['nonnegativity_infeasible']}")
     if feasible:
         print(f"support: {_support_str(report.policy.x)}")
         print(f"verification: {report.verification.verdict}")
     if args.out:
-        payload = _policy_payload(
-            "feasible" if feasible else "infeasible",
-            report.policy if feasible else None,
-            report,
-            report.nodes_explored,
-            report.tolerances,
-        )
-        write_policy_file(args.out, payload)
+        write_policy_file(args.out, _policy_payload(report))
         print(f"policy written to {args.out}")
     return 0 if feasible else 1
 
@@ -359,7 +321,7 @@ def build_parser() -> argparse.ArgumentParser:
         "--psd",
         choices=("auto", "force", "off"),
         default="auto",
-        help="use the forced-support shortcut when the matrix allows it",
+        help="start the search at the support a PSD matrix forces (default auto)",
     )
     p.add_argument(
         "--node-limit",

@@ -11,6 +11,9 @@ rows for the already-fixed entries; no big-M rows exist there.  The export
 (:func:`build_milp`) relaxes each indicator row by a big-M multiple of its
 binary, for hand-off to external integer programming tools.  Both, and so
 the tree search (:func:`bnb_solve`), cover pure and mixed instances alike.
+On a pure instance with a positive semidefinite matrix the search starts
+at the one support an affine rule can use (:func:`psd.forced_support`),
+not at the unfixed root, so it runs a single node.
 
 Node LPs are presolved: the rule D enters only through its certificate
 D_i = Theta^T A_i, so they carry neither D columns nor z_dual_match rows,
@@ -46,8 +49,9 @@ import numpy as np
 
 from . import lp
 from .core import EPS_FEAS, EPS_ZERO, Instance, Policy
-from .errors import DimensionMismatch, NodeLimitExceeded, NumericalFailure
+from .errors import DimensionMismatch, NodeLimitExceeded, NotPsd, NumericalFailure
 from .linhull import LinHullBasis
+from .psd import forced_support
 from .verify import VerifyReport, verify_policy
 
 TAG_SUPPORT_LINK = "support_link"
@@ -90,19 +94,24 @@ class SolveOptions:
     tol: float = 1e-8
     node_limit: int | None = None  # None for the default budget, else >= 1
     branching: str = "heuristic"  # or "index"
+    # Start at the support a PSD matrix forces: "auto" when the instance is
+    # pure and its matrix PSD, "force" always (raising otherwise), or "off".
+    psd: str = "auto"
     # The search is serial and ignores this field.  It is accepted, with a
     # DeprecationWarning when True, only because bench/run.py still passes it.
     parallel: bool = False
 
     def __post_init__(self):
         """Raise ValueError on a tolerance that is not finite and positive,
-        an unknown branching rule or a bad node limit."""
+        an unknown branching rule or PSD mode, or a bad node limit."""
         tol = self.tol
         real = isinstance(tol, (int, float, np.integer, np.floating))
         if not (real and 0 < tol < np.inf):
             raise ValueError(f"tol must be finite and positive, not {tol!r}")
         if self.branching not in ("heuristic", "index"):
             raise ValueError(f"unknown branching rule {self.branching!r}")
+        if self.psd not in ("auto", "force", "off"):
+            raise ValueError(f"unknown PSD mode {self.psd!r}")
         limit = self.node_limit
         integral = isinstance(limit, (int, np.integer)) and not isinstance(limit, bool)
         if limit is not None and not (integral and limit >= 1):
@@ -118,7 +127,9 @@ class SolveReport:
 
     lp_calls counts node LPs: one per node, plus a cold re-solve wherever a
     warm-started node failed its residual guard.  lp_pivots is the pivot
-    total of those LPs.
+    total of those LPs.  forced is True when the search started at the
+    support a PSD matrix forces; nominal is then the nominal solution (None
+    when there is none) and support_p that support.
     """
 
     status: SolveStatus
@@ -129,6 +140,9 @@ class SolveReport:
     tolerances: dict = field(default_factory=dict)
     tally: dict | None = None
     lp_pivots: int = 0
+    forced: bool = False
+    nominal: np.ndarray | None = None
+    support_p: frozenset = frozenset()
 
 
 def _normalize_fixed(node, n: int) -> tuple[int, ...]:
@@ -525,15 +539,15 @@ def _node_lp(builder, fixed, parent, key, tol, budget):
     return tab, (tab.point() if tab.feasible else None)
 
 
-def _dfs(builder, opts, budget):
-    """Depth-first search from the all-unfixed root, which is solved cold.
+def _dfs(builder, opts, budget, root):
+    """Depth-first search from the fixing root, which is solved cold.
 
     A stack entry is a fixing, the phase-one tableau of its parent and the
     (index, value) the child adds; the tableau is shared by both children
     and never changed.  Returns (fixed, point) of the first feasible leaf,
     or None when the tree is exhausted.
     """
-    stack = [(tuple([UNFIXED] * builder.n), None, None)]
+    stack = [(root, None, None)]
     while stack:
         fixed, parent, key = stack.pop()
         budget.tick()
@@ -555,47 +569,62 @@ def bnb_solve(
 
     Pure and mixed instances take the same search: the node LPs carry the
     free block's columns and coupling rows whenever the instance has one,
-    and certification checks its equations.  Feasible results always carry
-    a policy that passed certification; an Infeasible status means the
-    whole tree was exhausted.  lp_calls counts node relaxation solves,
-    lp_pivots their pivots.
+    and certification checks its equations.  A pure instance with a PSD
+    matrix (opts.psd "auto" or "force") starts at the support of
+    :func:`psd.forced_support`, so one node runs, or none without a nominal
+    solution; "force" raises DimensionMismatch on a mixed instance and
+    NotPsd on a matrix that is not PSD.  Feasible results always carry a
+    policy that passed certification; Infeasible means the tree below the
+    start was exhausted.  lp_calls counts node LPs, lp_pivots their pivots.
     """
     opts = opts or SolveOptions()
-    builder = NodeLpBuilder(inst, basis)
-    # a full binary tree over n indices has 2^(n+1) - 1 nodes counting the
-    # root, so this default lets an exhaustive run finish for n <= 20
-    budget = _Budget(opts.node_limit or 2 ** min(builder.n + 1, 21))
-    leaf = _dfs(builder, opts, budget)
-
     tolerances = {
         "tol": opts.tol,
         "eps_zero": EPS_ZERO,
         "verify_tol": EPS_FEAS,
     }
-    if leaf is None:
-        return SolveReport(
-            status=SolveStatus.INFEASIBLE,
-            nodes_explored=budget.used,
-            lp_calls=budget.lp_calls,
-            tolerances=tolerances,
-            lp_pivots=budget.pivots,
-        )
-    fixed, point = leaf
-    policy = builder.extract_policy(point, fixed)
-    report = verify_policy(inst, basis, policy, EPS_FEAS)
-    if not report.verified:
-        raise NumericalFailure(
-            "search returned a policy that fails certification: "
-            + "; ".join(report.violations)
-        )
+    root, shortcut = tuple([UNFIXED] * inst.n), {}
+    if opts.psd == "force" and inst.mixed is not None:
+        raise DimensionMismatch("the PSD shortcut covers pure instances only")
+    if opts.psd != "off" and inst.mixed is None:
+        try:
+            start = forced_support(inst, opts.tol)
+        except NotPsd:
+            if opts.psd == "force":
+                raise
+        else:
+            if start is None:
+                return SolveReport(
+                    SolveStatus.INFEASIBLE, tolerances=tolerances, forced=True
+                )
+            zbar, support = start
+            root = tuple(int(i in support) for i in range(inst.n))
+            shortcut = {"forced": True, "nominal": zbar, "support_p": support}
+
+    builder = NodeLpBuilder(inst, basis)
+    # a full binary tree over n indices has 2^(n+1) - 1 nodes counting the
+    # root, so this default lets an exhaustive run finish for n <= 20
+    budget = _Budget(opts.node_limit or 2 ** min(builder.n + 1, 21))
+    leaf = _dfs(builder, opts, budget, root)
+    status, policy, report = SolveStatus.INFEASIBLE, None, None
+    if leaf is not None:
+        status = SolveStatus.FEASIBLE
+        policy = builder.extract_policy(leaf[1], leaf[0])
+        report = verify_policy(inst, basis, policy, EPS_FEAS)
+        if not report.verified:
+            raise NumericalFailure(
+                "search returned a policy that fails certification: "
+                + "; ".join(report.violations)
+            )
     return SolveReport(
-        status=SolveStatus.FEASIBLE,
+        status=status,
         policy=policy,
         nodes_explored=budget.used,
         lp_calls=budget.lp_calls,
         verification=report,
         tolerances=tolerances,
         lp_pivots=budget.pivots,
+        **shortcut,
     )
 
 

@@ -5,7 +5,8 @@ tight nominal and direction conditions, and when both affine pieces stay
 nonnegative over the whole uncertainty set, and, on an instance with a
 free block, when the block's equations hold identically over the set.  The
 nonnegativity side is checked with a minimization LP per row over the set,
-independent of whatever dual reasoning produced the policy.
+independent of whatever dual reasoning produced the policy.  Slack rows
+are measured relative to their data (see :func:`verify_policy`).
 """
 
 from __future__ import annotations
@@ -18,7 +19,7 @@ import numpy as np
 
 from . import lp
 from .core import EPS_FEAS, EPS_ZERO, Instance, Policy, policy_matches_instance
-from .errors import NotCompact, OracleLimitExceeded
+from .errors import NotCompact, NumericalFailure, OracleLimitExceeded
 from .linhull import LinHullBasis
 
 if TYPE_CHECKING:
@@ -35,6 +36,8 @@ class VerifyReport:
     direction_residual: worst violation of the tight direction condition on
         the support rows, over all hull basis vectors.
     min_z / min_w: per-row minima of the two affine pieces over the set.
+    nominal_residual, direction_residual and min_w are in the slack units
+    certify_affine was given: from verify_policy, each row's scaled units.
     violations: human-readable failures; empty exactly when verified.
     equality_residual / equality_direction_residual: worst violation of the
         free block's equations at the nominal point and along the hull
@@ -141,19 +144,27 @@ def verify_policy(
     truncated rule is what gets certified.  On a mixed instance the free
     block's rule (E, s) feeds the slack piece, and the equation block must
     also vanish at the nominal point and along every hull basis vector;
-    those residuals land in the report's equality fields.
+    those residuals land in the report's equality fields, unscaled.  Slack
+    row i is divided by max(1, ||[M_i q_i T_i N_i]||_inf) before the check,
+    so a row with norm at most 1 keeps the absolute bound tol and a larger
+    one is held to tol relative to its data.
     """
     policy_matches_instance(inst, pol)
     mx = inst.mixed
     r = pol.r.copy()
     r[r <= EPS_ZERO] = 0.0
+    data = [inst.M, inst.q[:, None], inst.T]
     if mx is None:
         w_lin = inst.M @ pol.D + inst.T
         w_const = inst.M @ r + inst.q
     else:
+        data.append(mx.N)
         w_lin = inst.M @ pol.D + mx.N @ pol.E + inst.T
         w_const = inst.M @ r + mx.N @ pol.s + inst.q
-    report = certify_affine(basis, r, pol.D, w_lin, w_const, tol)
+    scale = np.maximum(1.0, np.abs(np.hstack(data)).max(axis=1))
+    report = certify_affine(
+        basis, r, pol.D, w_lin / scale[:, None], w_const / scale, tol
+    )
     if mx is None:
         return report
 
@@ -190,8 +201,9 @@ def oracle_enumerate(
     Each support is probed in two stages: first the equality system alone
     (tight rows, pinned rows, coupling rows), then the full node LP with the
     nonnegativity machinery.  The first feasible support wins and its policy
-    is certified before being returned.  The returned report carries a tally
-    of how the losing supports failed.
+    is certified before being returned; NumericalFailure is raised when it
+    fails certification.  The returned report carries a tally of how the
+    losing supports failed.
     """
     from .milp import NodeLpBuilder, SolveReport, SolveStatus
 
@@ -201,56 +213,47 @@ def oracle_enumerate(
             f"instance has {n} rows; enumeration is capped at {limit}"
         )
     builder = NodeLpBuilder(inst, basis)
-    lp_calls = 0
-    lp_pivots = 0
-    tested = 0
-    eq_infeasible = 0
-    nonneg_infeasible = 0
-    for size in range(n + 1):
-        for supp in itertools.combinations(range(n), size):
-            fixed = tuple(1 if i in supp else 0 for i in range(n))
-            tested += 1
-            probe = lp.lp_feasible(builder.support_model(fixed), tol)
-            lp_calls += 1
-            lp_pivots += probe.pivots
-            if probe.status is lp.LpStatus.INFEASIBLE:
-                eq_infeasible += 1
-                continue
-            res = lp.lp_feasible(builder.model(fixed), tol)
-            lp_calls += 1
-            lp_pivots += res.pivots
-            if res.status is lp.LpStatus.INFEASIBLE:
-                nonneg_infeasible += 1
-                continue
-            policy = builder.extract_policy(res.point, fixed)
-            report = verify_policy(inst, basis, policy, max(tol, EPS_FEAS))
-            return SolveReport(
-                status=SolveStatus.FEASIBLE,
-                policy=policy,
-                nodes_explored=tested,
-                lp_calls=lp_calls,
-                verification=report,
-                tolerances={"tol": tol, "eps_zero": EPS_ZERO},
-                tally={
-                    "tested": tested,
-                    "equality_infeasible": eq_infeasible,
-                    "nonnegativity_infeasible": nonneg_infeasible,
-                    "feasible_support": tuple(int(i) for i in supp),
-                },
-                lp_pivots=lp_pivots,
+    lp_calls = lp_pivots = tested = eq_infeasible = nonneg_infeasible = 0
+    policy = report = found = None
+    supports = itertools.chain.from_iterable(
+        itertools.combinations(range(n), size) for size in range(n + 1)
+    )
+    for supp in supports:
+        fixed = tuple(1 if i in supp else 0 for i in range(n))
+        tested += 1
+        probe = lp.lp_feasible(builder.support_model(fixed), tol)
+        lp_calls += 1
+        lp_pivots += probe.pivots
+        if probe.status is lp.LpStatus.INFEASIBLE:
+            eq_infeasible += 1
+            continue
+        res = lp.lp_feasible(builder.model(fixed), tol)
+        lp_calls += 1
+        lp_pivots += res.pivots
+        if res.status is lp.LpStatus.INFEASIBLE:
+            nonneg_infeasible += 1
+            continue
+        policy = builder.extract_policy(res.point, fixed)
+        report = verify_policy(inst, basis, policy, max(tol, EPS_FEAS))
+        if not report.verified:
+            raise NumericalFailure(
+                "enumeration returned a policy that fails certification: "
+                + "; ".join(report.violations)
             )
+        found = tuple(int(i) for i in supp)
+        break
     return SolveReport(
-        status=SolveStatus.INFEASIBLE,
-        policy=None,
+        status=SolveStatus.INFEASIBLE if policy is None else SolveStatus.FEASIBLE,
+        policy=policy,
         nodes_explored=tested,
         lp_calls=lp_calls,
-        verification=None,
+        verification=report,
         tolerances={"tol": tol, "eps_zero": EPS_ZERO},
         tally={
             "tested": tested,
             "equality_infeasible": eq_infeasible,
             "nonnegativity_infeasible": nonneg_infeasible,
-            "feasible_support": None,
+            "feasible_support": found,
         },
         lp_pivots=lp_pivots,
     )

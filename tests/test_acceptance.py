@@ -14,7 +14,7 @@ from aarlcp import (
     Instance,
     MixedExtension,
     Policy,
-    PsdStatus,
+    SolveOptions,
     SolveStatus,
     bnb_solve,
     build_milp,
@@ -278,15 +278,11 @@ def test_c5_psd_agreement():
     zbar = lemke_nominal(desk.M, desk.q)
     assert compute_support_p(desk.M, desk.q, zbar) == frozenset({0})
     preport = psd_solve(desk, compute_lin_hull(desk))
-    assert preport.status is PsdStatus.FEASIBLE
+    assert preport.status is SolveStatus.FEASIBLE and preport.forced
     assert preport.verification.verified
     assert np.allclose(preport.policy.r, [1.0, 0.0], atol=1e-8)
 
     rng = np.random.default_rng(77)
-    status_map = {
-        PsdStatus.FEASIBLE: SolveStatus.FEASIBLE,
-        PsdStatus.INFEASIBLE: SolveStatus.INFEASIBLE,
-    }
     agreements = 0
     feasible_count = 0
     for trial in range(100):
@@ -304,12 +300,13 @@ def test_c5_psd_agreement():
             zeta=zeta,
         )
         basis = compute_lin_hull(inst)
-        pr = psd_solve(inst, basis)
-        assert pr.is_psd
-        sr = bnb_solve(inst, basis)
-        assert status_map[pr.status] is sr.status, f"trial {trial}"
+        pr = bnb_solve(inst, basis, SolveOptions(psd="force"))
+        assert pr.forced and pr.nodes_explored <= 1
+        sr = bnb_solve(inst, basis, SolveOptions(psd="off"))
+        assert not sr.forced
+        assert pr.status is sr.status, f"trial {trial}"
         agreements += 1
-        if pr.status is PsdStatus.FEASIBLE:
+        if pr.status is SolveStatus.FEASIBLE:
             feasible_count += 1
             assert pr.verification.verified
     elapsed = time.perf_counter() - t0

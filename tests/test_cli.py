@@ -150,7 +150,11 @@ def test_solve_psd_routing(tmp_path, capsys):
     assert "path: forced support" in out
     assert "positive-capable rows: 1" in out
     assert re.search(r"^lp pivots: \d+$", out, re.M)
-    assert "lp_pivots" in json.loads((tmp_path / "pol.json").read_text())["diagnostics"]
+    # the forced start runs one node, and so one node LP
+    assert "nodes explored: 1\nlp calls: 1\n" in out
+    diagnostics = json.loads((tmp_path / "pol.json").read_text())["diagnostics"]
+    assert "lp_pivots" in diagnostics
+    assert diagnostics["lp_calls"] == 1
 
     golden = write(tmp_path, "golden.json", GOLDEN)
     assert main(["solve", golden, "--psd", "force"]) == 2
@@ -368,6 +372,19 @@ def test_oracle_command(tmp_path, capsys):
     assert "supports tested: 4" in out
     assert "support: 1 2" in out
     assert main(["oracle", path, "--limit", "1"]) == 2
+
+
+def test_oracle_command_fails_on_an_uncertified_policy(tmp_path, monkeypatch, capsys):
+    def rejecting(*args, **kwargs):
+        report = real(*args, **kwargs)
+        report.violations = ("rejected for the test",)
+        return report
+
+    real = aarlcp.verify.verify_policy
+    monkeypatch.setattr(aarlcp.verify, "verify_policy", rejecting)
+    path = write(tmp_path, "inst.json", GOLDEN)
+    assert main(["oracle", path]) == 3
+    assert "rejected for the test" in capsys.readouterr().err
 
 
 def test_export_command(tmp_path, capsys):

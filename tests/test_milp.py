@@ -153,6 +153,7 @@ def test_parallel_matches_sequential():
         {"tol": np.inf},
         {"tol": "1e-8"},
         {"tol": None},
+        {"psd": "sometimes"},
     ],
 )
 def test_solve_options_reject_bad_values(bad):
@@ -176,6 +177,24 @@ def test_row_scaling_keeps_the_status():
             inst, M=inst.M * d[:, None], q=inst.q * d, T=inst.T * d[:, None]
         )
         assert bnb_solve(scaled, compute_lin_hull(scaled)).status is want, trial
+
+
+@pytest.mark.parametrize("t", [110, 282])
+def test_row_scaled_draws_certify(t):
+    # Two draws of a 300-draw sweep of row-scaled planted instances on which
+    # the search raised, because certification held the policy to an
+    # absolute 1e-7 on rows scaled by 1e6 (residuals 8.3e-7 and 3.4e-7).
+    # Slack rows are now measured relative to their data.
+    rng = np.random.default_rng([13, t])
+    inst, _ = planted_instance(rng, 5, 3, 8)
+    d = 10.0 ** rng.choice((-6, 6), size=5)
+    scaled = dataclasses.replace(
+        inst, M=inst.M * d[:, None], q=inst.q * d, T=inst.T * d[:, None]
+    )
+    assert bnb_solve(inst, compute_lin_hull(inst)).status is SolveStatus.FEASIBLE
+    report = bnb_solve(scaled, compute_lin_hull(scaled))
+    assert report.status is SolveStatus.FEASIBLE
+    assert report.verification.verified
 
 
 def _node_residual(model, point):

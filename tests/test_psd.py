@@ -1,17 +1,19 @@
-"""PSD detection, complementary pivoting, and the forced-support path."""
+"""PSD detection, complementary pivoting, and the forced-support start."""
 
 import numpy as np
 import pytest
 
 from aarlcp import (
     DimensionMismatch,
+    Instance,
     NotPsd,
-    PsdStatus,
+    SolveOptions,
     SolveStatus,
     bnb_solve,
     check_psd,
     compute_lin_hull,
     compute_support_p,
+    forced_support,
     lemke_nominal,
     psd_solve,
     solution_set_rows,
@@ -24,6 +26,7 @@ from support import (
     planted_instance,
     psd_desk_instance,
     psd_infeasible_instance,
+    random_set,
 )
 
 
@@ -133,14 +136,19 @@ def test_psd_solve_desk_example():
     inst = psd_desk_instance()
     basis = compute_lin_hull(inst)
     report = psd_solve(inst, basis)
-    assert report.is_psd
-    assert report.status is PsdStatus.FEASIBLE
+    assert report.forced
+    assert report.status is SolveStatus.FEASIBLE
     assert report.support_p == frozenset({0})
+    assert np.allclose(report.nominal, [1.0, 0.0], atol=1e-9)
     assert np.allclose(report.policy.r, [1.0, 0.0], atol=1e-8)
     assert np.allclose(report.policy.D, [[-0.5, 0.0], [0.0, 0.0]], atol=1e-8)
     assert report.verification.verified
-    # tree search lands on the same support
-    sr = bnb_solve(inst, basis)
+    # one node, one node LP: the search starts at the forced support
+    assert (report.nodes_explored, report.lp_calls) == (1, 1)
+    # the default takes the same start; the tree search lands on the same support
+    assert bnb_solve(inst, basis).forced
+    sr = bnb_solve(inst, basis, SolveOptions(psd="off"))
+    assert not sr.forced and sr.nominal is None
     assert sr.status is SolveStatus.FEASIBLE
     assert np.array_equal(sr.policy.x, [1, 0])
 
@@ -149,9 +157,29 @@ def test_psd_solve_infeasible_instance():
     inst = psd_infeasible_instance()
     basis = compute_lin_hull(inst)
     report = psd_solve(inst, basis)
-    assert report.status is PsdStatus.INFEASIBLE
+    assert report.status is SolveStatus.INFEASIBLE
     assert report.nominal is not None  # nominal solves; robustness fails
-    assert bnb_solve(inst, basis).status is SolveStatus.INFEASIBLE
+    assert report.nodes_explored == 1
+    off = SolveOptions(psd="off")
+    assert bnb_solve(inst, basis, off).status is SolveStatus.INFEASIBLE
+
+
+def test_no_nominal_solution_answers_infeasible_without_nodes():
+    # M = 0 with q_1 < 0: the nominal problem has no solution, so no node runs
+    inst = Instance(
+        M=np.zeros((2, 2)),
+        q=np.array([-1.0, 1.0]),
+        T=np.eye(2),
+        Theta=np.vstack([np.eye(2), -np.eye(2)]),
+        zeta=-np.ones(4),
+    )
+    assert forced_support(inst) is None
+    basis = compute_lin_hull(inst)
+    report = psd_solve(inst, basis)
+    assert report.forced and report.status is SolveStatus.INFEASIBLE
+    assert (report.nodes_explored, report.lp_calls, report.nominal) == (0, 0, None)
+    off = bnb_solve(inst, basis, SolveOptions(psd="off"))
+    assert off.status is SolveStatus.INFEASIBLE and off.nodes_explored > 0
 
 
 def test_psd_solve_flags_indefinite():
@@ -159,9 +187,13 @@ def test_psd_solve_flags_indefinite():
 
     inst = golden_instance()
     basis = compute_lin_hull(inst)
-    report = psd_solve(inst, basis)
-    assert report.status is PsdStatus.NOT_PSD
-    assert not report.is_psd
+    with pytest.raises(NotPsd):
+        psd_solve(inst, basis)
+    with pytest.raises(NotPsd):
+        bnb_solve(inst, basis, SolveOptions(psd="force"))
+    # auto falls back to the tree search
+    report = bnb_solve(inst, basis)
+    assert not report.forced and report.status is SolveStatus.FEASIBLE
 
 
 def test_psd_solve_rejects_mixed():
@@ -169,6 +201,7 @@ def test_psd_solve_rejects_mixed():
     basis = compute_lin_hull(inst)
     with pytest.raises(DimensionMismatch):
         psd_solve(inst, basis)
+    assert not bnb_solve(inst, basis).forced
 
 
 @pytest.mark.parametrize("n, s", [(12, 82), (16, 14), (16, 31)])
@@ -181,5 +214,38 @@ def test_gram_draws_answer_feasible(n, s):
     M = gram_matrix(rng, n)
     inst, _ = planted_instance(rng, n, k, 2 * k + 2, M=M, size=1 + s % n)
     basis = compute_lin_hull(inst)
-    assert psd_solve(inst, basis).status is PsdStatus.FEASIBLE
-    assert bnb_solve(inst, basis).status is SolveStatus.FEASIBLE
+    assert psd_solve(inst, basis).status is SolveStatus.FEASIBLE
+    off = SolveOptions(psd="off")
+    assert bnb_solve(inst, basis, off).status is SolveStatus.FEASIBLE
+
+
+def test_permuted_gram_instances_keep_their_status():
+    # The forced start answers as the tree search does, and a presentation
+    # with rows, coordinates and set rows reordered gets the same answer.
+    rng = np.random.default_rng(29)
+    off = SolveOptions(psd="off")
+    seen = set()
+    for trial in range(60):
+        n = int(rng.integers(1, 7))
+        k = 2 + trial % 2
+        g = 2 * k + 2
+        if trial % 3 == 0:
+            inst, _ = planted_instance(rng, n, k, g, M=gram_matrix(rng, n))
+        else:
+            Theta, zeta = random_set(rng, k, g)
+            inst = Instance(
+                M=gram_matrix(rng, n),
+                q=rng.standard_normal(n),
+                T=rng.standard_normal((n, k)) * 0.5,
+                Theta=Theta,
+                zeta=zeta,
+            )
+        basis = compute_lin_hull(inst)
+        want = bnb_solve(inst, basis, off).status
+        auto = bnb_solve(inst, basis)
+        assert auto.forced and auto.status is want, trial
+        moved = permuted_instance(rng, inst)
+        again = bnb_solve(moved, compute_lin_hull(moved))
+        assert again.forced and again.status is want, trial
+        seen.add(want)
+    assert seen == {SolveStatus.FEASIBLE, SolveStatus.INFEASIBLE}

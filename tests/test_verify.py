@@ -6,6 +6,7 @@ import pytest
 from aarlcp import (
     Instance,
     NotCompact,
+    NumericalFailure,
     OracleLimitExceeded,
     Policy,
     SolveStatus,
@@ -158,6 +159,53 @@ def test_oracle_finds_golden_support():
     assert report.tally["tested"] == 4
     assert report.verification.verified
     assert report.lp_calls >= report.tally["tested"]
+
+
+def test_oracle_raises_on_an_uncertified_policy(monkeypatch):
+    # enumeration answers feasible only with a certified policy, as the
+    # tree search does
+    import aarlcp.verify
+
+    def rejecting(*args, **kwargs):
+        report = real(*args, **kwargs)
+        report.violations = ("rejected for the test",)
+        return report
+
+    real = aarlcp.verify.verify_policy
+    monkeypatch.setattr(aarlcp.verify, "verify_policy", rejecting)
+    inst = golden_instance()
+    with pytest.raises(NumericalFailure, match="rejected for the test"):
+        oracle_enumerate(inst, compute_lin_hull(inst))
+
+
+def _one_row(scale):
+    """One row over [-1, 1], scaled by scale; its only policy is r = 2,
+    D = -1/2."""
+    return Instance(
+        M=np.array([[2.0]]) * scale,
+        q=np.array([-4.0]) * scale,
+        T=np.array([[1.0]]) * scale,
+        Theta=np.array([[1.0], [-1.0]]),
+        zeta=np.array([-1.0, -1.0]),
+    )
+
+
+@pytest.mark.parametrize("scale, slightly_off_verified", [(1e-6, True), (1.0, False), (1e6, False)])
+def test_slack_rows_are_measured_relative_to_their_data(scale, slightly_off_verified):
+    inst = _one_row(scale)
+    basis = compute_lin_hull(inst)
+
+    def verified(r, D):
+        pol = Policy(D=np.array([[D]]), r=np.array([r]), x=np.array([1]))
+        return verify_policy(inst, basis, pol).verified
+
+    assert verified(2.0, -0.5)
+    # An error of 1e-5 in r or D leaves a slack of 2e-5 times the scale:
+    # 5e-6 of the row's norm 4 * scale, a real violation wherever the norm
+    # exceeds 1.  The row with norm 4e-6 keeps the absolute bound 1e-7.
+    assert verified(2.0 + 1e-5, -0.5) is slightly_off_verified
+    assert verified(2.0, -0.5 + 1e-5) is slightly_off_verified
+    assert not verified(2.1, -0.5)
 
 
 def test_oracle_row_cap():
