@@ -44,6 +44,14 @@ def _load_json(path: str):
         return json.load(handle, parse_constant=_reject_constant)
 
 
+def _size(block: dict, key: str, default: int | None = None) -> int:
+    """A size field: a JSON integer, not a float or a boolean."""
+    value = block.get(key, default)
+    if isinstance(value, bool) or not isinstance(value, int):
+        raise ValueError(f"{key} must be an integer, not {value!r}")
+    return value
+
+
 def read_instance(path: str) -> Instance:
     data = _load_json(path)
     if not isinstance(data, dict):
@@ -51,8 +59,8 @@ def read_instance(path: str) -> Instance:
     for key in ("n", "k", "g", "M", "T", "Theta", "q", "zeta"):
         if key not in data:
             raise ValueError(f"instance file lacks key {key!r}")
-    n, k, g = int(data["n"]), int(data["k"]), int(data["g"])
-    h = int(data.get("h", 0))
+    n, k, g = (_size(data, key) for key in ("n", "k", "g"))
+    h = _size(data, "h", 0)
 
     def arr(key, shape):
         a = np.asarray(data[key], dtype=float)
@@ -70,7 +78,10 @@ def read_instance(path: str) -> Instance:
         for key in ("m", "V", "W", "N", "p", "P"):
             if key not in mblock:
                 raise ValueError(f"mixed block lacks key {key!r}")
-        m = int(mblock["m"])
+        m = _size(mblock, "m")
+        y_adjustable = mblock.get("y_adjustable", True)
+        if not isinstance(y_adjustable, bool):
+            raise ValueError(f"y_adjustable must be true or false, not {y_adjustable!r}")
 
         def marr(key, shape):
             a = np.asarray(mblock[key], dtype=float)
@@ -86,7 +97,7 @@ def read_instance(path: str) -> Instance:
             N=marr("N", (n, m)),
             p=marr("p", (m,)),
             P=marr("P", (m, k)),
-            y_adjustable=bool(mblock.get("y_adjustable", True)),
+            y_adjustable=y_adjustable,
         )
 
     return Instance(
@@ -199,12 +210,7 @@ def cmd_solve(args) -> int:
         tol=args.tol, node_limit=args.node_limit, branching=args.branching, psd=args.psd
     )
     inst = read_instance(args.instance)
-    vreport = validate(inst, args.tol)
-    if not vreport.ok:
-        raise ValueError(
-            "the uncertainty set fails validation; run the validate command"
-        )
-    report = bnb_solve(inst, vreport.basis, opts)
+    report = bnb_solve(inst, compute_lin_hull(inst, args.tol), opts)
     feasible = report.status is SolveStatus.FEASIBLE
     policy = report.policy
     print(f"path: {'forced support' if report.forced else 'tree search'}")

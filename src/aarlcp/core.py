@@ -4,20 +4,26 @@ An instance bundles the square coupling matrix, the nominal vector, the
 uncertainty channel, and a polyhedral uncertainty set in inequality form
 ``{u : Theta @ u >= zeta}``.  All arrays are dense float64 and are frozen
 after construction, so instances can be shared freely.
+
+The standing assumption on the set (compact, origin in its relative
+interior) is written once, as the faults of set_pass; validate reports it
+as booleans and linhull.compute_lin_hull raises its first fault.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import TYPE_CHECKING
 
 import numpy as np
 
 from . import lp
-from .errors import DimensionMismatch, EmptyUncertaintySet
-
-if TYPE_CHECKING:
-    from .linhull import LinHullBasis
+from .errors import (
+    AarlcpError,
+    DimensionMismatch,
+    EmptyUncertaintySet,
+    NotCompact,
+    RelintViolation,
+)
 
 # Entries of a policy vector at or below this threshold count as zero when
 # the support set is read off.
@@ -340,16 +346,23 @@ class SetPass:
     tight on the whole set.
     unbounded: rows whose maximum is unbounded; only a set that is not
     compact has any.
+    faults: every breach of the standing assumption, in row order, as the
+    error to raise for it: NotCompact for an unbounded row, RelintViolation
+    for a tight row with |zeta_j| > tol or another row with zeta_j >= -tol,
+    and last NotCompact for a set that is not compact.  Empty exactly when
+    the set is compact with the origin in its relative interior.
     """
 
     tableau: lp.Tableau
     compact: bool
     tight: tuple[int, ...]
     unbounded: tuple[int, ...]
+    faults: tuple[AarlcpError, ...]
 
 
 def set_pass(Theta: np.ndarray, zeta: np.ndarray, tol: float = 1e-8) -> SetPass:
-    """Compactness and implicit equalities of {u : Theta u >= zeta}.
+    """Compactness, implicit equalities and the origin rule of
+    {u : Theta u >= zeta}.
 
     Runs phase one once, then every maximization from its tableau: the 2k
     coordinate maxima, then the row maxima that are still needed.  A row is
@@ -380,17 +393,28 @@ def set_pass(Theta: np.ndarray, zeta: np.ndarray, tol: float = 1e-8) -> SetPass:
 
     tight: list[int] = []
     unbounded: list[int] = []
+    faults: list[AarlcpError] = []
     for j in range(g):
-        if compact and slack[j] > threshold[j]:
-            continue
-        res = tab.maximize(Theta[j], tol)
-        if res.status is lp.LpStatus.UNBOUNDED:
-            unbounded.append(j)
-            continue
-        if abs(res.value - zeta[j]) <= threshold[j]:
+        is_tight = False
+        if not (compact and slack[j] > threshold[j]):
+            res = tab.maximize(Theta[j], tol)
+            if res.status is lp.LpStatus.UNBOUNDED:
+                unbounded.append(j)
+                faults.append(NotCompact(f"direction of row {j} is unbounded over the set"))
+            else:
+                is_tight = abs(res.value - zeta[j]) <= threshold[j]
+                np.maximum(slack, Theta @ res.point - zeta, out=slack)
+        if is_tight:
             tight.append(j)
-        np.maximum(slack, Theta @ res.point - zeta, out=slack)
-    return SetPass(tab, compact, tuple(tight), tuple(unbounded))
+            if abs(zeta[j]) > tol:
+                faults.append(
+                    RelintViolation(f"row {j} is tight everywhere with nonzero right-hand side")
+                )
+        elif zeta[j] >= -tol:
+            faults.append(RelintViolation(f"row {j} does not hold strictly at the origin"))
+    if not compact:
+        faults.append(NotCompact("the set is unbounded along a coordinate direction"))
+    return SetPass(tab, compact, tuple(tight), tuple(unbounded), tuple(faults))
 
 
 @dataclass(frozen=True)
@@ -402,7 +426,6 @@ class ValidationReport:
     t_full_column_rank: bool
     implicit_equality_rows: frozenset[int]
     warnings: tuple[str, ...]
-    basis: LinHullBasis | None  # the hull, when ok
 
     @property
     def ok(self) -> bool:
@@ -413,33 +436,17 @@ def validate(inst: Instance, tol: float = 1e-8) -> ValidationReport:
     """Check compactness of the uncertainty set, membership of the origin in
     its relative interior, and the column rank of the channel.
 
-    Compactness and the implicit equality rows, those whose inequality is
-    tight on the whole set, come from one set_pass: one phase one, the 2k
-    coordinate maximizations, and a maximization for each row that no point
-    found on the way leaves strictly slack.  The report's hull basis carries
-    that phase-one tableau on when the set passes.  Raises
-    EmptyUncertaintySet when the set has no points at all.
+    Both set checks come from one set_pass, whose faults
+    linhull.compute_lin_hull raises: the origin is in the relative interior
+    when no fault is a RelintViolation.  Raises EmptyUncertaintySet when
+    the set has no points at all.
     """
-    from .linhull import hull_from_equalities  # linhull imports this module
-
-    zeta = inst.zeta
-    sp = set_pass(inst.Theta, zeta, tol)
-    eqset = frozenset(sp.tight)
-    relint = all(abs(zeta[j]) <= tol for j in sp.tight) and all(
-        zeta[j] < -tol for j in range(inst.g) if j not in eqset
-    )
-
-    warnings = []
+    sp = set_pass(inst.Theta, inst.zeta, tol)
     t_full = matrix_rank(inst.T, tol) == inst.k
-    if not t_full:
-        warnings.append("T rank-deficient")
-
-    ok = sp.compact and relint
     return ValidationReport(
         compact=sp.compact,
-        zero_in_relint=relint,
+        zero_in_relint=not any(isinstance(f, RelintViolation) for f in sp.faults),
         t_full_column_rank=t_full,
-        implicit_equality_rows=eqset,
-        warnings=tuple(warnings),
-        basis=hull_from_equalities(inst, sp.tight, sp.tableau, tol) if ok else None,
+        implicit_equality_rows=frozenset(sp.tight),
+        warnings=() if t_full else ("T rank-deficient",),
     )

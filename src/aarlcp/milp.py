@@ -650,11 +650,6 @@ class MilpModel:
     exactly one tag.
     """
 
-    n: int
-    k: int
-    g: int
-    ell: int
-    h: int
     big_m: float
     rows: list[MilpRow]
     binaries: list[str]
@@ -723,11 +718,6 @@ def build_milp(
     form = Formulation(inst, basis)
     rows = [out for row in form.rows(*ALL_TAGS) for out in _bigm_rows(form, row, big_m)]
     return MilpModel(
-        n=inst.n,
-        k=inst.k,
-        g=inst.g,
-        ell=len(basis.vectors),
-        h=inst.h,
         big_m=big_m,
         rows=rows,
         binaries=[f"x{i + 1}" for i in range(inst.n)],

@@ -242,7 +242,7 @@ def test_solve_runs_one_set_pass(tmp_path, monkeypatch):
 def test_hull_commands_reject_non_compact_set(tmp_path, capsys):
     path = write(tmp_path, "strip.json", STRIP)
     assert main(["validate", path]) == 1
-    for command in ("linhull", "oracle", "export"):
+    for command in ("linhull", "oracle", "export", "solve"):
         assert main([command, path]) == 2, command
         assert "the set is unbounded along" in capsys.readouterr().err
 
@@ -269,7 +269,7 @@ def test_hull_commands_reject_origin_off_relint(tmp_path, capsys):
         path = write(tmp_path, "set.json", payload)
         assert main(["validate", path]) == 1
         assert "zero in relative interior: no" in capsys.readouterr().out
-        for argv in (["linhull", path], ["oracle", path], ["export", path]):
+        for argv in (["linhull", path], ["oracle", path], ["export", path], ["solve", path]):
             assert main(argv) == 2, argv
             assert "row 0 does not hold strictly" in capsys.readouterr().err
         assert main(["verify", path, pol]) == 2
@@ -432,6 +432,17 @@ def test_input_error_handling(tmp_path):
     notjson = tmp_path / "bad.json"
     notjson.write_text("{nope")
     assert main(["validate", str(notjson)]) == 2
+
+    # sizes are JSON integers and y_adjustable a JSON boolean; nothing is
+    # truncated or coerced
+    one = {k: v for k, v in MIXED_1D.items() if k != "mixed"}
+    assert main(["solve", write(tmp_path, "one.json", one)]) == 0
+    for key, value in (("n", 1.7), ("n", True), ("n", "1"), ("h", 0.9), ("k", 1.0), ("g", None)):
+        path = write(tmp_path, "size.json", dict(one, **{key: value}))
+        assert main(["solve", path]) == 2, (key, value)
+    for key, value in (("m", 1.5), ("m", False), ("y_adjustable", "false"), ("y_adjustable", 0)):
+        mixed = dict(MIXED_1D, mixed=dict(MIXED_1D["mixed"], **{key: value}))
+        assert main(["solve", write(tmp_path, "mixed.json", mixed)]) == 2, (key, value)
 
 
 def test_usage_errors_return_two():

@@ -11,8 +11,7 @@ from aarlcp import (
     compute_lin_hull,
     validate,
 )
-from aarlcp.core import matrix_rank, set_pass, uncertainty_tableau
-from aarlcp.linhull import hull_from_equalities
+from aarlcp.core import matrix_rank, rref_kernel_basis, set_pass, uncertainty_tableau
 from support import (
     golden_instance,
     random_set,
@@ -142,30 +141,6 @@ def test_dimension_count_and_normalization():
             assert basis.dimension == k - 1
 
 
-def test_hull_from_validation_matches():
-    # the CLI takes the hull, phase-one tableau included, from validation
-    rng = np.random.default_rng(23)
-    for trial in range(20):
-        k = int(rng.integers(1, 4))
-        tight = k >= 2 and bool(rng.uniform() < 0.5)
-        Theta, zeta = random_set(rng, k, 2 * k + 2, tight_pair=tight)
-        inst = Instance(
-            M=np.eye(1), q=np.zeros(1), T=np.ones((1, k)), Theta=Theta, zeta=zeta
-        )
-        report = validate(inst)
-        assert report.ok
-        direct = compute_lin_hull(inst)
-        reused = report.basis
-        eq_rows = report.implicit_equality_rows
-        assert reused.inequality_rows == frozenset(range(inst.g)) - eq_rows
-        assert np.array_equal(reused.tableau.T, direct.tableau.T)
-        assert reused.inequality_rows == direct.inequality_rows
-        assert np.array_equal(reused.phi, direct.phi)
-        assert len(reused.vectors) == len(direct.vectors)
-        for a, b in zip(reused.vectors, direct.vectors):
-            assert np.array_equal(a, b)
-
-
 def test_set_pass_matches_every_row_reference():
     # skipping the rows that a point already shows strict changes no answer
     outcomes = set()
@@ -198,11 +173,12 @@ def test_set_pass_matches_every_row_reference():
             expected = (NotCompact, "the set is unbounded along", "not compact")
         if expected is None:
             outcomes.add((kind, "hull"))
-            reference = hull_from_equalities(inst, tight, tab)
+            # the kernel of the tight rows, each vector at unit max norm
+            reference = [v / np.abs(v).max() for v in rref_kernel_basis(Theta[tight], 1e-8)]
             basis = compute_lin_hull(inst)
-            assert basis.inequality_rows == reference.inequality_rows
-            assert len(basis.vectors) == len(reference.vectors)
-            for a, b in zip(basis.vectors, reference.vectors):
+            assert basis.inequality_rows == frozenset(range(len(zeta))) - frozenset(tight)
+            assert len(basis.vectors) == len(reference)
+            for a, b in zip(basis.vectors, reference):
                 assert np.array_equal(a, b)
         else:
             outcomes.add((kind, expected[2]))
@@ -219,6 +195,29 @@ def test_set_pass_matches_every_row_reference():
         ("strip", "not compact"),
     ):
         assert want in outcomes, want
+
+
+def test_validate_passes_exactly_the_sets_compute_lin_hull_accepts():
+    # one rule: validate reports a set ok exactly when compute_lin_hull
+    # returns, and a refusal names the check that validate reports failed
+    seen = set()
+    for kind, Theta, zeta in seeded_sets(41, 250):
+        inst = Instance(
+            M=np.eye(1), q=np.zeros(1), T=np.ones((1, Theta.shape[1])), Theta=Theta, zeta=zeta
+        )
+        report = validate(inst)
+        seen.add(report.ok)
+        try:
+            basis = compute_lin_hull(inst)
+        except NotCompact:
+            assert not report.compact, kind
+            continue
+        except RelintViolation:
+            assert not report.zero_in_relint, kind
+            continue
+        assert report.ok, kind
+        assert report.implicit_equality_rows == frozenset(range(inst.g)) - basis.inequality_rows
+    assert seen == {True, False}
 
 
 def test_set_pass_matches_highs():

@@ -5,6 +5,7 @@ import pytest
 
 from aarlcp import (
     Instance,
+    LinHullBasis,
     NotCompact,
     NumericalFailure,
     OracleLimitExceeded,
@@ -18,7 +19,6 @@ from aarlcp import (
     verify_policy,
 )
 from aarlcp.core import uncertainty_tableau
-from aarlcp.linhull import hull_from_equalities
 from aarlcp.verify import certify_affine
 from support import (
     count_lp_calls,
@@ -128,9 +128,12 @@ def test_certify_affine_set_errors(monkeypatch):
         Theta=np.array([[1.0, 0.0], [-1.0, 0.0]]),
         zeta=-np.ones(2),
     )
-    # compute_lin_hull refuses the strip, so build its hull from the parts
+    # compute_lin_hull refuses the strip, so build its hull from the parts:
+    # no row is tight, so the hull is the whole plane
     tab = uncertainty_tableau(strip.Theta, strip.zeta)
-    basis = hull_from_equalities(strip, [], tab)
+    basis = LinHullBasis(
+        vectors=tuple(np.eye(2)), phi=np.zeros((0, 2)), inequality_rows=frozenset({0, 1}), tableau=tab
+    )
     assert basis.dimension == 2
 
     def certify(D, w_lin):
