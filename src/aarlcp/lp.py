@@ -22,12 +22,11 @@ variables are split into positive and negative parts, and rows are
 equilibrated.  A :class:`Tableau` grows by batches of rows: each batch is
 reduced against the current basis, and only the rows whose slack cannot
 start basic get an artificial, which phase one drives to zero.  A batch may
-also fix variables at zero (``zero=``) or name variables its rows force to
-zero (``implied=``); their nonbasic columns leave the tableau, so this and
-later batches pivot on fewer columns.  A cold solve is one batch of every row onto an
-empty tableau, so it starts from a full artificial basis; the tree search
-extends a parent's tableau by the few rows and fixings of a child, so its
-phase one starts from the parent's basis.
+also fix variables at zero (``zero=``): their columns leave the tableau, so
+this and later batches pivot on fewer columns.  A cold solve is one batch
+of every row onto an empty tableau, so it starts from a full artificial
+basis; the tree search extends a parent's tableau by the few rows and
+fixings of a child, so its phase one starts from the parent's basis.
 Pricing is Dantzig's rule until a long run of degenerate pivots switches
 the loop to Bland's rule, which is kept until the phase ends.
 
@@ -296,7 +295,7 @@ class Tableau:
         self._bound_rows = bound_rows
         self._blocks: tuple = ()
 
-    def extend(self, rows, tol: float = 1e-8, zero=(), implied=()) -> "Tableau":
+    def extend(self, rows, tol: float = 1e-8, zero=()) -> "Tableau":
         """This tableau plus rows of (coefficients, relation, rhs).
 
         The new rows are shifted into the transform, equilibrated, reduced
@@ -304,28 +303,20 @@ class Tableau:
         side.  Rows whose slack can start basic need no artificial; phase
         one runs on the artificials of the others alone.
 
-        zero lists variables that this batch fixes at zero, and implied
-        variables that the rows force to zero; each needs a zero offset.
-        Their nonbasic columns are cut, so they never enter.  A basic
-        column of a zero variable joins the artificials: phase one drives
-        it to zero, and the purge pivots it out and cuts it.  A basic
-        column of an implied variable is cut if phase one leaves it
-        nonbasic, and otherwise stays an ordinary column.
+        zero lists variables that this batch fixes at zero; each needs a
+        zero offset.  Their nonbasic columns are cut, so they never enter.
+        A basic one joins the artificials: phase one drives it to zero, and
+        the purge pivots it out and cuts it.  Either way no column of a
+        zero variable is left, as in a cold solve with equal zero bounds.
         """
         if not self.feasible:
             raise ValueError("an infeasible tableau cannot be extended")
         ns, old, m_old = len(self.var), self.n_real, len(self.basis)
+        cut = np.zeros(old, dtype=bool)
+        cut[self._columns(zero)] = True
         drive = np.zeros(old, dtype=bool)
-        drive[self._columns(zero)] = True
-        cut = drive.copy()
-        held = self._columns(implied)
-        cut[held] = True
-        if cut.any():
-            basic = np.zeros(old, dtype=bool)
-            basic[self.basis] = True
-            drive &= basic
-            cut &= ~basic
-            held = held[basic[held]]
+        drive[self.basis] = cut[self.basis]
+        cut[self.basis] = False
         nrows = len(rows)
         C = np.zeros((nrows, len(self.offsets)))
         rhs0 = np.zeros(nrows)
@@ -434,22 +425,9 @@ class Tableau:
                 T, basis, purged = _purge_artificials(T, basis, n_real)
                 pivots += purged
 
-        var, sgn = self.var[keep[:ns]], self.sign[keep[:ns]]
-        if feasible and held.size:
-            # implied columns that phase one left nonbasic are cut as well
-            dead = np.zeros(n_real, dtype=bool)
-            dead[place[held]] = True
-            dead[basis] = False
-            if dead.any():
-                alive = ~dead
-                T = T[:, np.append(np.flatnonzero(alive), n_real)]
-                basis = (np.cumsum(alive) - 1)[basis]
-                n_real = int(alive.sum())
-                var, sgn = var[alive[: len(var)]], sgn[alive[: len(var)]]
-
         child = Tableau.__new__(Tableau)
         child.offsets = self.offsets
-        child.var, child.sign = var, sgn
+        child.var, child.sign = self.var[keep[:ns]], self.sign[keep[:ns]]
         child.T, child.basis, child.n_real = T, basis, n_real
         child.feasible, child.pivots = feasible, pivots
         child._bound_rows = []

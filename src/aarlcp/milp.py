@@ -106,7 +106,7 @@ class SolveOptions:
         an unknown branching rule or PSD mode, or a bad node limit."""
         tol = self.tol
         real = isinstance(tol, (int, float, np.integer, np.floating))
-        if not (real and 0 < tol < np.inf):
+        if isinstance(tol, bool) or not (real and 0 < tol < np.inf):
             raise ValueError(f"tol must be finite and positive, not {tol!r}")
         if self.branching not in ("heuristic", "index"):
             raise ValueError(f"unknown branching rule {self.branching!r}")
@@ -323,12 +323,13 @@ class NodeLpBuilder:
     formulation's columns without D, and :meth:`lift` maps a node point back
     to the formulation's columns.  The export keeps D and z_dual_match.
 
-    A fixing also forces columns to zero (:meth:`forced`), and node LPs
-    drop them instead of carrying support_link rows, which only the export
-    keeps.  x_i = 0 fixes r_i at zero; since zeta_j < 0 on every strict set
-    row j, z_dual_value then leaves A_i zeta >= 0 with A_i >= 0, which
-    implies A_ij = 0 on those rows.  x_i = 1 pins the nominal slack to zero,
-    so w_dual_value implies C_ij = 0 on them alike.
+    A fixing also forces columns to zero, and node LPs drop them instead of
+    carrying support_link rows, which only the export keeps.  x_i = 0 fixes
+    r_i at zero; since zeta_j < 0 on every strict set row j, z_dual_value
+    then leaves A_i zeta >= 0 with A_i >= 0, which implies A_ij = 0 on those
+    rows.  x_i = 1 pins the nominal slack to zero, so w_dual_value implies
+    C_ij = 0 on them alike.  Every node LP, warm or cold, fixes each such
+    column at zero.
 
     Pure instances are solved with each row of [M q T] divided by its
     infinity norm (:attr:`form` is built on the scaled rows).  That maps
@@ -336,14 +337,14 @@ class NodeLpBuilder:
     answer is the same; certification and the export keep the original
     rows.  Mixed instances keep their rows as given.
 
-    The always-valid rows are built once, and so are the indicator rows of
-    every (index, value).  :meth:`model` appends the indicator rows of the
-    fixed entries for a cold solve and gives each forced column equal zero
-    bounds, which the solver turns into a constant; the tree search instead
-    keeps each parent's phase-one tableau on its stack and extends it by
-    the :meth:`indicator` rows and the :meth:`forced` columns of the one
-    entry a child fixes.  Models share the bound arrays of the unfixed
-    root, which the solver never mutates.
+    The always-valid rows are built once, and so is the :meth:`fixing` of
+    every (index, value): the indicator rows it adds and the columns it
+    zeroes.  :meth:`model` appends the rows of the fixed entries for a cold
+    solve and gives their columns equal zero bounds, which the solver turns
+    into constants; the tree search instead keeps each parent's phase-one
+    tableau on its stack and extends it by the fixing of the one entry a
+    child fixes.  Models share the bound arrays of the unfixed root, which
+    the solver never mutates.
     """
 
     def __init__(self, inst: Instance, basis: LinHullBasis):
@@ -384,26 +385,23 @@ class NodeLpBuilder:
         self._static = [
             (coeffs, row.rel, row.rhs) for row, coeffs in render(*static_tags)
         ] + self._eq_static
-        # Exact indicator rows, cached per (index, value).
-        self._indicator: dict[tuple[int, int], list] = {
-            (i, f): [] for i in range(self.n) for f in (0, 1)
-        }
-        for row, coeffs in render(TAG_NOMINAL_COMP, TAG_DIRECTION_COMP):
-            self._indicator[row.when].append((coeffs, row.rel, row.rhs))
+        # Exact indicator rows and zeroed columns, per (index, value).
         strict = sorted(basis.inequality_rows)
-        none = np.zeros(0, dtype=int)
-        self._forced: dict[tuple[int, int], tuple] = {}
+        self._fixing: dict[tuple[int, int], tuple[list, np.ndarray]] = {}
         for i in range(self.n):
-            self._forced[i, 0] = (pos[form.r[i : i + 1]], pos[form.A[i, strict]])
-            self._forced[i, 1] = (none, pos[form.C[i, strict]])
+            r_and_a = np.append(form.r[i], form.A[i, strict])
+            self._fixing[i, 0] = ([], pos[r_and_a])
+            self._fixing[i, 1] = ([], pos[form.C[i, strict]])
+        for row, coeffs in render(TAG_NOMINAL_COMP, TAG_DIRECTION_COMP):
+            self._fixing[row.when][0].append((coeffs, row.rel, row.rhs))
 
-    def _assemble(self, rows, node, implied: bool) -> lp.LpModel:
+    def _assemble(self, rows, node) -> lp.LpModel:
         zero = []
         for i, f in enumerate(_normalize_fixed(node, self.n)):
             if f != UNFIXED:
-                rows.extend(self._indicator[i, f])
-                fixed_cols, implied_cols = self._forced[i, f]
-                zero += [fixed_cols, implied_cols] if implied else [fixed_cols]
+                fix_rows, cols = self._fixing[i, f]
+                rows.extend(fix_rows)
+                zero.append(cols)
         model = lp.LpModel.__new__(lp.LpModel)
         model.num_vars = self.total
         model.objective = self._objective
@@ -419,26 +417,22 @@ class NodeLpBuilder:
     def model(self, node) -> lp.LpModel:
         """Full node LP: always-valid rows plus indicators for fixed
         entries, with every column a fixing forces pinned at zero."""
-        return self._assemble(list(self._static), node, True)
+        return self._assemble(list(self._static), node)
 
-    def indicator(self, i: int, value: int) -> list:
-        """The rows that fixing entry i to value adds to a node LP: none
-        for value 0, whose only indicator row is a column fixing."""
-        return self._indicator[i, value]
-
-    def forced(self, i: int, value: int) -> tuple[np.ndarray, np.ndarray]:
-        """Node columns that fixing entry i to value forces to zero, as
-        (zero, implied) for :meth:`lp.Tableau.extend`: r_i is fixed by
-        x_i = 0, and the A_i (x_i = 0) or C_i (x_i = 1) multipliers of the
-        strict set rows are implied zero by the rows."""
-        return self._forced[i, value]
+    def fixing(self, i: int, value: int) -> tuple[list, np.ndarray]:
+        """(rows, zero) of fixing entry i to value, as
+        :meth:`lp.Tableau.extend` takes them: the indicator rows it adds
+        (none for value 0) and the node columns it forces to zero, r_i and
+        the A_i of the strict set rows for value 0, their C_i for value 1."""
+        return self._fixing[i, value]
 
     def support_model(self, node) -> lp.LpModel:
-        """Equality side only: indicators, pinning rows and r_i = 0 for
-        x_i = 0, nothing else.
+        """Equality side only: indicators and pinning rows, with the
+        columns of :meth:`model` pinned at zero, nothing else.
 
-        Used to split infeasibility causes when enumerating supports."""
-        return self._assemble(list(self._eq_static), node, False)
+        Used to split infeasibility causes when enumerating supports; the
+        full node LP implies those zeros, so this stays its relaxation."""
+        return self._assemble(list(self._eq_static), node)
 
     def r_of(self, point: np.ndarray) -> np.ndarray:
         return point[self._r]
@@ -518,17 +512,17 @@ def _with(fixed, i, val):
 def _node_lp(builder, fixed, parent, key, tol, budget):
     """Phase one at one node: (tableau, point), the point None if infeasible.
 
-    A node with a parent extends the parent's tableau by the indicator rows
-    and forced columns of key, its one new (index, value).  If that warm
-    solve fails, by its residual guard or otherwise, the node is solved once
-    more, cold, from its full model; a failure there propagates.  A node
-    without a parent is solved cold.  Every attempt counts as an LP call.
+    A node with a parent extends the parent's tableau by the fixing of key,
+    its one new (index, value).  If that warm solve fails, by its residual
+    guard or otherwise, the node is solved once more, cold, from its full
+    model; a failure there propagates.  A node without a parent is solved
+    cold.  Every attempt counts as an LP call.
     """
     if parent is not None:
         tab = None
-        zero, implied = builder.forced(*key)
+        rows, zero = builder.fixing(*key)
         try:
-            tab = parent.extend(builder.indicator(*key), tol, zero, implied)
+            tab = parent.extend(rows, tol, zero)
             return tab, (tab.point() if tab.feasible else None)
         except NumericalFailure:
             pass

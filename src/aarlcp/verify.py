@@ -168,13 +168,12 @@ def verify_policy(
     if mx is None:
         return report
 
-    eq_res = float(np.abs(mx.V @ r + mx.W @ pol.s + mx.p).max())
+    # an empty free block (m = 0) has no equation and so no residual
+    eq_res = float(np.abs(mx.V @ r + mx.W @ pol.s + mx.p).max(initial=0.0))
     dir_mat = mx.V @ pol.D + mx.W @ pol.E + mx.P
     eq_dir = 0.0
     for v in basis.vectors:
-        d = np.abs(dir_mat @ v)
-        if d.size:
-            eq_dir = max(eq_dir, float(d.max()))
+        eq_dir = max(eq_dir, float(np.abs(dir_mat @ v).max(initial=0.0)))
     violations = list(report.violations)
     if eq_res > tol:
         violations.append(

@@ -153,6 +153,8 @@ def test_parallel_matches_sequential():
         {"tol": np.inf},
         {"tol": "1e-8"},
         {"tol": None},
+        {"tol": True},
+        {"tol": False},
         {"psd": "sometimes"},
     ],
 )
@@ -217,7 +219,8 @@ def _walk(builder, warm):
         model = builder.model(fixed)
         cold = lp.lp_feasible(model)
         if warm and parent is not None:
-            tab = parent.extend(builder.indicator(*key), 1e-8, *builder.forced(*key))
+            rows, zero = builder.fixing(*key)
+            tab = parent.extend(rows, 1e-8, zero)
             assert tab.feasible is (cold.status is lp.LpStatus.OPTIMAL), fixed
         else:
             tab = lp.phase_one(model)
@@ -261,10 +264,10 @@ def test_warm_failure_falls_back_to_a_cold_solve(monkeypatch):
     assert want.nodes_explored > 3
     real = lp.Tableau.extend
 
-    def warm_fails(self, rows, tol=1e-8, zero=(), implied=()):
+    def warm_fails(self, rows, tol=1e-8, zero=()):
         if len(self.basis):  # a child extending its parent
             raise NumericalFailure("injected")
-        return real(self, rows, tol, zero, implied)
+        return real(self, rows, tol, zero)
 
     monkeypatch.setattr(lp.Tableau, "extend", warm_fails)
     report = bnb_solve(inst, basis, opts)
@@ -276,11 +279,11 @@ def test_warm_failure_falls_back_to_a_cold_solve(monkeypatch):
     # the root solves; below it the warm attempt and the cold re-solve fail
     calls = []
 
-    def fails_after_root(self, rows, tol=1e-8, zero=(), implied=()):
+    def fails_after_root(self, rows, tol=1e-8, zero=()):
         calls.append(len(self.basis))
         if len(calls) > 1:
             raise NumericalFailure("injected")
-        return real(self, rows, tol, zero, implied)
+        return real(self, rows, tol, zero)
 
     monkeypatch.setattr(lp.Tableau, "extend", fails_after_root)
     with pytest.raises(NumericalFailure):
@@ -320,16 +323,50 @@ def test_fixings_cut_only_columns_forced_to_zero():
             feasible = ref.status is lp.LpStatus.OPTIMAL
             cold = lp.lp_feasible(builder.model(fixed), tol)
             assert (cold.status is lp.LpStatus.OPTIMAL) is feasible, where
-            zero, implied = builder.forced(i, values[i])
-            tab = tab.extend(builder.indicator(i, values[i]), tol, zero, implied)
+            rows, zero = builder.fixing(i, values[i])
+            tab = tab.extend(rows, tol, zero)
             assert tab.feasible is feasible, where
             if not feasible:
                 continue
             assert _node_residual(reference, tab.point()) <= 1e-7, where
-            for col in np.concatenate([zero, implied]):
+            for col in zero:
                 top = ref.tableau.maximize(np.eye(builder.total)[col], tol)
                 assert top.status is lp.LpStatus.OPTIMAL, where
                 assert top.value <= bound, where
+
+
+def test_warm_children_keep_the_columns_of_their_cold_model():
+    """A fixing means one thing in warm and cold node LPs: every feasible
+    warm child holds the columns of the cold model of the same fixing, each
+    variable as often."""
+    rng = np.random.default_rng(67)
+    children = 0
+    for trial in range(12):
+        n, k = 5 + trial % 2, 2 + trial % 2
+        g, tight = 2 * k + 2, trial % 4 == 0
+        if trial % 2 == 0:
+            inst, _ = planted_instance(rng, n, k, g, tight)
+        else:
+            inst = random_instance(rng, n, k, g, tight)
+        builder = NodeLpBuilder(inst, compute_lin_hull(inst))
+        root = tuple([UNFIXED] * n)
+        stack = [(root, lp.phase_one(builder.model(root)))]
+        while stack:
+            fixed, tab = stack.pop()
+            unfixed = [i for i, f in enumerate(fixed) if f == UNFIXED]
+            if not tab.feasible or not unfixed:
+                continue
+            i = int(rng.choice(unfixed))
+            for v in (0, 1):
+                child = fixed[:i] + (v,) + fixed[i + 1 :]
+                rows, zero = builder.fixing(i, v)
+                warm = tab.extend(rows, 1e-8, zero)
+                if warm.feasible:
+                    cold = lp.phase_one(builder.model(child))
+                    assert sorted(warm.var) == sorted(cold.var), (trial, child)
+                    children += 1
+                stack.append((child, warm))
+    assert children > 100
 
 
 def _full_space_model(builder, fixed):

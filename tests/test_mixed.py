@@ -1,5 +1,7 @@
 """Free-block instances: solving, certification, and the adjustable flag."""
 
+import dataclasses
+
 import numpy as np
 import pytest
 
@@ -9,6 +11,7 @@ from aarlcp import (
     Policy,
     SolveOptions,
     SolveStatus,
+    bnb_solve,
     compute_lin_hull,
     lp,
     mixed_solve,
@@ -16,8 +19,15 @@ from aarlcp import (
     verify_mixed,
     verify_policy,
 )
-from aarlcp.core import policy_matches_instance
-from support import coupled_mixed_instance, golden_instance, mixed_1d, search_answer
+from aarlcp.core import MixedExtension, policy_matches_instance
+from support import (
+    coupled_mixed_instance,
+    golden_instance,
+    mixed_1d,
+    planted_instance,
+    random_instance,
+    search_answer,
+)
 
 
 def test_decoupled_example():
@@ -138,3 +148,44 @@ def test_mixed_parallel_search():
     report = mixed_solve(inst, basis, opts)
     assert report.status is SolveStatus.FEASIBLE
     assert search_answer(report) == search_answer(mixed_solve(inst, basis))
+
+
+@pytest.mark.parametrize("seed", range(6))
+def test_empty_free_block_answers_like_the_pure_twin(seed):
+    # m = 0: no free variable and no equation, so certification has empty
+    # equation residuals, which count as zero.  The rows of [M q T] are at
+    # unit infinity norm, so the pure twin's canonical row scaling is the
+    # identity and both instances get the same node LPs.
+    rng = np.random.default_rng([71, seed])
+    if seed % 2:
+        pure = random_instance(rng, 4, 2, 5)
+    else:
+        pure, _ = planted_instance(rng, 4, 2, 5)
+    d = np.abs(np.column_stack([pure.M, pure.q, pure.T])).max(axis=1)
+    pure = dataclasses.replace(
+        pure, M=pure.M / d[:, None], q=pure.q / d, T=pure.T / d[:, None]
+    )
+    n, k = pure.n, pure.k
+    empty = MixedExtension(
+        V=np.zeros((0, n)),
+        W=np.zeros((0, 0)),
+        N=np.zeros((n, 0)),
+        p=np.zeros(0),
+        P=np.zeros((0, k)),
+    )
+    inst = dataclasses.replace(pure, mixed=empty)
+    basis = compute_lin_hull(pure)
+    opts = SolveOptions(psd="off")
+    for want, got in (
+        (bnb_solve(pure, basis, opts), bnb_solve(inst, basis, opts)),
+        (oracle_enumerate(pure, basis), oracle_enumerate(inst, basis)),
+    ):
+        assert got.status is want.status
+        if want.policy is None:
+            continue
+        assert np.array_equal(got.policy.r, want.policy.r)
+        assert np.array_equal(got.policy.D, want.policy.D)
+        assert got.policy.s.shape == (0,) and got.policy.E.shape == (0, k)
+        assert got.verification.verified
+        assert got.verification.equality_residual == 0.0
+        assert got.verification.equality_direction_residual == 0.0
