@@ -52,6 +52,15 @@ def _size(block: dict, key: str, default: int | None = None) -> int:
     return value
 
 
+def _shaped(value, shape) -> np.ndarray:
+    """value as a float array.  JSON writes every empty array as [], so []
+    reads at any declared shape with a zero dimension."""
+    a = np.asarray(value, dtype=float)
+    if a.shape == (0,) and 0 in shape:
+        a = a.reshape(shape)
+    return a
+
+
 def read_instance(path: str) -> Instance:
     data = _load_json(path)
     if not isinstance(data, dict):
@@ -63,7 +72,7 @@ def read_instance(path: str) -> Instance:
     h = _size(data, "h", 0)
 
     def arr(key, shape):
-        a = np.asarray(data[key], dtype=float)
+        a = _shaped(data[key], shape)
         if a.shape != shape:
             raise ValueError(
                 f"{key} has shape {a.shape}, expected {shape} from the declared sizes"
@@ -84,7 +93,7 @@ def read_instance(path: str) -> Instance:
             raise ValueError(f"y_adjustable must be true or false, not {y_adjustable!r}")
 
         def marr(key, shape):
-            a = np.asarray(mblock[key], dtype=float)
+            a = _shaped(mblock[key], shape)
             if a.shape != shape:
                 raise ValueError(
                     f"mixed {key} has shape {a.shape}, expected {shape}"
@@ -147,10 +156,12 @@ def read_policy(path: str) -> Policy:
     for key in ("D", "r", "x"):
         if key not in data:
             raise ValueError(f"policy file lacks key {key!r}")
-    E = np.asarray(data["E"], dtype=float) if "E" in data else None
+    D = np.asarray(data["D"], dtype=float)
+    k = D.shape[1] if D.ndim == 2 else 0  # Policy refuses any other D
+    E = _shaped(data["E"], (0, k)) if "E" in data else None
     s = np.asarray(data["s"], dtype=float) if "s" in data else None
     return Policy(
-        D=np.asarray(data["D"], dtype=float),
+        D=D,
         r=np.asarray(data["r"], dtype=float),
         x=np.asarray(data["x"], dtype=float),
         E=E,

@@ -64,7 +64,7 @@ def _rref(a: np.ndarray, tol: float):
     whose magnitude is at most tol times the largest magnitude of the input
     are treated as zero.
     """
-    m = np.array(a, dtype=float)
+    m = np.asarray(a, dtype=float) + 0.0  # lp._pivot wants no -0.0
     rows, cols = m.shape
     scale = max(1.0, float(np.abs(m).max())) if m.size else 1.0
     thresh = tol * scale
@@ -78,12 +78,7 @@ def _rref(a: np.ndarray, tol: float):
             continue
         if i != r:
             m[[r, i]] = m[[i, r]]
-        m[r] /= m[r, c]
-        col = m[:, c].copy()
-        col[r] = 0.0
-        m -= np.outer(col, m[r])
-        m[:, c] = 0.0
-        m[r, c] = 1.0
+        lp._pivot(m, r, c)
         piv_cols.append(c)
         r += 1
     return m, piv_cols

@@ -21,19 +21,24 @@ rows, a variable with equal bounds becomes a constant with no column, free
 variables are split into positive and negative parts, and rows are
 equilibrated.  A :class:`Tableau` grows by batches of rows: each batch is
 reduced against the current basis, and only the rows whose slack cannot
-start basic get an artificial, which phase one drives to zero.  A batch may
-also fix variables at zero (``zero=``): their columns leave the tableau, so
-this and later batches pivot on fewer columns.  A cold solve is one batch
-of every row onto an empty tableau, so it starts from a full artificial
-basis; the tree search extends a parent's tableau by the few rows and
-fixings of a child, so its phase one starts from the parent's basis.
-Pricing is Dantzig's rule until a long run of degenerate pivots switches
-the loop to Bland's rule, which is kept until the phase ends.
+start basic get an artificial, which phase one drives to zero.  An
+artificial has no column: it is a virtual basis index above every real
+column, and once it leaves the basis it is gone.  A batch may also fix
+variables at zero (``zero=``): their columns leave the tableau, so this
+and later batches pivot on fewer columns, and a row whose basic variable
+lost its column keeps that value as an artificial's.  A cold solve is one
+batch of every row onto an empty tableau, so it starts from a full
+artificial basis; the tree search extends a parent's tableau by the few
+rows and fixings of a child, so its phase one starts from the parent's
+basis.  Pricing is Dantzig's rule until a long run of degenerate pivots
+switches the loop to Bland's rule, which is kept until the phase ends.
 
 The pivot loop works in place: each phase allocates one tableau-sized
-buffer for the rank-1 updates and one row-sized buffer for the ratio test,
-and its guard on the right-hand side (zero the entries in (-1e-9, 0), fail
-below -1e-6) runs only after a pivot that left some entry negative.
+buffer, which the rank-1 update of every pivot fills through BLAS, and one
+row-sized buffer for the ratio test.  Its guard on the right-hand side
+(zero the entries in (-1e-9, 0), fail below -1e-6) runs only after a pivot
+that left some entry negative.  Every tableau is kept free of -0.0, which
+makes the BLAS update agree bit for bit with an elementwise one.
 """
 
 from __future__ import annotations
@@ -145,13 +150,17 @@ def lp_feasible(model: LpModel, tol: float = 1e-8) -> LpResult:
 def _pivot(T: np.ndarray, r: int, j: int, buf: np.ndarray | None = None) -> None:
     """Pivot on ``T[r, j]`` in place.  ``buf``, an array shaped like ``T``,
     holds the rank-1 update; the loop passes one so that no pivot allocates
-    a tableau-sized array."""
+    a tableau-sized array.  The update is a BLAS outer product, which gives
+    +0.0 for a zero product where an elementwise one may give -0.0; that
+    changes no bit of a tableau free of -0.0, and adding 0.0 to the divided
+    pivot row keeps it free."""
     if buf is None:
         buf = np.empty_like(T)
     T[r, :] /= T[r, j]
+    T[r, :] += 0.0
     col = T[:, j].copy()
     col[r] = 0.0
-    np.multiply(col[:, None], T[r], out=buf)
+    np.dot(col[:, None], T[r : r + 1], out=buf)
     T -= buf
     T[:, j] = 0.0
     T[r, j] = 1.0
@@ -249,7 +258,9 @@ class Tableau:
     one two, and each finite upper bound gives a row, which joins the
     first batch.  A batch that fixes variables at zero cuts their columns.
     :meth:`extend` returns a new tableau with the equilibrated rows after
-    phase one and the purge of its artificials, and the basis.  A tableau
+    phase one and the purge of its artificials, and the basis.  T has one
+    column per real variable (structural and slack, n_real in all) and the
+    right-hand side, and one row per constraint and the cost row.  A tableau
     is never mutated once built, so sibling nodes may both extend their
     parent's, and a search may keep one on its stack.
 
@@ -300,23 +311,21 @@ class Tableau:
 
         The new rows are shifted into the transform, equilibrated, reduced
         against the current basis and flipped to a nonnegative right-hand
-        side.  Rows whose slack can start basic need no artificial; phase
-        one runs on the artificials of the others alone.
+        side.  Rows whose slack can start basic need no artificial; every
+        other row starts with an artificial basic, which has no column, and
+        phase one minimizes their sum.
 
         zero lists variables that this batch fixes at zero; each needs a
-        zero offset.  Their nonbasic columns are cut, so they never enter.
-        A basic one joins the artificials: phase one drives it to zero, and
-        the purge pivots it out and cuts it.  Either way no column of a
-        zero variable is left, as in a cold solve with equal zero bounds.
+        zero offset.  All their columns are cut, so they never enter.  A
+        row where one was basic starts with an artificial at its value:
+        phase one drives it to zero, as in a cold solve with equal zero
+        bounds.
         """
         if not self.feasible:
             raise ValueError("an infeasible tableau cannot be extended")
         ns, old, m_old = len(self.var), self.n_real, len(self.basis)
-        cut = np.zeros(old, dtype=bool)
-        cut[self._columns(zero)] = True
-        drive = np.zeros(old, dtype=bool)
-        drive[self.basis] = cut[self.basis]
-        cut[self.basis] = False
+        keep = np.ones(old, dtype=bool)
+        keep[self._columns(zero)] = False
         nrows = len(rows)
         C = np.zeros((nrows, len(self.offsets)))
         rhs0 = np.zeros(nrows)
@@ -367,59 +376,44 @@ class Tableau:
                 elif senses[r] == GE:
                     senses[r] = LE
 
-        # Column order: the carried columns, the new slacks, the driven
-        # columns and the artificials, so phase one and the purge treat the
-        # last two blocks alike.
-        keep = ~(cut | drive)
+        # Columns: the carried ones, then the new slacks.  An artificial has
+        # no column; its basis entry is a virtual index from n_real up, so
+        # Bland's rule lets it leave last, and once it leaves it is gone.
         carry = np.flatnonzero(keep)
-        driven = np.flatnonzero(drive)
         n_slack = sum(1 for s in senses if s != EQ)
-        n_art = sum(1 for s in senses if s != LE)
         n_real = len(carry) + n_slack
-        total = n_real + len(driven) + n_art
         m = m_old + m_new
-        T = np.zeros((m + 1, total + 1))
+        T = np.zeros((m + 1, n_real + 1))
         T[:m_old, : len(carry)] = self.T[:m_old, carry]
-        T[:m_old, n_real : n_real + len(driven)] = self.T[:m_old, driven]
         T[:m_old, -1] = self.T[:m_old, -1]
         T[m_old:m, : len(carry)] = A[:, carry]
         T[m_old:m, -1] = b
-        place = np.zeros(old, dtype=int)
-        place[carry] = np.arange(len(carry))
-        place[driven] = np.arange(n_real, n_real + len(driven))
-        basis = np.zeros(m, dtype=int)
-        basis[:m_old] = place[self.basis]
+        place = np.cumsum(keep) - 1
+        # -1 marks an artificial: every new GE or EQ row starts with one,
+        # and a row whose basic column is cut keeps that value as its own.
+        basis = np.full(m, -1)
+        basis[:m_old] = np.where(keep[self.basis], place[self.basis], -1)
         sl = len(carry)
-        ar = n_real + len(driven)
-        for t in range(m_new):
-            r = m_old + t
-            s = senses[t]
-            if s == LE:
-                T[r, sl] = 1.0
-                basis[r] = sl
+        for t, s in enumerate(senses):
+            if s != EQ:
+                T[m_old + t, sl] = 1.0 if s == LE else -1.0
+                if s == LE:
+                    basis[m_old + t] = sl
                 sl += 1
-            elif s == GE:
-                T[r, sl] = -1.0
-                sl += 1
-                T[r, ar] = 1.0
-                basis[r] = ar
-                ar += 1
-            else:
-                T[r, ar] = 1.0
-                basis[r] = ar
-                ar += 1
+        art = np.flatnonzero(basis < 0)
+        basis[art] = n_real + np.arange(len(art))
+        T[m_old:m] += 0.0  # the flips and signs leave -0.0; see _pivot
 
         pivots = 0
         feasible = True
-        if total > n_real:
-            T[-1, n_real:total] = -1.0
-            _price_out(T, basis)
-            status, pivots = _iterate(T, basis, total, tol)
+        if len(art):
+            # The phase-one cost row, priced out: the sum of the artificial
+            # rows.  Its right-hand side is the artificials' sum, so
+            # infeasibility shows up as a positive entry.
+            T[-1] = T[art].sum(axis=0)
+            status, pivots = _iterate(T, basis, n_real, tol)
             if status == "unbounded":
                 raise NumericalFailure("phase one reported unbounded")
-            # Phase one maximizes the negated artificial sum; the tableau
-            # stores its negation, so infeasibility shows up as a positive
-            # entry.
             feasible = not T[-1, -1] > tol
             if feasible:
                 T, basis, purged = _purge_artificials(T, basis, n_real)
@@ -460,7 +454,7 @@ class Tableau:
         objective = np.asarray(objective, dtype=float)
         T, basis = self.T.copy(), self.basis.copy()
         T[-1, :] = 0.0
-        T[-1, : len(self.var)] = objective[self.var] * self.sign
+        T[-1, : len(self.var)] = objective[self.var] * self.sign + 0.0  # no -0.0
         _price_out(T, basis)
         status, pivots = _iterate(T, basis, self.n_real, tol)
         pivots += self.pivots
@@ -504,9 +498,10 @@ class Tableau:
 
 
 def _purge_artificials(T: np.ndarray, basis: np.ndarray, n_real: int):
-    """Pivot lingering artificials out of the basis, dropping rows that are
-    redundant, then cut the artificial columns from the tableau.  Returns
-    the tableau, the basis and the number of pivots."""
+    """Pivot a real column into each row whose basic variable is still an
+    artificial (a virtual index from n_real up), or drop the row when it
+    has no usable entry, being redundant.  Returns the tableau, the basis
+    and the number of pivots."""
     m = T.shape[0] - 1
     drop = []
     pivots = 0
@@ -523,5 +518,4 @@ def _purge_artificials(T: np.ndarray, basis: np.ndarray, n_real: int):
     if drop:
         T = np.delete(T, drop, axis=0)
         basis = np.delete(basis, drop)
-    T = np.delete(T, np.s_[n_real:-1], axis=1)
     return T, basis, pivots

@@ -70,17 +70,13 @@ def lemke_nominal(
     T[:, n : 2 * n] = -M
     T[:, zcov] = -1.0
     T[:, -1] = q
+    T += 0.0  # lp._pivot wants no -0.0
     basis = list(range(n))
-
-    def pivot(row: int, col: int) -> None:
-        T[row] /= T[row, col]
-        for rr in range(n):
-            if rr != row and T[rr, col] != 0.0:
-                T[rr] -= T[rr, col] * T[row]
-        basis[row] = col
+    buf = np.empty_like(T)
 
     t = int(np.argmin(q))
-    pivot(t, zcov)
+    lp._pivot(T, t, zcov, buf)
+    basis[t] = zcov
     entering = n + t  # complement of the w that just left
 
     cap = 1000 + 100 * n
@@ -97,7 +93,8 @@ def lemke_nominal(
         if row is None:
             row = min(tied, key=lambda i: basis[i])
         leaving = basis[row]
-        pivot(row, entering)
+        lp._pivot(T, row, entering, buf)
+        basis[row] = entering
         if leaving == zcov:
             z = np.zeros(n)
             for i, b in enumerate(basis):

@@ -189,6 +189,25 @@ def test_verify_mixed_instance_needs_free_block(tmp_path, capsys):
     assert "matmul" not in err
 
 
+def test_empty_free_block_answers_like_the_pure_twin(tmp_path, capsys):
+    # m = 0: JSON writes every empty block as [], which reads at its
+    # declared shape, in the instance and in the policy's E
+    pure = {key: value for key, value in MIXED_1D.items() if key != "mixed"}
+    empty = dict(pure, mixed={"m": 0, "V": [], "W": [], "N": [[]], "p": [], "P": []})
+    answers = []
+    for name, payload in (("pure", pure), ("empty", empty)):
+        inst = write(tmp_path, f"{name}.json", payload)
+        pol = str(tmp_path / f"{name}.pol.json")
+        code = main(["solve", inst, "--out", pol])
+        saved = json.loads((tmp_path / f"{name}.pol.json").read_text())
+        assert main(["verify", inst, pol]) == 0
+        answers.append((code, saved["status"], saved["r"]))
+    assert answers[1] == answers[0] == (0, "feasible", [2.0])
+    assert read_instance(str(tmp_path / "empty.json")).mixed.V.shape == (0, 1)
+    assert read_policy(str(tmp_path / "empty.pol.json")).E.shape == (0, 1)
+    assert "verdict: verified" in capsys.readouterr().out
+
+
 # the box [-1, 1]^2 with the cuts u1 + u2 >= -1.5 and u1 - u2 >= -1.5
 BOX_CUTS = dict(
     GOLDEN,

@@ -60,6 +60,38 @@ def test_redundant_equalities_survive_phase_one():
     res = lp.lp_solve(model)
     assert res.status is lp.LpStatus.OPTIMAL
     assert res.value == pytest.approx(2.0, abs=1e-9)
+    assert lp.phase_one(model).T.shape[0] == 2  # one row and the cost row
+
+
+def test_phase_one_has_no_artificial_columns(monkeypatch):
+    # An artificial is a virtual basis index from n_real up with no column,
+    # so phase one prices the real columns alone and a leaving artificial
+    # cannot come back.
+    calls = []
+    real_iterate = lp._iterate
+
+    def iterate(T, basis, nact, tol):
+        calls.append((T.shape[1], nact, sorted(basis.tolist())))
+        return real_iterate(T, basis, nact, tol)
+
+    monkeypatch.setattr(lp, "_iterate", iterate)
+    model = lp.LpModel(3)
+    model.add_row([1.0, 1.0, 1.0], lp.GE, 1.0)
+    model.add_row([1.0, -1.0, 0.0], lp.EQ, 0.5)
+    model.add_row([0.0, 1.0, 2.0], lp.LE, 4.0)
+    tab = lp.phase_one(model)
+    # three structural columns and the slacks of the GE and LE rows
+    assert tab.n_real == 5 and tab.T.shape == (4, 6)
+    assert calls == [(6, 5, [4, 5, 6])]
+    assert (tab.basis < tab.n_real).all()
+    # a batch that zeroes a basic column: its row's value becomes an
+    # artificial's, and the column is gone before phase one
+    basic = int(tab.var[tab.basis[tab.basis < 3][0]])
+    child = tab.extend([], zero=[basic])
+    assert child.n_real == 4 and child.T.shape[1] == 5
+    assert calls[1][:2] == (5, 4) and calls[1][2][-1] == 4
+    assert (child.basis < child.n_real).all()
+    assert basic not in child.var.tolist()
 
 
 def test_bounds_shift_and_negate():
@@ -469,6 +501,48 @@ def test_kernel_matches_reference(monkeypatch):
         assert bnb_solve(inst, compute_lin_hull(inst)).nodes_explored >= 20
     assert len(outcomes) >= 300
     assert {o[0] for o in outcomes} == {"optimal", "unbounded"}
+
+
+def _has_negative_zero(T):
+    return bool((np.signbit(T) & (T == 0)).any())
+
+
+def test_kernel_sees_no_negative_zero(monkeypatch):
+    # The BLAS rank-1 update gives +0.0 for a zero product where the
+    # reference gives -0.0; the two agree bit for bit only on tableaux free
+    # of -0.0.  These wrappers sit under those of _check_kernel.
+    seen = []
+    real_pivot, real_iterate = lp._pivot, lp._iterate
+
+    def pivot(T, r, j, buf=None):
+        assert not _has_negative_zero(T)
+        real_pivot(T, r, j, buf)
+        assert not _has_negative_zero(T)
+        seen.append(T.shape)
+
+    def iterate(T, basis, nact, tol):
+        assert not _has_negative_zero(T)
+        return real_iterate(T, basis, nact, tol)
+
+    monkeypatch.setattr(lp, "_pivot", pivot)
+    monkeypatch.setattr(lp, "_iterate", iterate)
+    test_kernel_matches_reference(monkeypatch)
+    assert len(seen) >= 1000
+
+
+def test_pivot_on_a_negative_entry_matches_reference():
+    # The purge pivots on an entry of either sign.  Dividing the pivot row
+    # by a negative entry turns +0.0 into -0.0, which the kernel must clear.
+    rng = np.random.default_rng(5)
+    for _ in range(50):
+        T = rng.normal(size=(5, 8)) * (rng.uniform(size=(5, 8)) < 0.5) + 0.0
+        r, j = int(rng.integers(0, 4)), int(rng.integers(0, 7))
+        T[r, j] = -0.5 - abs(T[r, j])
+        assert (T[r] == 0).any()
+        want = T.copy()
+        reference_pivot(want, r, j)
+        lp._pivot(T, r, j)
+        assert _identical(T, want) and not _has_negative_zero(T)
 
 
 def _degenerate_tableau(seed):
