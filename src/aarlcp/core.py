@@ -64,7 +64,7 @@ def _rref(a: np.ndarray, tol: float):
     whose magnitude is at most tol times the largest magnitude of the input
     are treated as zero.
     """
-    m = np.asarray(a, dtype=float) + 0.0  # lp._pivot wants no -0.0
+    m = np.array(a, dtype=float, order="C")
     rows, cols = m.shape
     scale = max(1.0, float(np.abs(m).max())) if m.size else 1.0
     thresh = tol * scale

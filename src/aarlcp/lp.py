@@ -148,14 +148,14 @@ def lp_feasible(model: LpModel, tol: float = 1e-8) -> LpResult:
 
 
 def _pivot(T: np.ndarray, r: int, j: int, buf: np.ndarray | None = None) -> None:
-    """Pivot on ``T[r, j]`` in place.  ``buf``, an array shaped like ``T``,
-    holds the rank-1 update; the loop passes one so that no pivot allocates
+    """Pivot on ``T[r, j]`` in place.  ``buf``, a C-ordered float array
+    shaped like ``T``, holds the rank-1 update; the loop passes one so that no pivot allocates
     a tableau-sized array.  The update is a BLAS outer product, which gives
     +0.0 for a zero product where an elementwise one may give -0.0; that
     changes no bit of a tableau free of -0.0, and adding 0.0 to the divided
     pivot row keeps it free."""
     if buf is None:
-        buf = np.empty_like(T)
+        buf = np.empty(T.shape)
     T[r, :] /= T[r, j]
     T[r, :] += 0.0
     col = T[:, j].copy()
@@ -192,7 +192,7 @@ def _iterate(T: np.ndarray, basis: np.ndarray, nact: int, tol: float):
     hard_cap = 10 * budget
     red = T[-1, :nact]
     rhs = T[:m, -1]
-    buf = np.empty_like(T)
+    buf = np.empty(T.shape)
     ratios = np.empty(m)
     pos = np.empty(m, dtype=bool)
     while True:

@@ -70,7 +70,6 @@ def lemke_nominal(
     T[:, n : 2 * n] = -M
     T[:, zcov] = -1.0
     T[:, -1] = q
-    T += 0.0  # lp._pivot wants no -0.0
     basis = list(range(n))
     buf = np.empty_like(T)
 

@@ -49,6 +49,20 @@ def test_kernel_basis_known_cases():
     assert rref_kernel_basis(np.array([[1.0, 0.0], [0.0, 1.0]])) == []
 
 
+def test_row_reduction_accepts_any_memory_layout():
+    # a transpose is Fortran-ordered; the elimination must not care
+    rng = np.random.default_rng(9)
+    for rows, cols in ((2, 2), (3, 5), (5, 3)):
+        a = rng.integers(-3, 4, size=(cols, rows)).astype(float)
+        a[:, 0] = a[:, 1]  # rank-deficient, so the kernel is not empty
+        at = a.T
+        assert not at.flags.c_contiguous
+        want = rref_kernel_basis(np.ascontiguousarray(at))
+        got = rref_kernel_basis(at)
+        assert len(got) == len(want) and all(np.array_equal(g, w) for g, w in zip(got, want))
+        assert matrix_rank(at) == matrix_rank(np.ascontiguousarray(at))
+
+
 def test_kernel_basis_rank_plus_dim():
     rng = np.random.default_rng(5)
     for _ in range(40):
@@ -158,6 +172,15 @@ def test_validate_golden_set():
     assert report.zero_in_relint
     assert sorted(report.implicit_equality_rows) == [0, 1]
     assert report.warnings == ()
+
+
+def test_validate_accepts_a_transposed_channel():
+    inst = golden_instance()
+    T = np.ascontiguousarray(inst.T.T).T  # the same matrix, Fortran-ordered
+    assert not T.flags.c_contiguous
+    twin = Instance(M=inst.M, q=inst.q, T=T, Theta=inst.Theta, zeta=inst.zeta)
+    assert not twin.T.flags.c_contiguous
+    assert validate(twin) == validate(inst)
 
 
 def test_validate_unbounded_set():
