@@ -16,22 +16,22 @@ phase-one tableau in :attr:`LpResult.tableau`, and
 :meth:`Tableau.maximize` runs phase two for one objective on a copy of it.
 :func:`lp_solve` is exactly that pair, so every path shares one simplex.
 
-Internals, in brief: general bounds are reduced to shifts plus explicit
-rows, a variable with equal bounds becomes a constant with no column, free
-variables are split into positive and negative parts, and rows are
-equilibrated.  A :class:`Tableau` grows by batches of rows: each batch is
-reduced against the current basis, and only the rows whose slack cannot
-start basic get an artificial, which phase one drives to zero.  An
-artificial has no column: it is a virtual basis index above every real
-column, and once it leaves the basis it is gone.  A batch may also fix
-variables at zero (``zero=``): their columns leave the tableau, so this
-and later batches pivot on fewer columns, and a row whose basic variable
-lost its column keeps that value as an artificial's.  A cold solve is one
-batch of every row onto an empty tableau, so it starts from a full
-artificial basis; the tree search extends a parent's tableau by the few
-rows and fixings of a child, so its phase one starts from the parent's
-basis.  Pricing is Dantzig's rule until a long run of degenerate pivots
-switches the loop to Bland's rule, which is kept until the phase ends.
+Every variable is nonnegative, free or fixed at zero; no other bounds are
+accepted.  Internals, in brief: a free variable is split into positive and
+negative parts, and rows are equilibrated.  A :class:`Tableau` grows by
+batches of rows: each batch is reduced against the current basis, and only
+the rows whose slack cannot start basic get an artificial, which phase one
+drives to zero.  An artificial has no column: it is a virtual basis index
+above every real column, and once it leaves the basis it is gone.  A batch
+may also fix variables at zero (``zero=``): their columns leave the
+tableau, so this and later batches pivot on fewer columns, and a row whose
+basic variable lost its column keeps that value as an artificial's.  A
+cold solve is one batch of every row onto an empty tableau that fixes the
+variables with bounds [0, 0], so it starts from a full artificial basis;
+the tree search extends a parent's tableau by the few rows and fixings of a
+child, so its phase one starts from the parent's basis.  Pricing is
+Dantzig's rule until a long run of degenerate pivots switches the loop to
+Bland's rule, which is kept until the phase ends.
 
 The pivot loop works in place: each phase allocates one tableau-sized
 buffer, which the rank-1 update of every pivot fills through BLAS, and one
@@ -87,9 +87,10 @@ class LpResult:
 class LpModel:
     """Maximize ``objective @ x`` subject to rows and variable bounds.
 
-    Variables default to the bounds [0, +inf); use :meth:`set_free` or
-    :meth:`set_bounds` to change them.  Rows are (coefficients, relation,
-    rhs) with relation one of "<=", "=", ">=".
+    Variables default to the bounds [0, +inf); use :meth:`set_free` to
+    free them.  The bounds of each variable must be [0, +inf), (-inf, +inf)
+    or [0, 0]: a solve raises ValueError on any other pair.  Rows are
+    (coefficients, relation, rhs) with relation one of "<=", "=", ">=".
     """
 
     def __init__(self, num_vars: int, objective=None):
@@ -120,10 +121,6 @@ class LpModel:
             for i in np.atleast_1d(indices):
                 self.lower[int(i)] = -np.inf
                 self.upper[int(i)] = np.inf
-
-    def set_bounds(self, i: int, lower: float, upper: float) -> None:
-        self.lower[int(i)] = lower
-        self.upper[int(i)] = upper
 
 
 def lp_solve(model: LpModel, tol: float = 1e-8) -> LpResult:
@@ -243,20 +240,27 @@ def _iterate(T: np.ndarray, basis: np.ndarray, nact: int, tol: float):
 
 
 def phase_one(model: LpModel, tol: float = 1e-8) -> "Tableau":
-    """Cold phase one: every row of the model, then its bound rows, as one
-    batch onto an empty tableau."""
-    return Tableau(model.lower, model.upper).extend(model.rows, tol)
+    """Cold phase one: every row of the model as one batch onto an empty
+    tableau, which fixes the variables with bounds [0, 0] at zero.
+
+    Raises ValueError unless every variable is nonnegative, free or fixed
+    at zero."""
+    lower, upper = model.lower, model.upper
+    free = (lower == -np.inf) & (upper == np.inf)
+    zero = (lower == 0.0) & (upper == 0.0)
+    nonnegative = (lower == 0.0) & (upper == np.inf)
+    if not (free | zero | nonnegative).all():
+        raise ValueError("variable bounds must be [0, inf), (-inf, inf) or [0, 0]")
+    return Tableau(free).extend(model.rows, tol, np.flatnonzero(zero))
 
 
 class Tableau:
     """Phase-one tableau of a row set that grows batch by batch.
 
-    An empty tableau holds the standard-form transform of the variable
-    bounds: x_i is offsets[i] plus sign[c] * y[c] summed over the
-    structural columns c with var[c] = i, and y >= 0.  A variable whose
-    bounds are equal has no column, another bounded one has one, a free
-    one two, and each finite upper bound gives a row, which joins the
-    first batch.  A batch that fixes variables at zero cuts their columns.
+    An empty tableau holds the standard-form transform of the variables:
+    x_i is sign[c] * y[c] summed over the structural columns c with
+    var[c] = i, and y >= 0.  A nonnegative variable has one column, a free
+    one two, and a batch that fixes variables at zero cuts their columns.
     :meth:`extend` returns a new tableau with the equilibrated rows after
     phase one and the purge of its artificials, and the basis.  T has one
     column per real variable (structural and slack, n_real in all) and the
@@ -271,90 +275,60 @@ class Tableau:
     redundant.
     """
 
-    def __init__(self, lower, upper):
-        lower = np.asarray(lower, dtype=float)
-        upper = np.asarray(upper, dtype=float)
-        if np.any(lower > upper):
-            raise ValueError("variable lower bound exceeds upper bound")
-        n = lower.shape[0]
-        offsets = np.zeros(n)
-        scols: list[tuple[int, float]] = []
-        bound_rows: list[tuple[int, float]] = []
-        for i in range(n):
-            lo, hi = lower[i], upper[i]
-            if lo == hi:
-                offsets[i] = lo
-            elif np.isfinite(lo):
-                offsets[i] = lo
-                scols.append((i, 1.0))
-                if np.isfinite(hi):
-                    bound_rows.append((len(scols) - 1, hi - lo))
-            elif np.isfinite(hi):
-                offsets[i] = hi
-                scols.append((i, -1.0))
-            else:
-                scols.append((i, 1.0))
-                scols.append((i, -1.0))
-        self.offsets = offsets
-        self.var = np.array([i for i, _ in scols], dtype=int)
-        self.sign = np.array([sgn for _, sgn in scols])
-        self.T = np.zeros((1, len(scols) + 1))
+    def __init__(self, free):
+        free = np.asarray(free, dtype=bool)
+        self.num_vars = free.shape[0]
+        self.var = np.repeat(np.arange(self.num_vars), np.where(free, 2, 1))
+        # a free variable's second column is its negative part
+        self.sign = np.where(np.diff(self.var, prepend=-1) == 0, -1.0, 1.0)
+        self.T = np.zeros((1, len(self.var) + 1))
         self.basis = np.zeros(0, dtype=int)
-        self.n_real = len(scols)
+        self.n_real = len(self.var)
         self.feasible = True
         self.pivots = 0
-        self._bound_rows = bound_rows
         self._blocks: tuple = ()
 
     def extend(self, rows, tol: float = 1e-8, zero=()) -> "Tableau":
         """This tableau plus rows of (coefficients, relation, rhs).
 
-        The new rows are shifted into the transform, equilibrated, reduced
-        against the current basis and flipped to a nonnegative right-hand
-        side.  Rows whose slack can start basic need no artificial; every
-        other row starts with an artificial basic, which has no column, and
-        phase one minimizes their sum.
+        The new rows are written in the standard-form columns, equilibrated
+        over the columns they keep, reduced against the current basis and
+        flipped to a nonnegative right-hand side.  Rows whose slack can
+        start basic need no artificial; every other row starts with an
+        artificial basic, which has no column, and phase one minimizes
+        their sum.
 
-        zero lists variables that this batch fixes at zero; each needs a
-        zero offset.  All their columns are cut, so they never enter.  A
-        row where one was basic starts with an artificial at its value:
-        phase one drives it to zero, as in a cold solve with equal zero
-        bounds.
+        zero lists variables that this batch fixes at zero.  All their
+        columns are cut, so they never enter.  A row where one was basic
+        starts with an artificial at its value: phase one drives it to
+        zero.
         """
         if not self.feasible:
             raise ValueError("an infeasible tableau cannot be extended")
         ns, old, m_old = len(self.var), self.n_real, len(self.basis)
+        cut = np.zeros(self.num_vars, dtype=bool)
+        cut[np.asarray(zero, dtype=int)] = True
         keep = np.ones(old, dtype=bool)
-        keep[self._columns(zero)] = False
-        nrows = len(rows)
-        C = np.zeros((nrows, len(self.offsets)))
-        rhs0 = np.zeros(nrows)
+        keep[:ns] = ~cut[self.var]
+        m_new = len(rows)
+        C = np.zeros((m_new, self.num_vars))
+        b = np.zeros(m_new)
         senses = []
-        for r, (coeffs, relation, b) in enumerate(rows):
+        for r, (coeffs, relation, rhs) in enumerate(rows):
             C[r] = coeffs
-            rhs0[r] = b
+            b[r] = rhs
             senses.append(relation)
         blocks = self._blocks
-        if nrows:
+        A = np.zeros((m_new, old))
+        if m_new:
             rels = np.array(senses, dtype=object)
             sign = np.where(rels == GE, -1.0, 1.0)
-            blocks += ((C, rhs0, sign, rels == EQ, float(np.abs(rhs0).max())),)
-
-        m_new = nrows + len(self._bound_rows)
-        A = np.zeros((m_new, old))
-        b = np.zeros(m_new)
-        if nrows:
-            A[:nrows, :ns] = C[:, self.var] * self.sign
-            b[:nrows] = rhs0 - C @ self.offsets
-        for t, (col, ub) in enumerate(self._bound_rows):
-            A[nrows + t, col] = 1.0
-            b[nrows + t] = ub
-            senses.append(LE)
-
-        # Row equilibration keeps big coefficients (for example big-M rows)
-        # from washing out the tolerances.
-        if m_new:
-            big = np.abs(A).max(axis=1, initial=0.0)
+            blocks += ((C, b.copy(), sign, rels == EQ, float(np.abs(b).max())),)
+            A[:, :ns] = C[:, self.var] * self.sign
+            # Row equilibration keeps big coefficients (for example big-M
+            # rows) from washing out the tolerances.  Cut columns do not
+            # count, so a cold batch scales its rows as if they never existed.
+            big = np.abs(A[:, keep]).max(axis=1, initial=0.0)
             scale = np.maximum(1.0, np.maximum(big, np.abs(b)))
             A /= scale[:, None]
             b /= scale
@@ -420,23 +394,12 @@ class Tableau:
                 pivots += purged
 
         child = Tableau.__new__(Tableau)
-        child.offsets = self.offsets
+        child.num_vars = self.num_vars
         child.var, child.sign = self.var[keep[:ns]], self.sign[keep[:ns]]
         child.T, child.basis, child.n_real = T, basis, n_real
         child.feasible, child.pivots = feasible, pivots
-        child._bound_rows = []
         child._blocks = blocks
         return child
-
-    def _columns(self, variables) -> np.ndarray:
-        """The standard-form columns of variables with a zero offset."""
-        if not len(variables):
-            return np.zeros(0, dtype=int)
-        if self.offsets[variables].any():
-            raise ValueError("only a variable with a zero offset can be fixed at zero")
-        marked = np.zeros(len(self.offsets), dtype=bool)
-        marked[variables] = True
-        return np.flatnonzero(marked[self.var])
 
     def maximize(self, objective, tol: float = 1e-8) -> LpResult:
         """Phase two for one objective over this tableau's rows.
@@ -447,10 +410,6 @@ class Tableau:
         """
         if not self.feasible:
             raise ValueError("an infeasible tableau has no maximum")
-        if self._bound_rows:
-            raise ValueError(
-                "extend the tableau first: its bound rows join the first batch"
-            )
         objective = np.asarray(objective, dtype=float)
         T, basis = self.T.copy(), self.basis.copy()
         T[-1, :] = 0.0
@@ -479,9 +438,7 @@ class Tableau:
         y = np.zeros(self.n_real)
         y[basis] = T[: len(basis), -1]
         ns = len(self.var)
-        x = self.offsets + np.bincount(
-            self.var, weights=self.sign * y[:ns], minlength=len(self.offsets)
-        )
+        x = np.bincount(self.var, weights=self.sign * y[:ns], minlength=self.num_vars)
 
         if not np.isfinite(x).all():
             raise NumericalFailure("solution failed the residual check")

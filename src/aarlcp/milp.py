@@ -331,20 +331,21 @@ class NodeLpBuilder:
     C_ij = 0 on them alike.  Every node LP, warm or cold, fixes each such
     column at zero.
 
-    Pure instances are solved with each row of [M q T] divided by its
+    Instances are solved with each row of [M q T N] divided by its
     infinity norm (:attr:`form` is built on the scaled rows).  That maps
     every policy to itself and only rescales the C multipliers, so the
     answer is the same; certification and the export keep the original
-    rows.  Mixed instances keep their rows as given.
+    rows.
 
     The always-valid rows are built once, and so is the :meth:`fixing` of
     every (index, value): the indicator rows it adds and the columns it
     zeroes.  :meth:`model` appends the rows of the fixed entries for a cold
-    solve and gives their columns equal zero bounds, which the solver turns
-    into constants; the tree search instead keeps each parent's phase-one
-    tableau on its stack and extends it by the fixing of the one entry a
-    child fixes.  Models share the bound arrays of the unfixed root, which
-    the solver never mutates.
+    solve and gives their columns the bounds [0, 0], so :func:`lp.phase_one`
+    cuts them in the same :meth:`lp.Tableau.extend` that a warm child
+    takes: the tree search keeps each parent's phase-one tableau on its
+    stack and extends it by the fixing of the one entry a child fixes.
+    Models share the bound arrays of the unfixed root, which the solver
+    never mutates.
     """
 
     def __init__(self, inst: Instance, basis: LinHullBasis):
@@ -462,14 +463,16 @@ class NodeLpBuilder:
 
 
 def _row_scaled(inst: Instance) -> Instance:
-    """A pure instance with each row of [M q T] divided by its infinity
-    norm (zero rows stay); a mixed instance as it is."""
-    if inst.mixed is not None:
-        return inst
-    norm = np.abs(np.column_stack([inst.M, inst.q, inst.T])).max(axis=1)
+    """The instance with each row of [M q T N] divided by its infinity norm
+    (zero rows stay); the free block's own rows stay as they are."""
+    mixed = inst.mixed
+    N = mixed.N if mixed is not None else np.zeros((inst.n, 0))
+    norm = np.abs(np.column_stack([inst.M, inst.q, inst.T, N])).max(axis=1)
     d = np.where(norm > 0.0, norm, 1.0)
     col = d[:, None]
-    return replace(inst, M=inst.M / col, q=inst.q / d, T=inst.T / col)
+    if mixed is not None:
+        mixed = replace(mixed, N=N / col)
+    return replace(inst, M=inst.M / col, q=inst.q / d, T=inst.T / col, mixed=mixed)
 
 
 class _Budget:
@@ -825,7 +828,8 @@ def _export_mps(model: MilpModel) -> str:
 
 @dataclass(eq=False)
 class ParsedLp:
-    """Outcome of parsing LP text: rows, binaries, and bound declarations."""
+    """Outcome of parsing LP text: rows, binaries, and the free variables,
+    whose bounds are (-inf, inf)."""
 
     objective: dict[str, float]
     rows: list[tuple[str, dict[str, float], str, float]]
@@ -887,7 +891,10 @@ def _parse_terms(tokens: list[str]) -> tuple[dict[str, float], float]:
 
 
 def parse_lp_text(text: str) -> ParsedLp:
-    """Parse the LP text subset produced by export_milp."""
+    """Parse the LP text subset produced by export_milp.
+
+    Its Bounds section declares free variables only ("name free"); any
+    other bound line raises ValueError."""
     objective: dict[str, float] = {}
     rows: list[tuple[str, dict[str, float], str, float]] = []
     binaries: list[str] = []
@@ -938,18 +945,9 @@ def parse_lp_text(text: str) -> ParsedLp:
             rows.append((name, terms, relation, rhs_const - const))
         elif section == "bounds":
             tokens = line.split()
-            if len(tokens) == 2 and tokens[1].lower() == "free":
-                bounds[tokens[0]] = (-np.inf, np.inf)
-            elif len(tokens) == 5 and tokens[1] == lp.LE and tokens[3] == lp.LE:
-                bounds[tokens[2]] = (float(tokens[0]), float(tokens[4]))
-            elif len(tokens) == 3 and tokens[1] in (lp.LE, lp.GE):
-                lo, hi = (0.0, float(tokens[2])) if tokens[1] == lp.LE else (
-                    float(tokens[2]),
-                    np.inf,
-                )
-                bounds[tokens[0]] = (lo, hi)
-            else:
+            if len(tokens) != 2 or tokens[1].lower() != "free":
                 raise ValueError(f"unsupported bound line: {line!r}")
+            bounds[tokens[0]] = (-np.inf, np.inf)
         elif section == "binaries":
             binaries.extend(line.split())
 

@@ -300,9 +300,7 @@ def bigm_status(parsed, tol=1e-8):
     for assign in itertools.product((0.0, 1.0), repeat=len(bins)):
         bval = dict(zip(bins, assign))
         model = lp.LpModel(len(cont))
-        for name, (lo, hi) in parsed.bounds.items():
-            if name in idx:
-                model.set_bounds(idx[name], lo, hi)
+        model.set_free([idx[name] for name in parsed.bounds if name in idx])
         consistent = True
         for _, terms, rel, rhs in parsed.rows:
             coeffs = np.zeros(len(cont))

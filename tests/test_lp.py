@@ -94,27 +94,6 @@ def test_phase_one_has_no_artificial_columns(monkeypatch):
     assert basic not in child.var.tolist()
 
 
-def test_bounds_shift_and_negate():
-    model = lp.LpModel(1, [1.0])
-    model.set_bounds(0, -3.0, -1.0)
-    res = lp.lp_solve(model)
-    assert res.value == pytest.approx(-1.0, abs=1e-9)
-    model2 = lp.LpModel(1, [-1.0])
-    model2.set_bounds(0, -3.0, -1.0)
-    res2 = lp.lp_solve(model2)
-    assert res2.value == pytest.approx(3.0, abs=1e-9)
-    assert res2.point[0] == pytest.approx(-3.0, abs=1e-9)
-
-
-def test_upper_bound_only():
-    model = lp.LpModel(2, [1.0, 2.0])
-    model.set_bounds(0, 0.0, 2.0)
-    model.set_bounds(1, -np.inf, 1.5)
-    model.add_row([0.0, 1.0], lp.GE, -10.0)
-    res = lp.lp_solve(model)
-    assert res.value == pytest.approx(5.0, abs=1e-8)
-
-
 def test_free_variables():
     model = lp.LpModel(2, [1.0, 0.0])
     model.set_free()
@@ -126,10 +105,22 @@ def test_free_variables():
 
 
 def test_bad_bounds_rejected():
-    model = lp.LpModel(1)
-    model.set_bounds(0, 2.0, 1.0)
-    with pytest.raises(ValueError):
-        lp.lp_solve(model)
+    # a variable is nonnegative, free or fixed at zero; a finite bound
+    # belongs in a row
+    rule = r"\[0, inf\), \(-inf, inf\) or \[0, 0\]"
+    for lower, upper in (
+        (2.0, 2.0),
+        (1.0, np.inf),
+        (-np.inf, 0.0),
+        (2.0, 1.0),
+        (0.0, 1.0),
+        (np.nan, np.inf),
+    ):
+        model = lp.LpModel(2)
+        model.lower[1], model.upper[1] = lower, upper
+        for solve in (lp.lp_solve, lp.lp_feasible, lp.phase_one):
+            with pytest.raises(ValueError, match=rule):
+                solve(model)
 
 
 def test_degenerate_cycling_guard():
@@ -251,14 +242,17 @@ def test_pivot_budget_is_finite():
 
 
 def _batch_model(rng):
-    """Equality-heavy LP with duplicated, combined and zero-rhs rows; about
+    """Equality-heavy LP with duplicated, combined and zero-rhs rows, and
+    upper bounds on some nonnegative variables as rows of their own; about
     half of the draws are feasible by construction."""
     n = int(rng.integers(3, 8))
     model = lp.LpModel(n)
     free = rng.uniform(size=n) < 0.3
     model.set_free(np.nonzero(free)[0])
-    for i in np.nonzero(~free & (rng.uniform(size=n) < 0.3))[0]:
-        model.set_bounds(i, 0.0, float(rng.uniform(1.0, 3.0)))
+    bounds = [
+        (np.eye(n)[i], lp.LE, float(rng.uniform(1.0, 3.0)))
+        for i in np.nonzero(~free & (rng.uniform(size=n) < 0.3))[0]
+    ]
     x0 = np.where(free, rng.normal(size=n), rng.uniform(0.0, 1.0, size=n))
     if rng.uniform() < 0.3:
         x0[rng.uniform(size=n) < 0.5] = 0.0  # degenerate vertex
@@ -275,9 +269,13 @@ def _batch_model(rng):
         rel = lp.EQ if rng.uniform() < 0.7 else (lp.LE, lp.GE)[int(rng.integers(2))]
         b = float(a @ x0) if planted else float(rng.integers(-3, 4))
         rows.append((a, rel, b))
-    for a, rel, b in rows:
+    for a, rel, b in rows + bounds:
         model.add_row(a, rel, b)
     return model
+
+
+def _empty(model):
+    return lp.Tableau(model.lower == -np.inf)
 
 
 def test_two_batches_match_one():
@@ -289,7 +287,7 @@ def test_two_batches_match_one():
         one = lp.phase_one(model)
         assert one.feasible is whole
         cut = int(rng.integers(0, len(model.rows) + 1))
-        tab = lp.Tableau(model.lower, model.upper).extend(model.rows[:cut])
+        tab = _empty(model).extend(model.rows[:cut])
         if tab.feasible:
             tab = tab.extend(model.rows[cut:])
         assert tab.feasible is whole
@@ -297,7 +295,6 @@ def test_two_batches_match_one():
             feasible += 1
             x = tab.point()
             assert np.all(x >= model.lower - 1e-9)
-            assert np.all(x <= model.upper + 1e-9)
             for a, rel, b in model.rows:
                 d = float(a @ x) - b
                 assert (d if rel == lp.LE else -d if rel == lp.GE else abs(d)) <= 1e-8
@@ -305,13 +302,14 @@ def test_two_batches_match_one():
 
 
 def test_fixed_variables_are_constants():
-    # lower == upper: an offset and no column, and no bound row
+    # bounds [0, 0]: the cold batch cuts the column; a free variable has two
     model = lp.LpModel(3, [1.0, 1.0, 1.0])
-    model.set_bounds(0, 2.0, 2.0)
-    model.set_bounds(1, 0.0, 0.0)
+    model.set_free([0])
+    model.lower[1] = model.upper[1] = 0.0
     model.add_row([1.0, 1.0, 1.0], lp.LE, 5.0)
+    model.add_row([1.0, 0.0, 0.0], lp.EQ, 2.0)
     tab = lp.phase_one(model)
-    assert tab.var.tolist() == [2] and tab.T.shape == (2, 3)
+    assert tab.var.tolist() == [0, 0, 2] and tab.T.shape == (3, 5)
     res = lp.lp_solve(model)
     assert res.value == pytest.approx(5.0)
     assert res.point.tolist() == pytest.approx([2.0, 0.0, 3.0])
@@ -324,15 +322,14 @@ def test_extend_fixes_variables_at_zero():
     feasible = 0
     for _ in range(150):
         model = _batch_model(rng)
-        offset_free = np.flatnonzero((model.lower == 0.0) | np.isinf(model.lower))
-        zero = offset_free[rng.uniform(size=offset_free.size) < 0.4]
+        zero = np.flatnonzero(rng.uniform(size=model.num_vars) < 0.4)
         cold = lp.LpModel(model.num_vars)
         cold.rows = model.rows
         cold.lower, cold.upper = model.lower.copy(), model.upper.copy()
         cold.lower[zero] = cold.upper[zero] = 0.0
         whole = lp.phase_one(cold).feasible
         cut = int(rng.integers(0, len(model.rows) + 1))
-        tab = lp.Tableau(model.lower, model.upper).extend(model.rows[:cut])
+        tab = _empty(model).extend(model.rows[:cut])
         if not tab.feasible:
             continue
         tab = tab.extend(model.rows[cut:], zero=zero)
@@ -343,10 +340,6 @@ def test_extend_fixes_variables_at_zero():
             assert not x[zero].any() and not np.isin(tab.var, zero).any()
             assert _worst_miss(model, x) <= 1e-8
     assert feasible >= 30
-    shifted = lp.LpModel(2)
-    shifted.set_bounds(0, 1.0, np.inf)
-    with pytest.raises(ValueError, match="zero offset"):
-        lp.Tableau(shifted.lower, shifted.upper).extend([], zero=[0])
 
 
 def _worst_miss(model, x):
@@ -492,7 +485,7 @@ def test_kernel_matches_reference(monkeypatch):
         model.objective = rng.normal(size=model.num_vars)
         lp.lp_solve(model)
         cut = int(rng.integers(0, len(model.rows) + 1))
-        tab = lp.Tableau(model.lower, model.upper).extend(model.rows[:cut])
+        tab = _empty(model).extend(model.rows[:cut])
         if tab.feasible:
             tab.extend(model.rows[cut:])
     # cold roots and warm children of two search trees
