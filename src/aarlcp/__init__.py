@@ -33,20 +33,22 @@ from .errors import (
 )
 from .linhull import LinHullBasis, compute_lin_hull
 from .lp import LpModel, LpResult, LpStatus, lp_feasible, lp_solve
-from .milp import (
+from .export import (
     MilpModel,
     MilpRow,
-    NodeLpBuilder,
     ParsedLp,
+    build_milp,
+    default_big_m,
+    export_milp,
+    parse_lp_text,
+)
+from .milp import (
+    NodeLpBuilder,
     SolveOptions,
     SolveReport,
     SolveStatus,
     UNFIXED,
     bnb_solve,
-    build_milp,
-    default_big_m,
-    export_milp,
-    parse_lp_text,
 )
 from .mixed import mixed_solve, verify_mixed
 from .psd import (

@@ -24,14 +24,9 @@ import numpy as np
 
 from .core import Instance, MixedExtension, Policy, validate
 from .errors import AarlcpError, NodeLimitExceeded, NumericalFailure
+from .export import build_milp, export_milp
 from .linhull import compute_lin_hull
-from .milp import (
-    SolveOptions,
-    SolveStatus,
-    bnb_solve,
-    build_milp,
-    export_milp,
-)
+from .milp import SolveOptions, SolveStatus, bnb_solve
 from .verify import oracle_enumerate, verify_policy
 
 

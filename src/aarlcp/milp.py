@@ -7,13 +7,14 @@ row i is tight (x_i = 1, nominal value free to be positive) or off
 Every row family of the reformulation is declared once, by a generator of
 tagged rows in :class:`Formulation`, and rendered two ways.  Node LPs
 (:class:`NodeLpBuilder`) keep the always-valid rows and add exact indicator
-rows for the already-fixed entries; no big-M rows exist there.  The export
-(:func:`build_milp`) relaxes each indicator row by a big-M multiple of its
-binary, for hand-off to external integer programming tools.  Both, and so
-the tree search (:func:`bnb_solve`), cover pure and mixed instances alike.
-On a pure instance with a positive semidefinite matrix the search starts
-at the one support an affine rule can use (:func:`psd.forced_support`),
-not at the unfixed root, so it runs a single node.
+rows for the already-fixed entries; no big-M rows exist there.  The big-M
+export, which relaxes each indicator row by a big-M multiple of its binary
+for hand-off to external integer programming tools, lives in
+:mod:`aarlcp.export`.  Both, and so the tree search (:func:`bnb_solve`),
+cover pure and mixed instances alike.  On a pure instance with a positive
+semidefinite matrix the search starts at the one support an affine rule
+can use (:func:`psd.forced_support`), not at the unfixed root, so it runs
+a single node.
 
 Node LPs are presolved: the rule D enters only through its certificate
 D_i = Theta^T A_i, so they carry neither D columns nor z_dual_match rows,
@@ -623,332 +624,3 @@ def bnb_solve(
         lp_pivots=budget.pivots,
         **shortcut,
     )
-
-
-# ---------------------------------------------------------------------------
-# Big-M model and text export
-
-
-@dataclass
-class MilpRow:
-    name: str
-    coeffs: dict[str, float]
-    relation: str
-    rhs: float
-    tag: str
-
-
-@dataclass(eq=False)
-class MilpModel:
-    """Explicit big-M mixed-binary model, ready for text export.
-
-    Variable names follow x{i}, D{i}_{c}, r{i}, A{j}_{i}, C{j}_{i}, and for a
-    free block s{a}, E{a}_{c}, with 1-based indices.  Every row carries
-    exactly one tag.
-    """
-
-    big_m: float
-    rows: list[MilpRow]
-    binaries: list[str]
-    continuous: list[str]
-    free: list[str]
-
-    def rows_by_tag(self, tag: str) -> list[MilpRow]:
-        return [row for row in self.rows if row.tag == tag]
-
-
-def default_big_m(inst: Instance) -> float:
-    """10^4 times the largest of the data magnitudes (at least one)."""
-
-    def inf_norm_mat(a):
-        return float(np.abs(a).sum(axis=1).max()) if a.size else 0.0
-
-    def inf_norm_vec(a):
-        return float(np.abs(a).max()) if a.size else 0.0
-
-    mats, vecs = [inst.M, inst.T], [inst.q, inst.zeta]
-    if inst.mixed is not None:
-        mx = inst.mixed
-        mats += [mx.V, mx.W, mx.N, mx.P]
-        vecs.append(mx.p)
-    norms = [inf_norm_mat(a) for a in mats] + [inf_norm_vec(a) for a in vecs]
-    return 1e4 * max([1.0] + norms)
-
-
-def _bigm_rows(form: Formulation, row: FormRow, big_m: float) -> list[MilpRow]:
-    """Export rows of one formulation row; indicator rows get the constant."""
-    terms = {}
-    for cols, vals in row.terms:
-        for col, c in zip(np.ravel(cols), np.ravel(vals)):
-            if c != 0.0:
-                terms[form.names[col]] = float(c)
-    rhs = float(row.rhs)
-    if row.when is None:
-        return [MilpRow(row.name, terms, row.rel, rhs, row.tag)]
-    # the equation holds at x_i = value; elsewhere b |x_i - value|, which is
-    # c0 + c1 x_i, relaxes each half
-    i, value = row.when
-    x, c0, c1 = f"x{i + 1}", big_m * value, big_m * (1 - 2 * value)
-    upper, lower = row.name.format("u"), row.name.format("l")
-    out = [MilpRow(upper, {**terms, x: -c1}, lp.LE, rhs + c0, row.tag)]
-    if row.lower == "bigm":
-        out.append(MilpRow(lower, {**terms, x: c1}, lp.GE, rhs - c0, row.tag))
-    elif row.lower == "plain":
-        out.append(MilpRow(lower, terms, lp.GE, rhs, row.tag))
-    return out
-
-
-def build_milp(
-    inst: Instance, basis: LinHullBasis, big_m: float | None = None
-) -> MilpModel:
-    """Assemble the big-M feasibility model for export.
-
-    The search itself never uses this form; a finite big_m below the size of
-    a genuine policy can make the exported model infeasible.
-    """
-    if big_m is None:
-        big_m = default_big_m(inst)
-    big_m = float(big_m)
-    if not np.isfinite(big_m) or big_m <= 0:
-        raise ValueError("big_m must be positive and finite")
-
-    form = Formulation(inst, basis)
-    rows = [out for row in form.rows(*ALL_TAGS) for out in _bigm_rows(form, row, big_m)]
-    return MilpModel(
-        big_m=big_m,
-        rows=rows,
-        binaries=[f"x{i + 1}" for i in range(inst.n)],
-        continuous=list(form.names),
-        free=[form.names[col] for col in form.free],
-    )
-
-
-def _fmt_num(v: float) -> str:
-    if v == int(v) and abs(v) < 1e15:
-        return str(int(v))
-    return repr(float(v))
-
-
-def _lp_expr(coeffs: dict[str, float], placeholder: str) -> str:
-    if not coeffs:
-        return f"0 {placeholder}"
-    parts = []
-    for idx, (var, c) in enumerate(coeffs.items()):
-        mag = abs(c)
-        if idx == 0:
-            if c == 1.0:
-                parts.append(var)
-            elif c == -1.0:
-                parts.append(f"- {var}")
-            else:
-                parts.append(f"{_fmt_num(c)} {var}")
-        else:
-            sign = "-" if c < 0 else "+"
-            if mag == 1.0:
-                parts.append(f"{sign} {var}")
-            else:
-                parts.append(f"{sign} {_fmt_num(mag)} {var}")
-    return " ".join(parts)
-
-
-_CAVEAT = (
-    "rows bounding tight values by multiples of (1 - x_i) can cut genuine"
-    " policies when the constant is too small; raise it if a known feasible"
-    " instance exports as infeasible"
-)
-
-
-def export_milp(model: MilpModel, fmt: str = "lp") -> str:
-    """Render the big-M model as LP ("lp") or fixed-field MPS ("mps") text."""
-    if fmt == "lp":
-        return _export_lp(model)
-    if fmt == "mps":
-        return _export_mps(model)
-    raise ValueError(f"unknown export format {fmt!r}")
-
-
-def _export_lp(model: MilpModel) -> str:
-    out = [
-        f"\\ big-M feasibility model, constant b = {_fmt_num(model.big_m)}",
-        f"\\ {_CAVEAT}",
-        "Minimize",
-        " obj: 0",
-        "Subject To",
-    ]
-    placeholder = "r1"
-    for row in model.rows:
-        expr = _lp_expr(row.coeffs, placeholder)
-        out.append(f" {row.name}: {expr} {row.relation} {_fmt_num(row.rhs)}")
-    out.append("Bounds")
-    for name in model.free:
-        out.append(f" {name} free")
-    out.append("Binaries")
-    out.append(" " + " ".join(model.binaries))
-    out.append("End")
-    return "\n".join(out) + "\n"
-
-
-def _export_mps(model: MilpModel) -> str:
-    rel_tag = {lp.LE: "L", lp.GE: "G", lp.EQ: "E"}
-    out = [
-        f"* big-M feasibility model, constant b = {_fmt_num(model.big_m)}",
-        f"* {_CAVEAT}",
-        "NAME          AARLCP",
-        "ROWS",
-        " N  COST",
-    ]
-    for row in model.rows:
-        out.append(f" {rel_tag[row.relation]}  {row.name}")
-    out.append("COLUMNS")
-    by_var: dict[str, list[tuple[str, float]]] = {
-        name: [] for name in model.binaries + model.continuous
-    }
-    for row in model.rows:
-        for var, c in row.coeffs.items():
-            by_var[var].append((row.name, c))
-    for var in model.binaries + model.continuous:
-        for rname, c in by_var[var]:
-            out.append(f"    {var:<10}{rname:<10}{_fmt_num(c)}")
-    out.append("RHS")
-    for row in model.rows:
-        if row.rhs != 0.0:
-            out.append(f"    {'RHS':<10}{row.name:<10}{_fmt_num(row.rhs)}")
-    out.append("BOUNDS")
-    for var in model.binaries:
-        out.append(f" BV {'BND':<10}{var}")
-    for var in model.free:
-        out.append(f" FR {'BND':<10}{var}")
-    out.append("ENDATA")
-    return "\n".join(out) + "\n"
-
-
-# ---------------------------------------------------------------------------
-# LP text parsing (round-trip support)
-
-
-@dataclass(eq=False)
-class ParsedLp:
-    """Outcome of parsing LP text: rows, binaries, and the free variables,
-    whose bounds are (-inf, inf)."""
-
-    objective: dict[str, float]
-    rows: list[tuple[str, dict[str, float], str, float]]
-    binaries: list[str]
-    bounds: dict[str, tuple[float, float]]
-
-    def variables(self) -> list[str]:
-        seen: dict[str, None] = {}
-        for _, terms, _, _ in self.rows:
-            for v in terms:
-                seen.setdefault(v, None)
-        for v in self.objective:
-            seen.setdefault(v, None)
-        for v in self.binaries:
-            seen.setdefault(v, None)
-        for v in self.bounds:
-            seen.setdefault(v, None)
-        return list(seen)
-
-
-def _is_number(tok: str) -> bool:
-    try:
-        float(tok)
-        return True
-    except ValueError:
-        return False
-
-
-def _parse_terms(tokens: list[str]) -> tuple[dict[str, float], float]:
-    terms: dict[str, float] = {}
-    const = 0.0
-    sign = 1.0
-    i = 0
-    while i < len(tokens):
-        tok = tokens[i]
-        if tok == "+":
-            i += 1
-            continue
-        if tok == "-":
-            sign = -sign
-            i += 1
-            continue
-        if _is_number(tok):
-            val = sign * float(tok)
-            if i + 1 < len(tokens) and not _is_number(tokens[i + 1]) and tokens[
-                i + 1
-            ] not in ("+", "-"):
-                var = tokens[i + 1]
-                terms[var] = terms.get(var, 0.0) + val
-                i += 2
-            else:
-                const += val
-                i += 1
-        else:
-            terms[tok] = terms.get(tok, 0.0) + sign
-            i += 1
-        sign = 1.0
-    return terms, const
-
-
-def parse_lp_text(text: str) -> ParsedLp:
-    """Parse the LP text subset produced by export_milp.
-
-    Its Bounds section declares free variables only ("name free"); any
-    other bound line raises ValueError."""
-    objective: dict[str, float] = {}
-    rows: list[tuple[str, dict[str, float], str, float]] = []
-    binaries: list[str] = []
-    bounds: dict[str, tuple[float, float]] = {}
-
-    section = None
-    for raw in text.splitlines():
-        line = raw.strip()
-        if not line or line.startswith("\\"):
-            continue
-        low = line.lower()
-        if low in ("minimize", "min", "maximize", "max"):
-            section = "objective"
-            continue
-        if low in ("subject to", "st", "s.t.", "such that"):
-            section = "rows"
-            continue
-        if low == "bounds":
-            section = "bounds"
-            continue
-        if low in ("binaries", "binary", "bin"):
-            section = "binaries"
-            continue
-        if low == "end":
-            break
-
-        if section == "objective":
-            body = line.split(":", 1)[1] if ":" in line else line
-            terms, _ = _parse_terms(body.split())
-            for var, c in terms.items():
-                objective[var] = objective.get(var, 0.0) + c
-        elif section == "rows":
-            if ":" in line:
-                name, body = line.split(":", 1)
-                name = name.strip()
-            else:
-                name, body = f"row{len(rows) + 1}", line
-            tokens = body.split()
-            rel_pos = next(
-                (t for t, tok in enumerate(tokens) if tok in (lp.LE, lp.GE, lp.EQ)),
-                None,
-            )
-            if rel_pos is None:
-                raise ValueError(f"constraint without relation: {line!r}")
-            relation = tokens[rel_pos]
-            terms, const = _parse_terms(tokens[:rel_pos])
-            _, rhs_const = _parse_terms(tokens[rel_pos + 1 :])
-            rows.append((name, terms, relation, rhs_const - const))
-        elif section == "bounds":
-            tokens = line.split()
-            if len(tokens) != 2 or tokens[1].lower() != "free":
-                raise ValueError(f"unsupported bound line: {line!r}")
-            bounds[tokens[0]] = (-np.inf, np.inf)
-        elif section == "binaries":
-            binaries.extend(line.split())
-
-    return ParsedLp(objective=objective, rows=rows, binaries=binaries, bounds=bounds)

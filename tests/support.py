@@ -330,6 +330,40 @@ def bigm_status(parsed, tol=1e-8):
     return "infeasible"
 
 
+def highs_status(parsed):
+    """Solve a parsed big-M model with HiGHS (scipy.optimize.milp).
+
+    Returns "feasible" or "infeasible"; needs scipy, unlike the rest of
+    this module.
+    """
+    from scipy.optimize import Bounds, LinearConstraint, milp as highs_milp
+
+    names = parsed.variables()
+    col = {v: j for j, v in enumerate(names)}
+    A = np.zeros((len(parsed.rows), len(names)))
+    lo = np.full(len(parsed.rows), -np.inf)
+    hi = np.full(len(parsed.rows), np.inf)
+    for i, (_, terms, rel, rhs) in enumerate(parsed.rows):
+        for var, c in terms.items():
+            A[i, col[var]] = c
+        if rel != lp.LE:
+            lo[i] = rhs
+        if rel != lp.GE:
+            hi[i] = rhs
+    binary = np.isin(names, parsed.binaries)
+    lower = np.where(np.isin(names, list(parsed.bounds)), -np.inf, 0.0)
+    upper = np.where(binary, 1.0, np.inf)
+    res = highs_milp(
+        np.zeros(len(names)),
+        constraints=LinearConstraint(A, lo, hi),
+        integrality=binary.astype(int),
+        bounds=Bounds(lower, upper),
+    )
+    if res.status not in (0, 2):
+        raise RuntimeError(f"HiGHS gave no verdict: {res.message}")
+    return "feasible" if res.status == 0 else "infeasible"
+
+
 # The pivot kernel of ``lp`` as it was before the in-place rewrite: one
 # allocation per ratio test and per rank-1 update, and the right-hand-side
 # guard on every pivot.  The differential test runs these verbatim copies as

@@ -393,6 +393,26 @@ def test_oracle_command(tmp_path, capsys):
     assert main(["oracle", path, "--limit", "1"]) == 2
 
 
+def test_oracle_out_writes_a_verifiable_policy(tmp_path):
+    inst = write(tmp_path, "inst.json", GOLDEN)
+    pol = str(tmp_path / "pol.json")
+    assert main(["oracle", inst, "--out", pol]) == 0
+    saved = json.loads((tmp_path / "pol.json").read_text())
+    assert saved["status"] == "feasible"
+    # one node per support tested, as the oracle prints it
+    assert saved["diagnostics"]["nodes_explored"] == 4
+    assert main(["verify", inst, pol]) == 0
+
+
+def test_solve_tol_reaches_the_search(tmp_path):
+    inst = write(tmp_path, "inst.json", GOLDEN)
+    pol = str(tmp_path / "pol.json")
+    assert main(["solve", inst, "--tol", "1e-9", "--out", pol]) == 0
+    text = (tmp_path / "pol.json").read_text()
+    assert json.loads(text)["diagnostics"]["tolerances"]["tol"] == 1e-9
+    assert '"tol": 1e-09' in text
+
+
 def test_oracle_command_fails_on_an_uncertified_policy(tmp_path, monkeypatch, capsys):
     def rejecting(*args, **kwargs):
         report = real(*args, **kwargs)

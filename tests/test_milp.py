@@ -1,4 +1,4 @@
-"""Node LPs, the tree search, and the big-M export with its parser."""
+"""Node LPs, the tree search, and the big-M export with its reader."""
 
 import dataclasses
 
@@ -6,6 +6,8 @@ import numpy as np
 import pytest
 
 from aarlcp import (
+    MilpModel,
+    MilpRow,
     NodeLimitExceeded,
     NumericalFailure,
     NodeLpBuilder,
@@ -39,6 +41,7 @@ from support import (
     coupled_mixed_instance,
     export_1d_instance,
     golden_instance,
+    highs_status,
     mixed_1d,
     planted_instance,
     planted_mixed_instance,
@@ -593,9 +596,71 @@ def test_lp_text_round_trip():
     for name in model.free:
         assert parsed.bounds[name] == (-np.inf, np.inf)
     # the export declares free variables only, so the parser takes no other bound
-    for line in (" 0 <= r1 <= 2", " r1 <= 2", " r1 >= 1", " r1 = 0", " r1 fr"):
+    bad = (" 0 <= r1 <= 2", " r1 <= 2", " r1 >= 1", " r1 = 0", " r1 fr", " r1 FREE")
+    for line in bad:
         with pytest.raises(ValueError, match="unsupported bound line"):
             parse_lp_text(f"Minimize\n obj: r1\nSubject To\nBounds\n{line}\nEnd\n")
+
+
+def test_lp_text_writes_every_term_form():
+    # first terms with c = -1, c < 0 and c > 0, and an empty row, which no
+    # export of the benchmark corpora has
+    rows = [
+        MilpRow("e1", {}, lp.EQ, 0.0, TAG_HERE_AND_NOW),
+        MilpRow("t1", {"r1": -1.0, "x1": 2.5}, lp.LE, -3.0, TAG_HERE_AND_NOW),
+        MilpRow("t2", {"r1": -0.25, "x1": -1.0}, lp.GE, 1e-5, TAG_HERE_AND_NOW),
+        MilpRow("t3", {"r1": 4.0, "x1": 1.0}, lp.EQ, 0.5, TAG_HERE_AND_NOW),
+    ]
+    model = MilpModel(10.0, rows, ["x1"], ["r1"], [])
+    text = export_milp(model, "lp")
+    for line in (
+        " e1: 0 r1 = 0",
+        " t1: - r1 + 2.5 x1 <= -3",
+        " t2: -0.25 r1 - x1 >= 1e-05",
+        " t3: 4 r1 + x1 = 0.5",
+    ):
+        assert line in text.splitlines()
+    parsed = parse_lp_text(text)
+    want = [(r.name, r.coeffs or {"r1": 0.0}, r.relation, r.rhs) for r in rows]
+    assert parsed.rows == want
+    assert parsed.binaries == ["x1"] and parsed.bounds == {}
+
+
+@pytest.mark.parametrize(
+    "text, match",
+    [
+        ("Maximize\n obj: 0\n", "unknown section header"),
+        ("Minimize\n obj: 0\nst\n", "unknown section header"),
+        ("Subject To\n c1: r1 <= 1\nbin\n x1\n", "unknown section header"),
+        ("Subject To\n c1: r1 + x1\n", "relation"),
+        ("Subject To\n r1 <= 1\n", "relation"),
+        ("Subject To\n c1: r1 + 3 <= 5\n", "term without a variable"),
+        ("Subject To\n c1: r1 x1 <= 5\n", "not joined by"),
+        (" c1: r1 <= 1\n", "outside a section"),
+    ],
+)
+def test_lp_reader_rejects_what_the_export_never_writes(text, match):
+    with pytest.raises(ValueError, match=match):
+        parse_lp_text(text)
+
+
+def test_export_matches_highs_beyond_brute_force():
+    # bigm_status enumerates 2^n binaries; HiGHS takes n = 10-14
+    pytest.importorskip("scipy.optimize")
+    rng = np.random.default_rng(2208)
+    statuses = []
+    for trial in range(8):
+        n = 10 + trial % 5
+        if trial % 2 == 0:
+            inst, _ = planted_instance(rng, n, 3, 8)
+        else:
+            inst = random_instance(rng, n, 3, 8)
+        basis = compute_lin_hull(inst)
+        want = bnb_solve(inst, basis).status.value
+        got = highs_status(parse_lp_text(export_milp(build_milp(inst, basis), "lp")))
+        assert got == want, f"trial {trial}: HiGHS says {got}, search {want}"
+        statuses.append(want)
+    assert set(statuses) == {"feasible", "infeasible"}
 
 
 def test_mps_export_sections():
