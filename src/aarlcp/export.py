@@ -1,11 +1,12 @@
 """Big-M export of the reformulation, and a reader of exactly what it writes.
 
 :func:`build_milp` renders the row families of :class:`milp.Formulation` as
-one mixed-binary model for external integer programming tools: each
-indicator row is relaxed by a big-M multiple of its binary x_i, and the
-support_link, z_dual_match and D columns the node LPs presolve away are
-kept.  The search never uses this form.  :func:`export_milp` writes the
-model as LP or fixed-field MPS text.
+one mixed-binary model for external integer programming tools, writing
+each family's rows from its coefficient blocks and naming every row and
+column: each indicator row is relaxed by a big-M multiple of its binary
+x_i, and the support_link, z_dual_match and D columns the node LPs
+presolve away are kept.  The search never uses this form.
+:func:`export_milp` writes the model as LP or fixed-field MPS text.
 
 :func:`parse_lp_text` reads back the LP text :func:`export_milp` writes
 and raises ValueError on anything else.  Section headers start at column
@@ -23,7 +24,7 @@ import numpy as np
 from . import lp
 from .core import Instance
 from .linhull import LinHullBasis
-from .milp import ALL_TAGS, FormRow, Formulation
+from .milp import ALL_TAGS, Family, Formulation
 
 
 @dataclass
@@ -72,26 +73,46 @@ def default_big_m(inst: Instance) -> float:
     return 1e4 * max([1.0] + norms)
 
 
-def _bigm_rows(form: Formulation, row: FormRow, big_m: float) -> list[MilpRow]:
-    """Export rows of one formulation row; indicator rows get the constant."""
-    terms = {}
-    for cols, vals in row.terms:
-        for col, c in zip(np.ravel(cols), np.ravel(vals)):
-            if c != 0.0:
-                terms[form.names[col]] = float(c)
-    rhs = float(row.rhs)
-    if row.when is None:
-        return [MilpRow(row.name, terms, row.rel, rhs, row.tag)]
-    # the equation holds at x_i = value; elsewhere b |x_i - value|, which is
-    # c0 + c1 x_i, relaxes each half
-    i, value = row.when
-    x, c0, c1 = f"x{i + 1}", big_m * value, big_m * (1 - 2 * value)
-    upper, lower = row.name.format("u"), row.name.format("l")
-    out = [MilpRow(upper, {**terms, x: -c1}, lp.LE, rhs + c0, row.tag)]
-    if row.lower == "bigm":
-        out.append(MilpRow(lower, {**terms, x: c1}, lp.GE, rhs - c0, row.tag))
-    elif row.lower == "plain":
-        out.append(MilpRow(lower, terms, lp.GE, rhs, row.tag))
+# Name patterns of the rows of each family, in the order of ALL_TAGS, and
+# of the columns of each group: the 1-based indices of a row or column go
+# in positionally, and the half of a split indicator row ("u" or "l") as h.
+_ROW_NAMES = dict(zip(ALL_TAGS, (
+    "sl{0}", "nc{h}{0}", "dc{h}{0}_{1}", "zv{0}", "zm{0}_{1}", "wv{0}", "wm{0}_{1}",
+    "hn{0}_{1}", "mn{0}", "md{1}_{0}", "mp{0}_{1}",
+)))
+_COLUMN_NAMES = {
+    "D": "D{0}_{1}", "r": "r{0}", "A": "A{1}_{0}", "C": "C{1}_{0}", "s": "s{0}", "E": "E{0}_{1}",
+}
+
+
+def _grid(pattern: str, shape: tuple[int, ...]) -> list[str]:
+    """pattern formatted with the 1-based indices of np.ndindex(*shape)."""
+    return [pattern.format(*(t + 1 for t in idx)) for idx in np.ndindex(*shape)]
+
+
+def _bigm_rows(names: dict, fam: Family, big_m: float) -> list[MilpRow]:
+    """Export rows of one family; indicator rows get the constant."""
+    pattern, out = _ROW_NAMES[fam.tag], []
+    for t, idx in enumerate(np.ndindex(*fam.shape)):
+        idx = [a + 1 for a in idx]
+        terms = {
+            names[group][c]: float(block[t, c])
+            for group, block in fam.blocks.items()
+            for c in np.flatnonzero(block[t])
+        }
+        rhs = float(fam.rhs[t])
+        if fam.i is None:
+            out.append(MilpRow(pattern.format(*idx), terms, fam.rel, rhs, fam.tag))
+            continue
+        # the equation holds at x_i = value; elsewhere b |x_i - value|, which
+        # is c0 + c1 x_i, relaxes each half
+        x, c0, c1 = f"x{fam.i[t] + 1}", big_m * fam.value, big_m * (1 - 2 * fam.value)
+        upper, lower = pattern.format(*idx, h="u"), pattern.format(*idx, h="l")
+        out.append(MilpRow(upper, {**terms, x: -c1}, lp.LE, rhs + c0, fam.tag))
+        if fam.lower == "bigm":
+            out.append(MilpRow(lower, {**terms, x: c1}, lp.GE, rhs - c0, fam.tag))
+        elif fam.lower == "plain":
+            out.append(MilpRow(lower, terms, lp.GE, rhs, fam.tag))
     return out
 
 
@@ -110,13 +131,19 @@ def build_milp(
         raise ValueError("big_m must be positive and finite")
 
     form = Formulation(inst, basis)
-    rows = [out for row in form.rows(*ALL_TAGS) for out in _bigm_rows(form, row, big_m)]
+    names = {
+        group: _grid(pattern, getattr(form, group).shape)
+        for group, pattern in _COLUMN_NAMES.items()
+    }
+    rows = []
+    for tag in ALL_TAGS:
+        rows += _bigm_rows(names, getattr(form, tag)(), big_m)
     return MilpModel(
         big_m=big_m,
         rows=rows,
-        binaries=[f"x{i + 1}" for i in range(inst.n)],
-        continuous=list(form.names),
-        free=[form.names[col] for col in form.free],
+        binaries=_grid("x{0}", (inst.n,)),
+        continuous=[name for group in names.values() for name in group],
+        free=names["D"] + names["s"] + names["E"],
     )
 
 

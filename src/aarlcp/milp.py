@@ -4,14 +4,17 @@ The search for an affine rule is driven by a support vector x in {0,1}^n:
 row i is tight (x_i = 1, nominal value free to be positive) or off
 (x_i = 0, nominal value pinned to zero).
 
-Every row family of the reformulation is declared once, by a generator of
-tagged rows in :class:`Formulation`, and rendered two ways.  Node LPs
-(:class:`NodeLpBuilder`) keep the always-valid rows and add exact indicator
-rows for the already-fixed entries; no big-M rows exist there.  The big-M
-export, which relaxes each indicator row by a big-M multiple of its binary
-for hand-off to external integer programming tools, lives in
-:mod:`aarlcp.export`.  Both, and so the tree search (:func:`bnb_solve`),
-cover pure and mixed instances alike.  On a pure instance with a positive
+Every row family of the reformulation is declared once, by a method of
+:class:`Formulation` that returns a :class:`Family`: a tag, relations,
+right-hand sides and one coefficient block per column group, each a
+Kronecker product of the data.  Families are rendered two ways, block by
+block.  Node LPs (:class:`NodeLpBuilder`) keep the always-valid rows and
+add exact indicator rows for the already-fixed entries; no big-M rows
+exist there.  The big-M export, which relaxes each indicator row by a
+big-M multiple of its binary for hand-off to external integer programming
+tools and names the rows and columns, lives in :mod:`aarlcp.export`.
+Both, and so the tree search (:func:`bnb_solve`), cover pure and mixed
+instances alike.  On a pure instance with a positive
 semidefinite matrix the search starts at the one support an affine rule
 can use (:func:`psd.forced_support`), not at the unfixed root, so it runs
 a single node.
@@ -44,12 +47,11 @@ from __future__ import annotations
 import warnings
 from dataclasses import dataclass, field, replace
 from enum import Enum
-from functools import cached_property
 
 import numpy as np
 
 from . import lp
-from .core import EPS_FEAS, EPS_ZERO, Instance, Policy
+from .core import EPS_FEAS, EPS_ZERO, Instance, MixedExtension, Policy
 from .errors import DimensionMismatch, NodeLimitExceeded, NotPsd, NumericalFailure
 from .linhull import LinHullBasis
 from .psd import forced_support
@@ -156,43 +158,51 @@ def _normalize_fixed(node, n: int) -> tuple[int, ...]:
 
 
 @dataclass(eq=False)
-class FormRow:
-    """One row of the reformulation: terms, relation, right-hand side.
+class Family:
+    """One row family: rows over np.ndindex(*shape), each with relation rel
+    and its entry of rhs.
 
-    terms holds (columns, coefficients) blocks in the order the export
-    writes them.  when is the indicator (i, value) under which the row
-    holds, or None for a row that always holds.  An indicator row is an
-    equation; the export splits it into a "<=" and a ">=" half, writing u
-    or l where its name has "{}", and lower says how the ">=" half goes
-    out: relaxed by the big-M constant ("bigm"), as is because every policy
-    meets it ("plain"), or not at all because it is a variable bound
-    ("bound").
+    blocks maps column groups of :class:`Formulation` to coefficient blocks,
+    one row per family row and one column per column of the group, in the
+    order the export writes the terms.  An indicator family (i not None)
+    holds row t only where x_{i[t]} = value.  Its rows are equations; the
+    export splits each into a "<=" and a ">=" half, and lower says how the
+    ">=" half goes out: relaxed by the big-M constant ("bigm"), as is
+    because every policy meets it ("plain"), or not at all because it is a
+    variable bound ("bound").
     """
 
     tag: str
-    name: str
-    terms: tuple
+    shape: tuple[int, ...]
     rel: str
-    rhs: float
-    when: tuple[int, int] | None = None
+    rhs: np.ndarray
+    blocks: dict[str, np.ndarray]
+    i: np.ndarray | None = None
+    value: int = 1
     lower: str = "bigm"
 
 
 class Formulation:
     """Column layout and row families of the reformulation of one instance.
 
-    Columns, in order: D (n x k, row-major), r (n), the multipliers A of
-    the decision rows (g per row), the multipliers C of the slack rows, and
-    for a free block s (m) and E (m x k).  D, s and E are free, the rest
-    nonnegative.  Each family is the method named after its tag.
+    Column groups, in order: D (n x k, row-major), r (n), the multipliers A
+    of the decision rows (g per row), the multipliers C of the slack rows,
+    and the free block's s (m) and E (m x k); cols maps each group to its
+    columns.  D, s and E are free, the rest nonnegative.  A pure instance
+    gets an empty free block (m = 0).  Each family is the method named
+    after its tag, and its blocks are Kronecker products of the data:
+    w_dual_match, for one, is [C: I_n x Theta^T | D: -M x I_k | E: -N x I_k].
     """
 
     def __init__(self, inst: Instance, basis: LinHullBasis):
         self.inst = inst
-        self.vectors = basis.vectors
         n, k, g = inst.n, inst.k, inst.g
-        m = inst.mixed.m if inst.mixed is not None else 0
-        self.N = inst.mixed.N if inst.mixed is not None else np.zeros((n, 0))
+        self.mixed = inst.mixed
+        if inst.mixed is None:
+            empty = np.zeros((0, n)), np.zeros((0, 0)), np.zeros((n, 0)), np.zeros(0)
+            self.mixed = MixedExtension(*empty, P=np.zeros((0, k)))
+        m = self.mixed.m
+        self.hull = np.array(basis.vectors).reshape(-1, k)  # one vector per row
         start = np.cumsum([0, n * k, n, g * n, g * n, m, m * k])
         self.D = np.arange(start[0], start[1]).reshape(n, k)
         self.r = np.arange(start[1], start[2])
@@ -201,118 +211,77 @@ class Formulation:
         self.s = np.arange(start[4], start[5])
         self.E = np.arange(start[5], start[6]).reshape(m, k)
         self.total = int(start[-1])
-        self.free = np.concatenate([self.D.ravel(), self.s, self.E.ravel()])
+        self.cols = {group: getattr(self, group).ravel() for group in "DrACsE"}
+        self.free = np.concatenate([self.cols[group] for group in "DsE"])
 
-    @cached_property
-    def names(self) -> list[str]:
-        """Export name of every column."""
-        n, k, g, m = self.inst.n, self.inst.k, self.inst.g, len(self.s)
-        return (
-            [f"D{i + 1}_{c + 1}" for i in range(n) for c in range(k)]
-            + [f"r{i + 1}" for i in range(n)]
-            + [f"{v}{j + 1}_{i + 1}" for v in "AC" for i in range(n) for j in range(g)]
-            + [f"s{a + 1}" for a in range(m)]
-            + [f"E{a + 1}_{c + 1}" for a in range(m) for c in range(k)]
-        )
+    def z_dual_value(self) -> Family:
+        n = self.inst.n
+        blocks = {"A": np.kron(np.eye(n), self.inst.zeta), "r": np.eye(n)}
+        return Family(TAG_Z_DUAL_VALUE, (n,), lp.GE, np.zeros(n), blocks)
 
-    def rows(self, *tags):
-        """The rows of the given families, family by family."""
-        for tag in tags:
-            yield from getattr(self, tag)()
+    def z_dual_match(self) -> Family:
+        n, k = self.inst.n, self.inst.k
+        blocks = {"A": np.kron(np.eye(n), self.inst.Theta.T), "D": -np.eye(n * k)}
+        return Family(TAG_Z_DUAL_MATCH, (n, k), lp.EQ, np.zeros(n * k), blocks)
 
-    def dense(self, row: FormRow) -> np.ndarray:
-        out = np.zeros(self.total)
-        for cols, vals in row.terms:
-            out[cols] = vals
-        return out
-
-    def z_dual_value(self):
-        zeta = self.inst.zeta
-        for i in range(self.inst.n):
-            terms = ((self.A[i], zeta), (self.r[i], 1.0))
-            yield FormRow(TAG_Z_DUAL_VALUE, f"zv{i + 1}", terms, lp.GE, 0.0)
-
-    def z_dual_match(self):
-        Theta = self.inst.Theta
-        for i in range(self.inst.n):
-            for c in range(self.inst.k):
-                terms = ((self.A[i], Theta[:, c]), (self.D[i, c], -1.0))
-                yield FormRow(TAG_Z_DUAL_MATCH, f"zm{i + 1}_{c + 1}", terms, lp.EQ, 0.0)
-
-    def w_dual_value(self):
+    def w_dual_value(self) -> Family:
         inst = self.inst
-        for i in range(inst.n):
-            terms = ((self.C[i], inst.zeta), (self.r, inst.M[i]), (self.s, self.N[i]))
-            yield FormRow(TAG_W_DUAL_VALUE, f"wv{i + 1}", terms, lp.GE, -inst.q[i])
+        blocks = {"C": np.kron(np.eye(inst.n), inst.zeta), "r": inst.M, "s": self.mixed.N}
+        return Family(TAG_W_DUAL_VALUE, (inst.n,), lp.GE, -inst.q, blocks)
 
-    def w_dual_match(self):
-        inst = self.inst
-        for i in range(inst.n):
-            for c in range(inst.k):
-                terms = (
-                    (self.C[i], inst.Theta[:, c]),
-                    (self.D[:, c], -inst.M[i]),
-                    (self.E[:, c], -self.N[i]),
-                )
-                name = f"wm{i + 1}_{c + 1}"
-                yield FormRow(TAG_W_DUAL_MATCH, name, terms, lp.EQ, inst.T[i, c])
+    def w_dual_match(self) -> Family:
+        inst, eye = self.inst, np.eye(self.inst.k)
+        blocks = {
+            "C": np.kron(np.eye(inst.n), inst.Theta.T),
+            "D": -np.kron(inst.M, eye),
+            "E": -np.kron(self.mixed.N, eye),
+        }
+        return Family(TAG_W_DUAL_MATCH, inst.T.shape, lp.EQ, inst.T.ravel(), blocks)
 
-    def here_and_now(self):
-        for i in range(self.inst.h):
-            for c in range(self.inst.k):
-                terms = ((self.D[i, c], 1.0),)
-                yield FormRow(TAG_HERE_AND_NOW, f"hn{i + 1}_{c + 1}", terms, lp.EQ, 0.0)
+    def here_and_now(self) -> Family:
+        h, k = self.inst.h, self.inst.k
+        blocks = {"D": np.eye(h * k, self.inst.n * k)}
+        return Family(TAG_HERE_AND_NOW, (h, k), lp.EQ, np.zeros(h * k), blocks)
 
-    def mixed_nominal(self):
-        mx = self.inst.mixed
-        for a in range(len(self.s)):
-            terms = ((self.r, mx.V[a]), (self.s, mx.W[a]))
-            yield FormRow(TAG_MIXED_NOMINAL, f"mn{a + 1}", terms, lp.EQ, -mx.p[a])
+    def mixed_nominal(self) -> Family:
+        mx = self.mixed
+        return Family(TAG_MIXED_NOMINAL, (mx.m,), lp.EQ, -mx.p, {"r": mx.V, "s": mx.W})
 
-    def mixed_direction(self):
-        mx = self.inst.mixed
-        for j, v in enumerate(self.vectors):
-            for a in range(len(self.s)):
-                terms = ((self.D, np.outer(mx.V[a], v)), (self.E, np.outer(mx.W[a], v)))
-                rhs = -float(mx.P[a] @ v)
-                name = f"md{a + 1}_{j + 1}"
-                yield FormRow(TAG_MIXED_DIRECTION, name, terms, lp.EQ, rhs)
+    def mixed_direction(self) -> Family:
+        # rows run over the hull vectors first, then over the equations
+        mx, hull, k = self.mixed, self.hull, self.inst.k
+        rows = len(hull) * mx.m
+        blocks = {
+            "D": np.einsum("jc,ai->jaic", hull, mx.V).reshape(rows, self.inst.n * k),
+            "E": np.einsum("jc,ab->jabc", hull, mx.W).reshape(rows, mx.m * k),
+        }
+        rhs = -(hull @ mx.P.T).ravel()
+        return Family(TAG_MIXED_DIRECTION, (len(hull), mx.m), lp.EQ, rhs, blocks)
 
-    def mixed_pin(self):
-        if self.inst.mixed is None or self.inst.mixed.y_adjustable:
-            return
-        for a, c in np.ndindex(self.E.shape):
-            terms = ((self.E[a, c], 1.0),)
-            yield FormRow(TAG_MIXED_PIN, f"mp{a + 1}_{c + 1}", terms, lp.EQ, 0.0)
+    def mixed_pin(self) -> Family:
+        mx, k = self.mixed, self.inst.k
+        m = 0 if mx.y_adjustable else mx.m
+        blocks = {"E": np.eye(m * k, mx.m * k)}
+        return Family(TAG_MIXED_PIN, (m, k), lp.EQ, np.zeros(m * k), blocks)
 
-    def nominal_comp(self):
+    def nominal_comp(self) -> Family:
         # the ">=" half says the slack is nonnegative at the nominal point,
         # which the w_dual_value rows already imply
-        inst = self.inst
-        for i in range(inst.n):
-            terms = ((self.r, inst.M[i]), (self.s, self.N[i]))
-            name = f"nc{{}}{i + 1}"
-            yield FormRow(
-                TAG_NOMINAL_COMP, name, terms, lp.EQ, -inst.q[i], (i, 1), "plain"
-            )
+        inst, i = self.inst, np.arange(self.inst.n)
+        blocks = {"r": inst.M, "s": self.mixed.N}
+        return Family(TAG_NOMINAL_COMP, (inst.n,), lp.EQ, -inst.q, blocks, i, 1, "plain")
 
-    def direction_comp(self):
-        inst = self.inst
-        for i in range(inst.n):
-            for j, v in enumerate(self.vectors):
-                terms = (
-                    (self.D, np.outer(inst.M[i], v)),
-                    (self.E, np.outer(self.N[i], v)),
-                )
-                rhs = -float(inst.T[i] @ v)
-                name = f"dc{{}}{i + 1}_{j + 1}"
-                yield FormRow(TAG_DIRECTION_COMP, name, terms, lp.EQ, rhs, (i, 1))
+    def direction_comp(self) -> Family:
+        inst, hull = self.inst, self.hull
+        blocks = {"D": np.kron(inst.M, hull), "E": np.kron(self.mixed.N, hull)}
+        rhs = -(inst.T @ hull.T).ravel()
+        i = np.repeat(np.arange(inst.n), len(hull))
+        return Family(TAG_DIRECTION_COMP, (inst.n, len(hull)), lp.EQ, rhs, blocks, i)
 
-    def support_link(self):
-        for i in range(self.inst.n):
-            terms = ((self.r[i], 1.0),)
-            name = f"sl{i + 1}"
-            yield FormRow(TAG_SUPPORT_LINK, name, terms, lp.EQ, 0.0, (i, 0), "bound")
+    def support_link(self) -> Family:
+        n = self.inst.n
+        rhs, blocks = np.zeros(n), {"r": np.eye(n)}
+        return Family(TAG_SUPPORT_LINK, (n,), lp.EQ, rhs, blocks, np.arange(n), 0, "bound")
 
 
 class NodeLpBuilder:
@@ -320,8 +289,9 @@ class NodeLpBuilder:
 
     Node LPs carry neither the D columns nor the z_dual_match rows: those
     rows say D_i = Theta^T A_i, so every row is rendered with D replaced by
-    that product, and z_dual_match becomes 0 = 0.  Their columns are the
-    formulation's columns without D, and :meth:`lift` maps a node point back
+    that product, and z_dual_match becomes 0 = 0.  D is the first column
+    group, so node column j is formulation column j + n k, and a family's
+    D block folds into its A columns.  :meth:`lift` maps a node point back
     to the formulation's columns.  The export keeps D and z_dual_match.
 
     A fixing also forces columns to zero, and node LPs drop them instead of
@@ -352,50 +322,50 @@ class NodeLpBuilder:
     def __init__(self, inst: Instance, basis: LinHullBasis):
         self.inst = inst
         form = self.form = Formulation(_row_scaled(inst), basis)
-        kept = np.setdiff1d(np.arange(form.total), form.D.ravel())
-        self.n, self.total = inst.n, len(kept)
-        pos = np.full(form.total, -1)
-        pos[kept] = np.arange(self.total)
-        self._r = pos[form.r]
-        # x_full = Z @ x: identity on the kept columns, D[i] = Theta^T A_i
-        self._Z = np.zeros((form.total, self.total))
-        self._Z[kept, np.arange(self.total)] = 1.0
-        for i in range(self.n):
-            self._Z[np.ix_(form.D[i], pos[form.A[i]])] = inst.Theta.T
+        self.n, self._skip = inst.n, inst.n * inst.k
+        self.total = form.total - self._skip
+        self._r = form.r - self._skip
 
         lower = np.zeros(form.total)
         lower[form.free] = -np.inf
-        self._lower = lower[kept]
+        self._lower = lower[self._skip :]
         self._upper = np.full(self.total, np.inf)
         self._objective = np.zeros(self.total)
         for arr in (self._lower, self._upper, self._objective):
             arr.setflags(write=False)
 
-        def render(*tags):
-            """(row, node coefficients) for the given families, in one product."""
-            rows = list(form.rows(*tags))
-            dense = np.array([form.dense(row) for row in rows]).reshape(-1, form.total)
-            return zip(rows, dense @ self._Z)
+        def rows(*tags):
+            return [row for tag in tags for row in self._rows(getattr(form, tag)())]
 
-        self._eq_static = [
-            (coeffs, row.rel, row.rhs)
-            for row, coeffs in render(
-                TAG_HERE_AND_NOW, TAG_MIXED_NOMINAL, TAG_MIXED_DIRECTION, TAG_MIXED_PIN
-            )
-        ]
-        static_tags = (TAG_Z_DUAL_VALUE, TAG_W_DUAL_VALUE, TAG_W_DUAL_MATCH)
-        self._static = [
-            (coeffs, row.rel, row.rhs) for row, coeffs in render(*static_tags)
-        ] + self._eq_static
+        self._eq_static = rows(
+            TAG_HERE_AND_NOW, TAG_MIXED_NOMINAL, TAG_MIXED_DIRECTION, TAG_MIXED_PIN
+        )
+        self._static = rows(TAG_Z_DUAL_VALUE, TAG_W_DUAL_VALUE, TAG_W_DUAL_MATCH)
+        self._static += self._eq_static
         # Exact indicator rows and zeroed columns, per (index, value).
         strict = sorted(basis.inequality_rows)
         self._fixing: dict[tuple[int, int], tuple[list, np.ndarray]] = {}
         for i in range(self.n):
             r_and_a = np.append(form.r[i], form.A[i, strict])
-            self._fixing[i, 0] = ([], pos[r_and_a])
-            self._fixing[i, 1] = ([], pos[form.C[i, strict]])
-        for row, coeffs in render(TAG_NOMINAL_COMP, TAG_DIRECTION_COMP):
-            self._fixing[row.when][0].append((coeffs, row.rel, row.rhs))
+            self._fixing[i, 0] = ([], r_and_a - self._skip)
+            self._fixing[i, 1] = ([], form.C[i, strict] - self._skip)
+        for tag in (TAG_NOMINAL_COMP, TAG_DIRECTION_COMP):
+            fam = getattr(form, tag)()
+            for i, row in zip(fam.i.tolist(), self._rows(fam)):
+                self._fixing[i, fam.value][0].append(row)
+
+    def _rows(self, fam: Family) -> list:
+        """(coefficients, relation, rhs) of each row of a family, in node
+        columns, with D_i = Theta^T A_i folded into the A columns."""
+        inst = self.inst
+        coeffs = np.zeros((len(fam.rhs), self.total))
+        for group, block in fam.blocks.items():
+            if group == "D":
+                group = "A"
+                block = block.reshape(-1, inst.k) @ inst.Theta.T
+                block = block.reshape(len(coeffs), inst.n * inst.g)
+            coeffs[:, self.form.cols[group] - self._skip] += block
+        return [(row, fam.rel, rhs) for row, rhs in zip(coeffs, fam.rhs)]
 
     def _assemble(self, rows, node) -> lp.LpModel:
         zero = []
@@ -440,8 +410,10 @@ class NodeLpBuilder:
         return point[self._r]
 
     def lift(self, point: np.ndarray) -> np.ndarray:
-        """A node LP point in the formulation's columns, D = Theta^T A_i."""
-        return self._Z @ point
+        """A node LP point in the formulation's columns: D_i = Theta^T A_i
+        ahead of the node columns."""
+        A = point[self.form.A - self._skip]
+        return np.concatenate(((A @ self.inst.Theta).ravel(), point))
 
     def extract_policy(self, point, node) -> Policy:
         """Read the affine rule off a node LP point at a fully fixed node."""

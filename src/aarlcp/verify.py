@@ -201,8 +201,9 @@ def oracle_enumerate(
     (tight rows, pinned rows, coupling rows), then the full node LP with the
     nonnegativity machinery.  The first feasible support wins and its policy
     is certified before being returned; NumericalFailure is raised when it
-    fails certification.  The returned report carries a tally of how the
-    losing supports failed.
+    fails certification.  Certification runs at max(tol, EPS_FEAS), which
+    the report's tolerances name verify_tol.  The returned report carries a
+    tally of how the losing supports failed.
     """
     from .milp import NodeLpBuilder, SolveReport, SolveStatus
 
@@ -212,6 +213,7 @@ def oracle_enumerate(
             f"instance has {n} rows; enumeration is capped at {limit}"
         )
     builder = NodeLpBuilder(inst, basis)
+    verify_tol = max(tol, EPS_FEAS)
     lp_calls = lp_pivots = tested = eq_infeasible = nonneg_infeasible = 0
     policy = report = found = None
     supports = itertools.chain.from_iterable(
@@ -233,7 +235,7 @@ def oracle_enumerate(
             nonneg_infeasible += 1
             continue
         policy = builder.extract_policy(res.point, fixed)
-        report = verify_policy(inst, basis, policy, max(tol, EPS_FEAS))
+        report = verify_policy(inst, basis, policy, verify_tol)
         if not report.verified:
             raise NumericalFailure(
                 "enumeration returned a policy that fails certification: "
@@ -247,7 +249,7 @@ def oracle_enumerate(
         nodes_explored=tested,
         lp_calls=lp_calls,
         verification=report,
-        tolerances={"tol": tol, "eps_zero": EPS_ZERO},
+        tolerances={"tol": tol, "eps_zero": EPS_ZERO, "verify_tol": verify_tol},
         tally={
             "tested": tested,
             "equality_infeasible": eq_infeasible,

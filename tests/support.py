@@ -60,6 +60,31 @@ def export_1d_instance():
     )
 
 
+def export_mixed_instance():
+    """Pinned two-variable free block, h = 1 and a two-vector hull: every
+    row family of the export writes rows.  The set is the unit box cut by
+    the implicit equality u3 = u1 + u2."""
+    Theta, zeta = box_set(3)
+    tight = np.array([[1.0, 1.0, -1.0], [-1.0, -1.0, 1.0]])
+    mx = MixedExtension(
+        V=np.array([[1.0, -2.0, 0.5], [0.0, 1.5, -1.0]]),
+        W=np.array([[3.0, 0.25], [-1.0, 2.0]]),
+        N=np.array([[0.5, 0.0], [-1.0, 2.0], [0.0, -0.75]]),
+        p=np.array([1.5, -0.5]),
+        P=np.array([[0.25, -1.0, 0.0], [1.0, 0.5, -2.0]]),
+        y_adjustable=False,
+    )
+    return Instance(
+        M=np.array([[2.0, -0.5, 0.0], [1.0, 3.0, -1.25], [0.0, 0.75, 1.0]]),
+        q=np.array([-1.0, 0.25, -2.0]),
+        T=np.array([[1.0, 0.5, 0.0], [-1.5, 2.0, 1.0], [0.0, 0.0, -0.5]]),
+        Theta=np.vstack([Theta, tight]),
+        zeta=np.append(zeta, [0.0, 0.0]),
+        h=1,
+        mixed=mx,
+    )
+
+
 def psd_desk_instance():
     Theta, zeta = box_set(2, 0.5)
     return Instance(
@@ -547,16 +572,39 @@ def search_answer(report):
     return report.status, tallies, policy
 
 
+def dense_rows(form, fam) -> np.ndarray:
+    """A family's rows in all the formulation's columns, one per row."""
+    out = np.zeros((len(fam.rhs), form.total))
+    for group, block in fam.blocks.items():
+        out[:, form.cols[group]] = block
+    return out
+
+
+def node_map(builder) -> np.ndarray:
+    """Z with x_full = Z @ x for a node point x: the identity on the
+    columns node LPs keep, and D_i = Theta^T A_i."""
+    form = builder.form
+    kept = np.setdiff1d(np.arange(form.total), form.D.ravel())
+    pos = np.full(form.total, -1)
+    pos[kept] = np.arange(len(kept))
+    Z = np.zeros((form.total, len(kept)))
+    Z[kept, np.arange(len(kept))] = 1.0
+    for i in range(builder.n):
+        Z[np.ix_(form.D[i], pos[form.A[i]])] = form.inst.Theta.T
+    return Z
+
+
 def reference_node_model(builder, fixed) -> lp.LpModel:
     """A node LP as built before fixings cut columns.
 
     Every node column keeps its default bounds, and x_i = 0 adds the
     support_link row r_i = 0.  The rows are the builder's formulation rows,
-    rendered with D = Theta^T A_i and in the same order as before: the
-    always-valid rows, then the indicator rows of each fixed entry.
+    rendered as dense rows times :func:`node_map` and in the same order as
+    before: the always-valid rows, then the indicator rows of each fixed
+    entry.
     """
     form = builder.form
-    Z = builder.lift(np.eye(builder.total))
+    Z = node_map(builder)
     root = builder.model([milp.UNFIXED] * builder.n)
     model = lp.LpModel(builder.total)
     model.lower, model.upper = root.lower.copy(), root.upper.copy()
@@ -570,9 +618,15 @@ def reference_node_model(builder, fixed) -> lp.LpModel:
         milp.TAG_MIXED_PIN,
     )
     indicators = (milp.TAG_NOMINAL_COMP, milp.TAG_DIRECTION_COMP, milp.TAG_SUPPORT_LINK)
-    rows = list(form.rows(*static))
+
+    def add(fam, holds):
+        for coeffs, rhs in zip(dense_rows(form, fam)[holds] @ Z, fam.rhs[holds]):
+            model.add_row(coeffs, fam.rel, rhs)
+
+    for tag in static:
+        add(getattr(form, tag)(), slice(None))
     for i, f in enumerate(fixed):
-        rows += [row for row in form.rows(*indicators) if row.when == (i, f)]
-    for row in rows:
-        model.add_row(form.dense(row) @ Z, row.rel, row.rhs)
+        for tag in indicators:
+            fam = getattr(form, tag)()
+            add(fam, (fam.i == i) & (fam.value == f))
     return model

@@ -8,6 +8,7 @@ import pytest
 
 import aarlcp.cli
 from aarlcp.cli import build_parser, main, read_instance, read_policy
+from aarlcp.core import EPS_FEAS, EPS_ZERO
 from support import count_lp_calls
 
 GOLDEN = {
@@ -401,6 +402,9 @@ def test_oracle_out_writes_a_verifiable_policy(tmp_path):
     assert saved["status"] == "feasible"
     # one node per support tested, as the oracle prints it
     assert saved["diagnostics"]["nodes_explored"] == 4
+    # the tolerance that certified the policy is named, as solve names it
+    tolerances = saved["diagnostics"]["tolerances"]
+    assert tolerances == {"tol": 1e-8, "eps_zero": EPS_ZERO, "verify_tol": EPS_FEAS}
     assert main(["verify", inst, pol]) == 0
 
 

@@ -1,6 +1,7 @@
 """Node LPs, the tree search, and the big-M export with its reader."""
 
 import dataclasses
+import pathlib
 
 import numpy as np
 import pytest
@@ -29,6 +30,9 @@ from aarlcp.milp import (
     ALL_TAGS,
     TAG_DIRECTION_COMP,
     TAG_HERE_AND_NOW,
+    TAG_MIXED_DIRECTION,
+    TAG_MIXED_NOMINAL,
+    TAG_MIXED_PIN,
     TAG_NOMINAL_COMP,
     TAG_SUPPORT_LINK,
     TAG_W_DUAL_MATCH,
@@ -39,10 +43,13 @@ from aarlcp.milp import (
 from support import (
     bigm_status,
     coupled_mixed_instance,
+    dense_rows,
     export_1d_instance,
+    export_mixed_instance,
     golden_instance,
     highs_status,
     mixed_1d,
+    node_map,
     planted_instance,
     planted_mixed_instance,
     random_instance,
@@ -393,14 +400,61 @@ def test_warm_children_keep_the_columns_of_their_cold_model():
     assert children > 100
 
 
+def test_node_rows_equal_dense_rows_times_z():
+    """Each family, rendered block by block into node columns, equals its
+    dense rows times the explicit map Z from node to formulation columns,
+    and lift is Z: on pure, mixed (pinned and adjustable) and h >= 1 draws."""
+    rng = np.random.default_rng(19)
+    insts = [export_mixed_instance()]
+    for trial in range(4):
+        n, k = 3 + trial % 3, 2 + trial % 2
+        inst = random_instance(rng, n, k, 2 * k + 2, tight_pair=trial % 2 == 0)
+        insts += [inst, dataclasses.replace(inst, h=1 + trial % 2)]
+        pinned, freed, _ = planted_mixed_instance(rng, n, 1 + trial % 2, k)
+        insts += [pinned, freed, dataclasses.replace(freed, h=1)]
+    static = (TAG_Z_DUAL_VALUE, TAG_W_DUAL_VALUE, TAG_W_DUAL_MATCH)
+    equations = (TAG_HERE_AND_NOW, TAG_MIXED_NOMINAL, TAG_MIXED_DIRECTION, TAG_MIXED_PIN)
+
+    def check(form, Z, rows, fams, where):
+        want = np.vstack([dense_rows(form, fam) @ Z for fam in fams])
+        assert len(rows) == len(want), where
+        if rows:
+            got = np.array([coeffs for coeffs, _, _ in rows])
+            assert np.abs(got - want).max() <= 1e-15 * np.abs(want).max(), where
+            assert [rel for _, rel, _ in rows] == [f.rel for f in fams for _ in f.rhs]
+            assert np.array_equal([rhs for _, _, rhs in rows], np.hstack([f.rhs for f in fams]))
+
+    for t, inst in enumerate(insts):
+        builder = NodeLpBuilder(inst, compute_lin_hull(inst))
+        form, Z = builder.form, node_map(builder)
+        root = [UNFIXED] * inst.n
+        fams = {tag: getattr(form, tag)() for tag in ALL_TAGS}
+        check(form, Z, builder.model(root).rows, [fams[tag] for tag in static + equations], t)
+        check(form, Z, builder.support_model(root).rows, [fams[tag] for tag in equations], t)
+        for i in range(inst.n):
+            indicators = []
+            for tag in (TAG_NOMINAL_COMP, TAG_DIRECTION_COMP):
+                fam = fams[tag]
+                mine = fam.i == i
+                blocks = {group: block[mine] for group, block in fam.blocks.items()}
+                indicators.append(dataclasses.replace(fam, rhs=fam.rhs[mine], blocks=blocks))
+            check(form, Z, builder.fixing(i, 1)[0], indicators, (t, i))
+            assert builder.fixing(i, 0)[0] == []
+        point = rng.standard_normal(builder.total)
+        lifted = Z @ point
+        assert np.abs(builder.lift(point) - lifted).max() <= 1e-15 * np.abs(lifted).max()
+
+
 def _full_space_model(builder, fixed):
     """The node LP before the presolve: free D columns and z_dual_match rows."""
     form = builder.form
     model = lp.LpModel(form.total)
     model.set_free(form.free)
-    for row in form.rows(*ALL_TAGS):
-        if row.when is None or fixed[row.when[0]] == row.when[1]:
-            model.add_row(form.dense(row), row.rel, row.rhs)
+    for tag in ALL_TAGS:
+        fam = getattr(form, tag)()
+        holds = slice(None) if fam.i is None else np.array(fixed)[fam.i] == fam.value
+        for coeffs, rhs in zip(dense_rows(form, fam)[holds], fam.rhs[holds]):
+            model.add_row(coeffs, fam.rel, rhs)
     return model
 
 
@@ -530,6 +584,40 @@ def test_milp_row_counts():
     assert len(model.rows_by_tag(TAG_HERE_AND_NOW)) == 0
     assert len(model.continuous) == n * k + n + 2 * g * n
     assert model.binaries == ["x1", "x2"]
+
+    # a pinned free block and h = 1: every family writes rows
+    inst = export_mixed_instance()
+    basis = compute_lin_hull(inst)
+    model = build_milp(inst, basis, big_m=10.0)
+    n, k, g, ell, m, h = 3, 3, 8, 2, 2, 1
+    assert len(basis.vectors) == ell
+    counts = {
+        TAG_SUPPORT_LINK: n,
+        TAG_NOMINAL_COMP: 2 * n,
+        TAG_DIRECTION_COMP: 2 * n * ell,
+        TAG_Z_DUAL_VALUE: n,
+        TAG_Z_DUAL_MATCH: n * k,
+        TAG_W_DUAL_VALUE: n,
+        TAG_W_DUAL_MATCH: n * k,
+        TAG_HERE_AND_NOW: h * k,
+        TAG_MIXED_NOMINAL: m,
+        TAG_MIXED_DIRECTION: m * ell,
+        TAG_MIXED_PIN: m * k,
+    }
+    assert {tag: len(model.rows_by_tag(tag)) for tag in ALL_TAGS} == counts
+    assert len(model.rows) == sum(counts.values())
+    assert len(model.continuous) == n * k + n + 2 * g * n + m + m * k
+    assert len(model.free) == n * k + m + m * k
+
+
+@pytest.mark.parametrize("fmt", ["lp", "mps"])
+@pytest.mark.parametrize("name", ["golden", "mixed"])
+def test_export_text_is_pinned(name, fmt):
+    """LP and MPS text of the golden instance and of a mixed instance whose
+    rows cover every family, byte for byte as written in tests/data."""
+    inst = {"golden": golden_instance, "mixed": export_mixed_instance}[name]()
+    text = export_milp(build_milp(inst, compute_lin_hull(inst)), fmt)
+    assert text == (pathlib.Path(__file__).parent / "data" / f"{name}.{fmt}").read_text()
 
 
 def test_support_link_renders_exactly():
