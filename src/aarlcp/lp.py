@@ -23,15 +23,18 @@ batches of rows: each batch is reduced against the current basis, and only
 the rows whose slack cannot start basic get an artificial, which phase one
 drives to zero.  An artificial has no column: it is a virtual basis index
 above every real column, and once it leaves the basis it is gone.  A batch
-may also fix variables at zero (``zero=``): their columns leave the
-tableau, so this and later batches pivot on fewer columns, and a row whose
-basic variable lost its column keeps that value as an artificial's.  A
-cold solve is one batch of every row onto an empty tableau that fixes the
-variables with bounds [0, 0], so it starts from a full artificial basis;
-the tree search extends a parent's tableau by the few rows and fixings of a
-child, so its phase one starts from the parent's basis.  Pricing is
-Dantzig's rule until a long run of degenerate pivots switches the loop to
-Bland's rule, which is kept until the phase ends.
+may also fix variables at zero (``zero=``) and make rows of earlier
+batches equations (``tight=``): the variables' columns and the rows' slack
+columns leave the tableau, so this and later batches pivot on fewer
+columns, and a row whose basic variable lost its column keeps that value
+as an artificial's, or zero when the value is within the tolerance,
+which is rounding residue.  A cold solve is one batch of every row onto
+an empty tableau that fixes the variables with bounds [0, 0], so it
+starts from a full artificial basis; the tree search extends a parent's
+tableau by the fixings of a child, which add no rows, so its phase one
+starts from the parent's basis.  Pricing is Dantzig's rule until a long
+run of degenerate pivots switches the loop to Bland's rule, which is kept
+until the phase ends.
 
 The pivot loop works in place: each phase allocates one tableau-sized
 buffer, which the rank-1 update of every pivot fills through BLAS, and one
@@ -149,13 +152,16 @@ def _pivot(T: np.ndarray, r: int, j: int, buf: np.ndarray | None = None) -> None
     shaped like ``T``, holds the rank-1 update; the loop passes one so that no pivot allocates
     a tableau-sized array.  The update is a BLAS outer product, which gives
     +0.0 for a zero product where an elementwise one may give -0.0; that
-    changes no bit of a tableau free of -0.0, and adding 0.0 to the divided
-    pivot row keeps it free."""
+    changes no bit of a tableau free of -0.0.  Dividing the pivot row by a
+    positive entry keeps it free; after a negative one, as the purge may
+    take, adding 0.0 clears the -0.0 the division leaves."""
     if buf is None:
         buf = np.empty(T.shape)
-    T[r, :] /= T[r, j]
-    T[r, :] += 0.0
-    col = T[:, j].copy()
+    row, piv = T[r], T[r, j]
+    row /= piv
+    if piv < 0.0:
+        row += 0.0
+    col = T.T[j].copy()
     col[r] = 0.0
     np.dot(col[:, None], T[r : r + 1], out=buf)
     T -= buf
@@ -206,7 +212,7 @@ def _iterate(T: np.ndarray, basis: np.ndarray, nact: int, tol: float):
         np.greater(col, _PIV_EPS, out=pos)
         ratios.fill(np.inf)
         np.divide(rhs, col, out=ratios, where=pos)
-        best = float(ratios.min(initial=np.inf))
+        best = float(np.minimum.reduce(ratios, initial=np.inf))
         # a ratio may overflow to inf: only no candidate row means unbounded
         if best == np.inf and not pos.any():
             return "unbounded", total_pivots
@@ -218,7 +224,7 @@ def _iterate(T: np.ndarray, basis: np.ndarray, nact: int, tol: float):
             r = int((ratios <= thr).argmax())
         _pivot(T, r, j, buf)
         basis[r] = j
-        if rhs.min() < 0.0:
+        if np.minimum.reduce(rhs) < 0.0:
             small = (rhs < 0.0) & (rhs > -1e-9)
             if small.any():
                 rhs[small] = 0.0
@@ -268,8 +274,10 @@ class Tableau:
     is never mutated once built, so sibling nodes may both extend their
     parent's, and a search may keep one on its stack.
 
-    feasible is False when phase one ended above the tolerance; such a
-    tableau cannot be extended.  pivots counts the pivots of the batch that
+    slack_row gives, for each slack column (columns len(var) up), the index
+    of its row among all rows added so far, as :meth:`extend` takes it in
+    tight.  feasible is False when phase one ended above the tolerance;
+    such a tableau cannot be extended.  pivots counts the pivots of the batch that
     built this tableau.  The unscaled rows of every batch are kept for the
     residual guard of :meth:`point`, including rows the purge dropped as
     redundant.
@@ -286,9 +294,10 @@ class Tableau:
         self.n_real = len(self.var)
         self.feasible = True
         self.pivots = 0
+        self.slack_row = np.zeros(0, dtype=int)
         self._blocks: tuple = ()
 
-    def extend(self, rows, tol: float = 1e-8, zero=()) -> "Tableau":
+    def extend(self, rows, tol: float = 1e-8, zero=(), tight=()) -> "Tableau":
         """This tableau plus rows of (coefficients, relation, rhs).
 
         The new rows are written in the standard-form columns, equilibrated
@@ -299,9 +308,14 @@ class Tableau:
         their sum.
 
         zero lists variables that this batch fixes at zero.  All their
-        columns are cut, so they never enter.  A row where one was basic
-        starts with an artificial at its value: phase one drives it to
-        zero.
+        columns are cut, so they never enter.  tight lists rows of earlier
+        batches, by their index among all rows added so far, whose slack
+        column this batch cuts: each becomes an equation, and the residual
+        guard of :meth:`point` holds it to both sides from here on; a row
+        without a slack column, an equation, stays as it is.  A row whose
+        basic column is cut, a variable's or a slack, starts with an
+        artificial at its value, which phase one drives to zero; a value
+        within tol is rounding residue and starts at zero.
         """
         if not self.feasible:
             raise ValueError("an infeasible tableau cannot be extended")
@@ -310,6 +324,11 @@ class Tableau:
         cut[np.asarray(zero, dtype=int)] = True
         keep = np.ones(old, dtype=bool)
         keep[:ns] = ~cut[self.var]
+        blocks = self._blocks
+        tight = np.asarray(tight, dtype=int)
+        if len(tight):
+            keep[ns:] = ~np.isin(self.slack_row, tight)
+            blocks = _as_equations(blocks, tight)
         m_new = len(rows)
         C = np.zeros((m_new, self.num_vars))
         b = np.zeros(m_new)
@@ -318,7 +337,7 @@ class Tableau:
             C[r] = coeffs
             b[r] = rhs
             senses.append(relation)
-        blocks = self._blocks
+        first = sum(len(blk[1]) for blk in blocks)
         A = np.zeros((m_new, old))
         if m_new:
             rels = np.array(senses, dtype=object)
@@ -367,12 +386,15 @@ class Tableau:
         # and a row whose basic column is cut keeps that value as its own.
         basis = np.full(m, -1)
         basis[:m_old] = np.where(keep[self.basis], place[self.basis], -1)
+        T[:m_old, -1][(basis[:m_old] < 0) & (T[:m_old, -1] <= tol)] = 0.0
+        new_slacks = []
         sl = len(carry)
         for t, s in enumerate(senses):
             if s != EQ:
                 T[m_old + t, sl] = 1.0 if s == LE else -1.0
                 if s == LE:
                     basis[m_old + t] = sl
+                new_slacks.append(first + t)
                 sl += 1
         art = np.flatnonzero(basis < 0)
         basis[art] = n_real + np.arange(len(art))
@@ -396,6 +418,7 @@ class Tableau:
         child = Tableau.__new__(Tableau)
         child.num_vars = self.num_vars
         child.var, child.sign = self.var[keep[:ns]], self.sign[keep[:ns]]
+        child.slack_row = np.append(self.slack_row[keep[ns:]], new_slacks).astype(int)
         child.T, child.basis, child.n_real = T, basis, n_real
         child.feasible, child.pivots = feasible, pivots
         child._blocks = blocks
@@ -454,24 +477,37 @@ class Tableau:
         return x
 
 
+def _as_equations(blocks: tuple, rows: np.ndarray) -> tuple:
+    """The residual guard's blocks with the given rows, by their index among
+    the rows of all blocks, checked as equations."""
+    out, first = [], 0
+    for C, rhs, sign, eq, big in blocks:
+        mine = rows[(rows >= first) & (rows < first + len(rhs))] - first
+        if len(mine):
+            eq = eq.copy()
+            eq[mine] = True
+        out.append((C, rhs, sign, eq, big))
+        first += len(rhs)
+    return tuple(out)
+
+
 def _purge_artificials(T: np.ndarray, basis: np.ndarray, n_real: int):
     """Pivot a real column into each row whose basic variable is still an
     artificial (a virtual index from n_real up), or drop the row when it
     has no usable entry, being redundant.  Returns the tableau, the basis
     and the number of pivots."""
-    m = T.shape[0] - 1
     drop = []
     pivots = 0
-    for r in range(m):
-        if basis[r] >= n_real:
-            row = T[r, :n_real]
-            j = int(np.argmax(np.abs(row)))
-            if abs(row[j]) > _PIV_EPS:
-                _pivot(T, r, j)
-                basis[r] = j
-                pivots += 1
-            else:
-                drop.append(r)
+    # a pivot changes the basis entry of its own row only
+    for r in np.flatnonzero(basis >= n_real):
+        row = T[r, :n_real]
+        j = int(np.argmax(np.abs(row)))
+        if abs(row[j]) > _PIV_EPS:
+            _pivot(T, r, j)
+            basis[r] = j
+            pivots += 1
+        else:
+            drop.append(r)
     if drop:
         T = np.delete(T, drop, axis=0)
         basis = np.delete(basis, drop)

@@ -9,10 +9,11 @@ Every row family of the reformulation is declared once, by a method of
 right-hand sides and one coefficient block per column group, each a
 Kronecker product of the data.  Families are rendered two ways, block by
 block.  Node LPs (:class:`NodeLpBuilder`) keep the always-valid rows and
-add exact indicator rows for the already-fixed entries; no big-M rows
-exist there.  The big-M export, which relaxes each indicator row by a
-big-M multiple of its binary for hand-off to external integer programming
-tools and names the rows and columns, lives in :mod:`aarlcp.export`.
+write every fixing as an exact cut, so they add no rows below the root
+and no big-M rows exist there.  The big-M export, which relaxes each
+indicator row by a big-M multiple of its binary for hand-off to external
+integer programming tools and names the rows and columns, lives in
+:mod:`aarlcp.export`.
 Both, and so the tree search (:func:`bnb_solve`), cover pure and mixed
 instances alike.  On a pure instance with a positive
 semidefinite matrix the search starts at the one support an affine rule
@@ -21,10 +22,17 @@ a single node.
 
 Node LPs are presolved: the rule D enters only through its certificate
 D_i = Theta^T A_i, so they carry neither D columns nor z_dual_match rows,
-and every other row has D replaced by that product.  A fixing drops the
-columns it forces to zero instead of adding support_link rows: r_i and
-the A_i of the strict set rows for x_i = 0, the C_i of those rows for
-x_i = 1.  The export still carries D, z_dual_match and support_link.
+and every other row has D replaced by that product.  A fixing adds no
+indicator rows.  It drops the columns it forces to zero: r_i and the A_i
+of the strict set rows for x_i = 0, the C_i of those rows for x_i = 1.
+x_i = 1 also cuts the slack of w_dual_value row i, which makes that row
+an equation.  That is exact: with C_i zero on the strict rows and zeta
+zero on the tight ones, the equation is nominal_comp, and w_dual_match
+gives M_i D + N_i E = C_i^T Theta - T_i, where C_i^T Theta h = 0 for
+every hull vector h because Theta_j h = 0 on every tight row j, so
+direction_comp holds too.  The export still carries D, z_dual_match and
+the three indicator families; the support model of the enumeration
+oracle renders nominal_comp and direction_comp as well.
 :meth:`NodeLpBuilder.lift` maps a node LP point back to the formulation's
 columns.
 
@@ -38,8 +46,8 @@ Row families:
 * mixed_pin: a pinned free block does not react to the uncertainty.
 * indicator rows: x_i = 1 pins the slack rule of row i to zero at the
   nominal point (nominal_comp) and along the hull (direction_comp);
-  x_i = 0 pins r_i to zero (support_link, export only: node LPs fix the
-  column instead).
+  x_i = 0 pins r_i to zero (support_link).  Node LPs cut columns and a
+  slack instead of carrying any of them.
 """
 
 from __future__ import annotations
@@ -47,6 +55,7 @@ from __future__ import annotations
 import warnings
 from dataclasses import dataclass, field, replace
 from enum import Enum
+from functools import cached_property
 
 import numpy as np
 
@@ -294,13 +303,17 @@ class NodeLpBuilder:
     D block folds into its A columns.  :meth:`lift` maps a node point back
     to the formulation's columns.  The export keeps D and z_dual_match.
 
-    A fixing also forces columns to zero, and node LPs drop them instead of
-    carrying support_link rows, which only the export keeps.  x_i = 0 fixes
-    r_i at zero; since zeta_j < 0 on every strict set row j, z_dual_value
-    then leaves A_i zeta >= 0 with A_i >= 0, which implies A_ij = 0 on those
-    rows.  x_i = 1 pins the nominal slack to zero, so w_dual_value implies
-    C_ij = 0 on them alike.  Every node LP, warm or cold, fixes each such
-    column at zero.
+    A fixing is a cut: it forces columns to zero, and node LPs drop them
+    instead of carrying indicator rows.  x_i = 0 fixes r_i at zero; since
+    zeta_j < 0 on every strict set row j, z_dual_value then leaves
+    A_i zeta >= 0 with A_i >= 0, which implies A_ij = 0 on those rows.
+    x_i = 1 pins the nominal slack to zero, so w_dual_value implies
+    C_ij = 0 on them alike, and node LPs cut the slack of w_dual_value row
+    i as well.  With those C_ij gone, that row at zero slack is
+    nominal_comp, and w_dual_match implies direction_comp (see the module
+    docstring).  Every node LP, warm or cold, fixes each such column at
+    zero.  nominal_comp and direction_comp are rendered only for
+    :meth:`support_model`; support_link only by the export.
 
     Instances are solved with each row of [M q T N] divided by its
     infinity norm (:attr:`form` is built on the scaled rows).  That maps
@@ -309,14 +322,15 @@ class NodeLpBuilder:
     rows.
 
     The always-valid rows are built once, and so is the :meth:`fixing` of
-    every (index, value): the indicator rows it adds and the columns it
-    zeroes.  :meth:`model` appends the rows of the fixed entries for a cold
-    solve and gives their columns the bounds [0, 0], so :func:`lp.phase_one`
-    cuts them in the same :meth:`lp.Tableau.extend` that a warm child
-    takes: the tree search keeps each parent's phase-one tableau on its
-    stack and extends it by the fixing of the one entry a child fixes.
-    Models share the bound arrays of the unfixed root, which the solver
-    never mutates.
+    every (index, value): the columns it zeroes and the row whose slack it
+    cuts.  For a cold solve, :meth:`model` writes the w_dual_value row of
+    each x_i = 1 as an equation and gives the zeroed columns the bounds
+    [0, 0], so :func:`lp.phase_one` cuts them in the same
+    :meth:`lp.Tableau.extend` that a warm child takes: the tree search
+    keeps each parent's phase-one tableau on its stack and extends it by
+    the fixing of the one entry a child fixes, with no new rows, so no
+    node tableau has more rows than the root's.  Models share the bound
+    arrays of the unfixed root, which the solver never mutates.
     """
 
     def __init__(self, inst: Instance, basis: LinHullBasis):
@@ -342,17 +356,26 @@ class NodeLpBuilder:
         )
         self._static = rows(TAG_Z_DUAL_VALUE, TAG_W_DUAL_VALUE, TAG_W_DUAL_MATCH)
         self._static += self._eq_static
-        # Exact indicator rows and zeroed columns, per (index, value).
+        # Zeroed columns and tight rows, per (index, value); w_dual_value
+        # row i follows the n z_dual_value rows.
         strict = sorted(basis.inequality_rows)
-        self._fixing: dict[tuple[int, int], tuple[list, np.ndarray]] = {}
+        none = np.zeros(0, dtype=int)
+        self._fixing: dict[tuple[int, int], tuple[np.ndarray, np.ndarray]] = {}
         for i in range(self.n):
             r_and_a = np.append(form.r[i], form.A[i, strict])
-            self._fixing[i, 0] = ([], r_and_a - self._skip)
-            self._fixing[i, 1] = ([], form.C[i, strict] - self._skip)
+            self._fixing[i, 0] = (r_and_a - self._skip, none)
+            self._fixing[i, 1] = (form.C[i, strict] - self._skip, np.array([self.n + i]))
+
+    @cached_property
+    def _indicators(self) -> list[list]:
+        """The nominal_comp and direction_comp rows of each index, in node
+        columns, rendered on the first :meth:`support_model`."""
+        out: list[list] = [[] for _ in range(self.n)]
         for tag in (TAG_NOMINAL_COMP, TAG_DIRECTION_COMP):
-            fam = getattr(form, tag)()
+            fam = getattr(self.form, tag)()
             for i, row in zip(fam.i.tolist(), self._rows(fam)):
-                self._fixing[i, fam.value][0].append(row)
+                out[i].append(row)
+        return out
 
     def _rows(self, fam: Family) -> list:
         """(coefficients, relation, rhs) of each row of a family, in node
@@ -367,13 +390,8 @@ class NodeLpBuilder:
             coeffs[:, self.form.cols[group] - self._skip] += block
         return [(row, fam.rel, rhs) for row, rhs in zip(coeffs, fam.rhs)]
 
-    def _assemble(self, rows, node) -> lp.LpModel:
-        zero = []
-        for i, f in enumerate(_normalize_fixed(node, self.n)):
-            if f != UNFIXED:
-                fix_rows, cols = self._fixing[i, f]
-                rows.extend(fix_rows)
-                zero.append(cols)
+    def _assemble(self, rows, fixed) -> lp.LpModel:
+        zero = [self._fixing[i, f][0] for i, f in enumerate(fixed) if f != UNFIXED]
         model = lp.LpModel.__new__(lp.LpModel)
         model.num_vars = self.total
         model.objective = self._objective
@@ -387,24 +405,41 @@ class NodeLpBuilder:
         return model
 
     def model(self, node) -> lp.LpModel:
-        """Full node LP: always-valid rows plus indicators for fixed
-        entries, with every column a fixing forces pinned at zero."""
-        return self._assemble(list(self._static), node)
+        """Full node LP: the always-valid rows, with w_dual_value row i an
+        equation wherever x_i = 1, and every column a fixing forces pinned
+        at zero."""
+        fixed = _normalize_fixed(node, self.n)
+        rows = list(self._static)
+        for i, f in enumerate(fixed):
+            if f == 1:
+                (t,) = self._fixing[i, 1][1]
+                coeffs, _, rhs = rows[t]
+                rows[t] = (coeffs, lp.EQ, rhs)
+        return self._assemble(rows, fixed)
 
-    def fixing(self, i: int, value: int) -> tuple[list, np.ndarray]:
-        """(rows, zero) of fixing entry i to value, as
-        :meth:`lp.Tableau.extend` takes them: the indicator rows it adds
-        (none for value 0) and the node columns it forces to zero, r_i and
-        the A_i of the strict set rows for value 0, their C_i for value 1."""
+    def fixing(self, i: int, value: int) -> tuple[np.ndarray, np.ndarray]:
+        """(zero, tight) of fixing entry i to value, as
+        :meth:`lp.Tableau.extend` takes them; a fixing adds no rows.  zero
+        lists the node columns it forces to zero: r_i and the A_i of the
+        strict set rows for value 0, their C_i for value 1.  tight lists
+        the rows of :meth:`model` whose slack it cuts: w_dual_value row i
+        for value 1, none for value 0."""
         return self._fixing[i, value]
 
     def support_model(self, node) -> lp.LpModel:
-        """Equality side only: indicators and pinning rows, with the
-        columns of :meth:`model` pinned at zero, nothing else.
+        """Equality side only: the nominal_comp and direction_comp rows of
+        every x_i = 1 and the pinning rows, with the columns of
+        :meth:`model` pinned at zero, nothing else.
 
         Used to split infeasibility causes when enumerating supports; the
-        full node LP implies those zeros, so this stays its relaxation."""
-        return self._assemble(list(self._eq_static), node)
+        full node LP implies those rows and zeros, so this stays its
+        relaxation."""
+        fixed = _normalize_fixed(node, self.n)
+        rows = list(self._eq_static)
+        for i, f in enumerate(fixed):
+            if f == 1:
+                rows.extend(self._indicators[i])
+        return self._assemble(rows, fixed)
 
     def r_of(self, point: np.ndarray) -> np.ndarray:
         return point[self._r]
@@ -496,9 +531,9 @@ def _node_lp(builder, fixed, parent, key, tol, budget):
     """
     if parent is not None:
         tab = None
-        rows, zero = builder.fixing(*key)
+        zero, tight = builder.fixing(*key)
         try:
-            tab = parent.extend(rows, tol, zero)
+            tab = parent.extend((), tol, zero, tight)
             return tab, (tab.point() if tab.feasible else None)
         except NumericalFailure:
             pass

@@ -342,6 +342,44 @@ def test_extend_fixes_variables_at_zero():
     assert feasible >= 30
 
 
+def test_extend_cuts_the_slacks_of_tight_rows():
+    """A warm batch that lists earlier rows in tight agrees with a cold
+    solve that writes those rows as equations, with or without fixings:
+    over draws where a cut slack was basic, and where the tight row was a
+    GE row flipped to LE, its slack starting basic."""
+    rng = np.random.default_rng(23)
+    feasible = basic = flipped = drawn = 0
+    for _ in range(200):
+        model = _batch_model(rng)
+        cut = int(rng.integers(1, len(model.rows) + 1))
+        tab = _empty(model).extend(model.rows[:cut])
+        if not tab.feasible:
+            continue
+        drawn += 1
+        tight = np.flatnonzero(rng.uniform(size=cut) < 0.5)
+        zero = np.zeros(0, dtype=int)
+        if rng.uniform() < 0.5:
+            zero = np.flatnonzero(rng.uniform(size=model.num_vars) < 0.2)
+        slacks = len(tab.var) + np.flatnonzero(np.isin(tab.slack_row, tight))
+        basic += bool(np.isin(tab.basis, slacks).any())
+        flipped += any(model.rows[t][1] == lp.GE and model.rows[t][2] < 0 for t in tight)
+        cold = lp.LpModel(model.num_vars)
+        cold.rows = [
+            (a, lp.EQ if t in tight else rel, b) for t, (a, rel, b) in enumerate(model.rows)
+        ]
+        cold.lower, cold.upper = model.lower.copy(), model.upper.copy()
+        cold.lower[zero] = cold.upper[zero] = 0.0
+        whole = lp.phase_one(cold).feasible
+        tab = tab.extend(model.rows[cut:], zero=zero, tight=tight)
+        assert tab.feasible is whole
+        if whole:
+            feasible += 1
+            x = tab.point()
+            assert not x[zero].any()
+            assert _worst_miss(cold, x) <= 1e-8
+    assert drawn >= 150 and feasible >= 30 and basic >= 10 and flipped >= 3
+
+
 def _worst_miss(model, x):
     worst = 0.0
     for a, rel, b in model.rows:
@@ -590,12 +628,15 @@ def test_iterate_zeroes_tiny_negative_rhs():
     assert T[1, -1] == 0.0
 
 
-def _shifted(second, shift):
+def _shifted(second, shift, tight=()):
     """Phase-one tableau of x0 = 1 over x0, x1 >= 0, extended by a batch of
-    the second row, with the basic value of x0 moved by shift."""
+    the second row and then by a batch that makes the rows in tight
+    equations, with the basic value of x0 moved by shift."""
     model = lp.LpModel(2)
     model.add_row([1.0, 0.0], lp.EQ, 1.0)
     tab = lp.phase_one(model).extend([second])
+    if len(tight):
+        tab = tab.extend([], tight=tight)
     tab.T[list(tab.basis).index(0), -1] += shift
     return tab
 
@@ -619,6 +660,12 @@ def test_point_residual_guard():
             assert tab.T.shape[0] == 2  # the purge dropped the redundant row
         with pytest.raises(NumericalFailure, match="solution failed the residual check"):
             tab.point()
+    # 100 x0 >= 100 is missed by nothing at x0 = 1 + 1e-4, but once a later
+    # batch makes it an equation, by 1e-2
+    ge = ([100.0, 0.0], lp.GE, 100.0)
+    assert _shifted(ge, 1e-4).point()[0] > 1.0
+    with pytest.raises(NumericalFailure, match="solution failed the residual check"):
+        _shifted(ge, 1e-4, tight=[1]).point()
 
 
 def test_point_rejects_non_finite():

@@ -26,6 +26,7 @@ from aarlcp import (
     parse_lp_text,
     verify_policy,
 )
+from aarlcp.cli import read_instance
 from aarlcp.milp import (
     ALL_TAGS,
     TAG_DIRECTION_COMP,
@@ -239,8 +240,11 @@ def _node_residual(model, point):
 
 
 def _walk(builder, warm):
-    """Index-branching DFS; warm nodes extend the parent's tableau and are
-    checked against a cold solve of the same node.  Returns the node count."""
+    """Index-branching DFS; warm nodes extend the parent's tableau, which
+    never has more rows than the root's.  Every node, cold and warm, keeps
+    the status of the reference node LP with its nominal_comp and
+    direction_comp rows, and its point meets those rows and the node LP's.
+    Returns the node count."""
     n = builder.n
     stack = [(tuple([UNFIXED] * n), None, None)]
     nodes = 0
@@ -248,17 +252,23 @@ def _walk(builder, warm):
         fixed, parent, key = stack.pop()
         nodes += 1
         model = builder.model(fixed)
-        cold = lp.lp_feasible(model)
+        reference = reference_node_model(builder, fixed)
+        feasible = lp.lp_feasible(reference).status is lp.LpStatus.OPTIMAL
+        assert (lp.lp_feasible(model).status is lp.LpStatus.OPTIMAL) is feasible, fixed
         if warm and parent is not None:
-            rows, zero = builder.fixing(*key)
-            tab = parent.extend(rows, 1e-8, zero)
-            assert tab.feasible is (cold.status is lp.LpStatus.OPTIMAL), fixed
+            zero, tight = builder.fixing(*key)
+            tab = parent.extend([], 1e-8, zero, tight)
+            assert tab.T.shape[0] <= root_rows, fixed
         else:
             tab = lp.phase_one(model)
+        if parent is None:
+            root_rows = tab.T.shape[0]
+        assert tab.feasible is feasible, fixed
         if not tab.feasible:
             continue
         point = tab.point()
         assert _node_residual(model, point) <= 1e-7, fixed
+        assert _node_residual(reference, point) <= 1e-7, fixed
         if UNFIXED not in fixed:
             return nodes
         i = fixed.index(UNFIXED)
@@ -295,10 +305,10 @@ def test_warm_failure_falls_back_to_a_cold_solve(monkeypatch):
     assert want.nodes_explored > 3
     real = lp.Tableau.extend
 
-    def warm_fails(self, rows, tol=1e-8, zero=()):
+    def warm_fails(self, rows, tol=1e-8, zero=(), tight=()):
         if len(self.basis):  # a child extending its parent
             raise NumericalFailure("injected")
-        return real(self, rows, tol, zero)
+        return real(self, rows, tol, zero, tight)
 
     monkeypatch.setattr(lp.Tableau, "extend", warm_fails)
     report = bnb_solve(inst, basis, opts)
@@ -310,11 +320,11 @@ def test_warm_failure_falls_back_to_a_cold_solve(monkeypatch):
     # the root solves; below it the warm attempt and the cold re-solve fail
     calls = []
 
-    def fails_after_root(self, rows, tol=1e-8, zero=()):
+    def fails_after_root(self, rows, tol=1e-8, zero=(), tight=()):
         calls.append(len(self.basis))
         if len(calls) > 1:
             raise NumericalFailure("injected")
-        return real(self, rows, tol, zero)
+        return real(self, rows, tol, zero, tight)
 
     monkeypatch.setattr(lp.Tableau, "extend", fails_after_root)
     with pytest.raises(NumericalFailure):
@@ -354,8 +364,8 @@ def test_fixings_cut_only_columns_forced_to_zero():
             feasible = ref.status is lp.LpStatus.OPTIMAL
             cold = lp.lp_feasible(builder.model(fixed), tol)
             assert (cold.status is lp.LpStatus.OPTIMAL) is feasible, where
-            rows, zero = builder.fixing(i, values[i])
-            tab = tab.extend(rows, tol, zero)
+            zero, tight = builder.fixing(i, values[i])
+            tab = tab.extend([], tol, zero, tight)
             assert tab.feasible is feasible, where
             if not feasible:
                 continue
@@ -390,8 +400,8 @@ def test_warm_children_keep_the_columns_of_their_cold_model():
             i = int(rng.choice(unfixed))
             for v in (0, 1):
                 child = fixed[:i] + (v,) + fixed[i + 1 :]
-                rows, zero = builder.fixing(i, v)
-                warm = tab.extend(rows, 1e-8, zero)
+                zero, tight = builder.fixing(i, v)
+                warm = tab.extend([], 1e-8, zero, tight)
                 if warm.feasible:
                     cold = lp.phase_one(builder.model(child))
                     assert sorted(warm.var) == sorted(cold.var), (trial, child)
@@ -400,10 +410,45 @@ def test_warm_children_keep_the_columns_of_their_cold_model():
     assert children > 100
 
 
+def test_cut_encodes_the_indicator_rows():
+    """x_i = 1 cuts the slack of w_dual_value row i and the strict C_i
+    columns, and adds no rows: on pure draws with a tight pair, at h = 0
+    and h >= 1, and on pinned and adjustable mixed draws, warm and cold
+    node LPs keep the status of the reference node LP with its
+    nominal_comp and direction_comp rows, warm points meet those rows, and
+    no warm tableau outgrows the root (see _walk)."""
+    rng = np.random.default_rng(83)
+    nodes = 0
+    for trial in range(6):
+        n, k = 4 + trial % 2, 2 + trial % 2
+        planted, _ = planted_instance(rng, n, k, 2 * k + 2, tight_pair=True)
+        pure = random_instance(rng, n, k, 2 * k + 2, tight_pair=True)
+        insts = [planted, dataclasses.replace(planted, h=1 + trial % 2), pure]
+        insts += planted_mixed_instance(rng, 3, 1 + trial % 2, k)[:2]
+        for inst in insts:
+            nodes += _walk(NodeLpBuilder(inst, compute_lin_hull(inst)), warm=True)
+    assert nodes >= 250
+
+
+def test_warm_prune_ignores_rounding_residue():
+    """A permuted mixed pinned instance, feasible by construction, whose
+    warm child x_2 = 0 under x_0 = 1 cut basic columns left at 6.6e-10 to
+    1.1e-8 by rounding; counted as artificials, they summed past tol and
+    the search answered infeasible."""
+    inst = read_instance(str(pathlib.Path(__file__).parent / "data" / "residue_mixed_pinned.json"))
+    basis = compute_lin_hull(inst)
+    for branching in ("heuristic", "index"):
+        report = bnb_solve(inst, basis, SolveOptions(branching=branching))
+        assert report.status is SolveStatus.FEASIBLE, branching
+        assert report.verification.verified
+
+
 def test_node_rows_equal_dense_rows_times_z():
     """Each family, rendered block by block into node columns, equals its
     dense rows times the explicit map Z from node to formulation columns,
-    and lift is Z: on pure, mixed (pinned and adjustable) and h >= 1 draws."""
+    and lift is Z: on pure, mixed (pinned and adjustable) and h >= 1 draws.
+    x_i = 1 makes w_dual_value row i of the node LP an equation and adds no
+    rows; the support model adds its nominal_comp and direction_comp rows."""
     rng = np.random.default_rng(19)
     insts = [export_mixed_instance()]
     for trial in range(4):
@@ -431,15 +476,25 @@ def test_node_rows_equal_dense_rows_times_z():
         fams = {tag: getattr(form, tag)() for tag in ALL_TAGS}
         check(form, Z, builder.model(root).rows, [fams[tag] for tag in static + equations], t)
         check(form, Z, builder.support_model(root).rows, [fams[tag] for tag in equations], t)
+        def part(fam, mine, **changes):
+            blocks = {group: block[mine] for group, block in fam.blocks.items()}
+            return dataclasses.replace(fam, rhs=fam.rhs[mine], blocks=blocks, **changes)
+
+        root_rows = builder.model(root).rows
         for i in range(inst.n):
-            indicators = []
-            for tag in (TAG_NOMINAL_COMP, TAG_DIRECTION_COMP):
-                fam = fams[tag]
-                mine = fam.i == i
-                blocks = {group: block[mine] for group, block in fam.blocks.items()}
-                indicators.append(dataclasses.replace(fam, rhs=fam.rhs[mine], blocks=blocks))
-            check(form, Z, builder.fixing(i, 1)[0], indicators, (t, i))
-            assert builder.fixing(i, 0)[0] == []
+            one = root[:i] + [1] + root[i + 1 :]
+            indicators = [
+                part(fams[tag], fams[tag].i == i) for tag in (TAG_NOMINAL_COMP, TAG_DIRECTION_COMP)
+            ]
+            eqs = [fams[tag] for tag in equations]
+            check(form, Z, builder.support_model(one).rows, eqs + indicators, (t, i))
+            (row,) = builder.fixing(i, 1)[1]
+            rows = builder.model(one).rows
+            w_row = part(fams[TAG_W_DUAL_VALUE], [i], rel=lp.EQ)
+            check(form, Z, rows[row : row + 1], [w_row], (t, i))
+            others = rows[:row] + rows[row + 1 :], root_rows[:row] + root_rows[row + 1 :]
+            assert all(a is b for a, b in zip(*others)) and len(rows) == len(root_rows)
+            assert len(builder.fixing(i, 0)[1]) == 0
         point = rng.standard_normal(builder.total)
         lifted = Z @ point
         assert np.abs(builder.lift(point) - lifted).max() <= 1e-15 * np.abs(lifted).max()
