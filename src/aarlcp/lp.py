@@ -18,23 +18,21 @@ phase-one tableau in :attr:`LpResult.tableau`, and
 
 Every variable is nonnegative, free or fixed at zero; no other bounds are
 accepted.  Internals, in brief: a free variable is split into positive and
-negative parts, and rows are equilibrated.  A :class:`Tableau` grows by
-batches of rows: each batch is reduced against the current basis, and only
-the rows whose slack cannot start basic get an artificial, which phase one
-drives to zero.  An artificial has no column: it is a virtual basis index
-above every real column, and once it leaves the basis it is gone.  A batch
-may also fix variables at zero (``zero=``) and make rows of earlier
-batches equations (``tight=``): the variables' columns and the rows' slack
-columns leave the tableau, so this and later batches pivot on fewer
-columns, and a row whose basic variable lost its column keeps that value
-as an artificial's, or zero when the value is within the tolerance,
-which is rounding residue.  A cold solve is one batch of every row onto
-an empty tableau that fixes the variables with bounds [0, 0], so it
-starts from a full artificial basis; the tree search extends a parent's
-tableau by the fixings of a child, which add no rows, so its phase one
-starts from the parent's basis.  Pricing is Dantzig's rule until a long
-run of degenerate pivots switches the loop to Bland's rule, which is kept
-until the phase ends.
+negative parts, and rows are equilibrated.  A :class:`Tableau` holds one
+row set.  :func:`phase_one` builds it from a model, cutting the columns of
+the variables with bounds [0, 0]; only the rows whose slack cannot start
+basic get an artificial, which phase one drives to zero.  An artificial
+has no column: it is a virtual basis index above every real column, and
+once it leaves the basis it is gone.  :meth:`Tableau.cut` derives a
+tableau that fixes more variables at zero (``zero=``) and makes rows
+equations (``tight=``): the variables' columns and the rows' slack columns
+leave the tableau, and a row whose basic variable lost its column keeps
+that value as an artificial's, or zero when the value is within the
+tolerance, which is rounding residue.  The tree search cuts a parent's
+tableau by the fixing of a child, which adds no rows, so the child's phase
+one starts from the parent's basis.  Pricing is Dantzig's rule until a
+long run of degenerate pivots switches the loop to Bland's rule, which is
+kept until the phase ends.
 
 The pivot loop works in place: each phase allocates one tableau-sized
 buffer, which the rank-1 update of every pivot fills through BLAS, and one
@@ -94,6 +92,7 @@ class LpModel:
     free them.  The bounds of each variable must be [0, +inf), (-inf, +inf)
     or [0, 0]: a solve raises ValueError on any other pair.  Rows are
     (coefficients, relation, rhs) with relation one of "<=", "=", ">=".
+    A non-finite objective, coefficient or rhs raises ValueError.
     """
 
     def __init__(self, num_vars: int, objective=None):
@@ -104,6 +103,8 @@ class LpModel:
             self.objective = np.asarray(objective, dtype=float).copy()
             if self.objective.shape != (self.num_vars,):
                 raise ValueError("objective length does not match num_vars")
+            if not np.isfinite(self.objective).all():
+                raise ValueError("objective contains non-finite entries")
         self.rows: list[tuple[np.ndarray, str, float]] = []
         self.lower = np.zeros(self.num_vars)
         self.upper = np.full(self.num_vars, np.inf)
@@ -114,7 +115,10 @@ class LpModel:
             raise ValueError("row length does not match num_vars")
         if relation not in _RELATIONS:
             raise ValueError(f"unknown relation {relation!r}")
-        self.rows.append((coeffs, relation, float(rhs)))
+        rhs = float(rhs)
+        if not (np.isfinite(coeffs).all() and np.isfinite(rhs)):
+            raise ValueError("row contains non-finite entries")
+        self.rows.append((coeffs, relation, rhs))
 
     def set_free(self, indices=None) -> None:
         if indices is None:
@@ -180,12 +184,15 @@ def _price_out(T: np.ndarray, basis: np.ndarray) -> None:
 def _iterate(T: np.ndarray, basis: np.ndarray, nact: int, tol: float):
     """Run the pivot loop on the priced tableau.  Returns "optimal" or
     "unbounded" with the number of pivots; raises NumericalFailure when
-    safeguards run out.
+    safeguards run out.  With no column to price (nact = 0) the tableau is
+    optimal as it stands.
 
     ``T`` is pivoted in place and never rebound, so the reduced-cost and
     right-hand-side views stay valid for the whole loop.  The update and
     ratio buffers belong to this call and are never shared with another.
     """
+    if not nact:
+        return "optimal", 0
     m = T.shape[0] - 1
     bland = False
     degen_run = 0
@@ -246,8 +253,13 @@ def _iterate(T: np.ndarray, basis: np.ndarray, nact: int, tol: float):
 
 
 def phase_one(model: LpModel, tol: float = 1e-8) -> "Tableau":
-    """Cold phase one: every row of the model as one batch onto an empty
-    tableau, which fixes the variables with bounds [0, 0] at zero.
+    """Cold phase one: the tableau of every row of the model, with the
+    columns of the variables with bounds [0, 0] cut.
+
+    The rows are written in the standard-form columns, equilibrated over
+    the columns they keep and flipped to a nonnegative right-hand side.
+    Rows whose slack can start basic need no artificial; every other row
+    starts with an artificial basic, and phase one minimizes their sum.
 
     Raises ValueError unless every variable is nonnegative, free or fixed
     at zero."""
@@ -257,149 +269,80 @@ def phase_one(model: LpModel, tol: float = 1e-8) -> "Tableau":
     nonnegative = (lower == 0.0) & (upper == np.inf)
     if not (free | zero | nonnegative).all():
         raise ValueError("variable bounds must be [0, inf), (-inf, inf) or [0, 0]")
-    return Tableau(free).extend(model.rows, tol, np.flatnonzero(zero))
+    var = np.repeat(np.arange(model.num_vars), np.where(free, 2, 1))
+    # a free variable's second column is its negative part
+    sign = np.where(np.diff(var, prepend=-1) == 0, -1.0, 1.0)
+    keep = ~zero[var]
+    m = len(model.rows)
+    C = np.zeros((m, model.num_vars))
+    b = np.zeros(m)
+    for r, (coeffs, _, rhs) in enumerate(model.rows):
+        C[r], b[r] = coeffs, rhs
+    rels = np.array([rel for _, rel, _ in model.rows], dtype=object)
+    eq = rels == EQ
+    rows = (C, b.copy(), np.where(rels == GE, -1.0, 1.0), eq, np.abs(b).max(initial=0.0))
+    A = C[:, var] * sign
+    # Row equilibration keeps big coefficients (for example big-M rows)
+    # from washing out the tolerances.  Cut columns do not count, so rows
+    # are scaled as if those columns never existed.
+    big = np.abs(A[:, keep]).max(axis=1, initial=0.0)
+    scale = np.maximum(1.0, np.maximum(big, np.abs(b)))
+    A /= scale[:, None]
+    b /= scale
+    flip = b < 0
+    A[flip] *= -1.0
+    b[flip] *= -1.0
+
+    # Columns: the kept structural ones, then the slacks.  -1 marks an
+    # artificial: every row but an LE one after the flip starts with one.
+    carry = np.flatnonzero(keep)
+    slack_row = np.flatnonzero(~eq)
+    cols = len(carry) + np.arange(len(slack_row))
+    le = (rels[slack_row] == LE) != flip[slack_row]
+    T = np.zeros((m + 1, len(carry) + len(slack_row) + 1))
+    T[:m, : len(carry)] = A[:, carry]
+    T[:m, -1] = b
+    T[slack_row, cols] = np.where(le, 1.0, -1.0)
+    basis = np.full(m, -1)
+    basis[slack_row[le]] = cols[le]
+    T[:m] += 0.0  # the flips and signs leave -0.0; see _pivot
+    return Tableau(model.num_vars, var[keep], sign[keep], slack_row, rows, T, basis, tol)
 
 
 class Tableau:
-    """Phase-one tableau of a row set that grows batch by batch.
+    """Phase-one tableau of one row set.
 
-    An empty tableau holds the standard-form transform of the variables:
-    x_i is sign[c] * y[c] summed over the structural columns c with
-    var[c] = i, and y >= 0.  A nonnegative variable has one column, a free
-    one two, and a batch that fixes variables at zero cuts their columns.
-    :meth:`extend` returns a new tableau with the equilibrated rows after
-    phase one and the purge of its artificials, and the basis.  T has one
-    column per real variable (structural and slack, n_real in all) and the
-    right-hand side, and one row per constraint and the cost row.  A tableau
-    is never mutated once built, so sibling nodes may both extend their
-    parent's, and a search may keep one on its stack.
+    It holds the standard-form transform of the variables: x_i is
+    sign[c] * y[c] summed over the structural columns c with var[c] = i,
+    and y >= 0.  A nonnegative variable has one column, a free one two, and
+    a variable fixed at zero none.  T has one column per real variable
+    (structural and slack, n_real in all) and the right-hand side, and one
+    row per constraint and the cost row; basis gives each row's basic
+    column.  :func:`phase_one` builds a tableau from a model, and
+    :meth:`cut` derives one with fewer columns from another.  A tableau is
+    never mutated once built, so sibling nodes may both cut their parent's,
+    and a search may keep one on its stack.
 
     slack_row gives, for each slack column (columns len(var) up), the index
-    of its row among all rows added so far, as :meth:`extend` takes it in
-    tight.  feasible is False when phase one ended above the tolerance;
-    such a tableau cannot be extended.  pivots counts the pivots of the batch that
-    built this tableau.  The unscaled rows of every batch are kept for the
-    residual guard of :meth:`point`, including rows the purge dropped as
-    redundant.
+    of its row in the model, as :meth:`cut` takes it in tight.  feasible is
+    False when phase one ended above the tolerance; such a tableau cannot
+    be cut.  pivots counts the pivots of the phase one that built this
+    tableau.  The unscaled rows are kept for the residual guard of
+    :meth:`point`, including rows the purge dropped as redundant.
+
+    The constructor takes the equilibrated rows with -1 in basis for each
+    row that starts with an artificial.  An artificial has no column: its
+    basis entry is a virtual index from n_real up, so Bland's rule lets it
+    leave last, and once it leaves it is gone.  The constructor runs phase
+    one and purges the artificials still basic at zero.
     """
 
-    def __init__(self, free):
-        free = np.asarray(free, dtype=bool)
-        self.num_vars = free.shape[0]
-        self.var = np.repeat(np.arange(self.num_vars), np.where(free, 2, 1))
-        # a free variable's second column is its negative part
-        self.sign = np.where(np.diff(self.var, prepend=-1) == 0, -1.0, 1.0)
-        self.T = np.zeros((1, len(self.var) + 1))
-        self.basis = np.zeros(0, dtype=int)
-        self.n_real = len(self.var)
-        self.feasible = True
-        self.pivots = 0
-        self.slack_row = np.zeros(0, dtype=int)
-        self._blocks: tuple = ()
-
-    def extend(self, rows, tol: float = 1e-8, zero=(), tight=()) -> "Tableau":
-        """This tableau plus rows of (coefficients, relation, rhs).
-
-        The new rows are written in the standard-form columns, equilibrated
-        over the columns they keep, reduced against the current basis and
-        flipped to a nonnegative right-hand side.  Rows whose slack can
-        start basic need no artificial; every other row starts with an
-        artificial basic, which has no column, and phase one minimizes
-        their sum.
-
-        zero lists variables that this batch fixes at zero.  All their
-        columns are cut, so they never enter.  tight lists rows of earlier
-        batches, by their index among all rows added so far, whose slack
-        column this batch cuts: each becomes an equation, and the residual
-        guard of :meth:`point` holds it to both sides from here on; a row
-        without a slack column, an equation, stays as it is.  A row whose
-        basic column is cut, a variable's or a slack, starts with an
-        artificial at its value, which phase one drives to zero; a value
-        within tol is rounding residue and starts at zero.
-        """
-        if not self.feasible:
-            raise ValueError("an infeasible tableau cannot be extended")
-        ns, old, m_old = len(self.var), self.n_real, len(self.basis)
-        cut = np.zeros(self.num_vars, dtype=bool)
-        cut[np.asarray(zero, dtype=int)] = True
-        keep = np.ones(old, dtype=bool)
-        keep[:ns] = ~cut[self.var]
-        blocks = self._blocks
-        tight = np.asarray(tight, dtype=int)
-        if len(tight):
-            keep[ns:] = ~np.isin(self.slack_row, tight)
-            blocks = _as_equations(blocks, tight)
-        m_new = len(rows)
-        C = np.zeros((m_new, self.num_vars))
-        b = np.zeros(m_new)
-        senses = []
-        for r, (coeffs, relation, rhs) in enumerate(rows):
-            C[r] = coeffs
-            b[r] = rhs
-            senses.append(relation)
-        first = sum(len(blk[1]) for blk in blocks)
-        A = np.zeros((m_new, old))
-        if m_new:
-            rels = np.array(senses, dtype=object)
-            sign = np.where(rels == GE, -1.0, 1.0)
-            blocks += ((C, b.copy(), sign, rels == EQ, float(np.abs(b).max())),)
-            A[:, :ns] = C[:, self.var] * self.sign
-            # Row equilibration keeps big coefficients (for example big-M
-            # rows) from washing out the tolerances.  Cut columns do not
-            # count, so a cold batch scales its rows as if they never existed.
-            big = np.abs(A[:, keep]).max(axis=1, initial=0.0)
-            scale = np.maximum(1.0, np.maximum(big, np.abs(b)))
-            A /= scale[:, None]
-            b /= scale
-
-        # Express the rows in the current basis: the basic columns vanish.
-        if m_old and m_new:
-            lift = A[:, self.basis]
-            A -= lift @ self.T[:m_old, :-1]
-            b -= lift @ self.T[:m_old, -1]
-            A[:, self.basis] = 0.0
-
-        flip = b < 0
-        if flip.any():
-            A[flip] *= -1.0
-            b[flip] *= -1.0
-            for r in np.nonzero(flip)[0]:
-                if senses[r] == LE:
-                    senses[r] = GE
-                elif senses[r] == GE:
-                    senses[r] = LE
-
-        # Columns: the carried ones, then the new slacks.  An artificial has
-        # no column; its basis entry is a virtual index from n_real up, so
-        # Bland's rule lets it leave last, and once it leaves it is gone.
-        carry = np.flatnonzero(keep)
-        n_slack = sum(1 for s in senses if s != EQ)
-        n_real = len(carry) + n_slack
-        m = m_old + m_new
-        T = np.zeros((m + 1, n_real + 1))
-        T[:m_old, : len(carry)] = self.T[:m_old, carry]
-        T[:m_old, -1] = self.T[:m_old, -1]
-        T[m_old:m, : len(carry)] = A[:, carry]
-        T[m_old:m, -1] = b
-        place = np.cumsum(keep) - 1
-        # -1 marks an artificial: every new GE or EQ row starts with one,
-        # and a row whose basic column is cut keeps that value as its own.
-        basis = np.full(m, -1)
-        basis[:m_old] = np.where(keep[self.basis], place[self.basis], -1)
-        T[:m_old, -1][(basis[:m_old] < 0) & (T[:m_old, -1] <= tol)] = 0.0
-        new_slacks = []
-        sl = len(carry)
-        for t, s in enumerate(senses):
-            if s != EQ:
-                T[m_old + t, sl] = 1.0 if s == LE else -1.0
-                if s == LE:
-                    basis[m_old + t] = sl
-                new_slacks.append(first + t)
-                sl += 1
+    def __init__(self, num_vars, var, sign, slack_row, rows, T, basis, tol):
+        self.num_vars, self.var, self.sign, self.slack_row = num_vars, var, sign, slack_row
+        self._rows = rows
+        n_real = T.shape[1] - 1
         art = np.flatnonzero(basis < 0)
         basis[art] = n_real + np.arange(len(art))
-        T[m_old:m] += 0.0  # the flips and signs leave -0.0; see _pivot
-
         pivots = 0
         feasible = True
         if len(art):
@@ -414,15 +357,46 @@ class Tableau:
             if feasible:
                 T, basis, purged = _purge_artificials(T, basis, n_real)
                 pivots += purged
+        self.T, self.basis, self.n_real = T, basis, n_real
+        self.feasible, self.pivots = feasible, pivots
 
-        child = Tableau.__new__(Tableau)
-        child.num_vars = self.num_vars
-        child.var, child.sign = self.var[keep[:ns]], self.sign[keep[:ns]]
-        child.slack_row = np.append(self.slack_row[keep[ns:]], new_slacks).astype(int)
-        child.T, child.basis, child.n_real = T, basis, n_real
-        child.feasible, child.pivots = feasible, pivots
-        child._blocks = blocks
-        return child
+    def cut(self, zero=(), tight=(), tol: float = 1e-8) -> "Tableau":
+        """This tableau with variables fixed at zero and rows made equations.
+
+        zero lists variables whose columns are cut, so they never enter.
+        tight lists rows, by their index in the model, whose slack column is
+        cut: each becomes an equation, and the residual guard of
+        :meth:`point` holds it to both sides; a row without a slack column,
+        an equation, stays as it is.  A row whose basic column is cut, a
+        variable's or a slack, starts with an artificial at its value, which
+        phase one drives to zero; a value within tol is rounding residue and
+        starts at zero.  No row is added, so phase one starts from this
+        tableau's basis.
+        """
+        if not self.feasible:
+            raise ValueError("an infeasible tableau cannot be cut")
+        ns, m = len(self.var), len(self.basis)
+        fixed = np.zeros(self.num_vars, dtype=bool)
+        fixed[np.asarray(zero, dtype=int)] = True
+        keep = np.ones(self.n_real, dtype=bool)
+        keep[:ns] = ~fixed[self.var]
+        rows = self._rows
+        tight = np.asarray(tight, dtype=int)
+        if len(tight):
+            keep[ns:] = ~np.isin(self.slack_row, tight)
+            C, rhs, sign, eq, big = rows
+            eq = eq.copy()
+            eq[tight] = True
+            rows = (C, rhs, sign, eq, big)
+        carry = np.flatnonzero(keep)
+        T = np.zeros((m + 1, len(carry) + 1))
+        T[:m, :-1] = self.T[:m, carry]
+        T[:m, -1] = self.T[:m, -1]
+        place = np.cumsum(keep) - 1
+        basis = np.where(keep[self.basis], place[self.basis], -1)
+        T[:m, -1][(basis < 0) & (T[:m, -1] <= tol)] = 0.0
+        var, sign, slack_row = self.var[keep[:ns]], self.sign[keep[:ns]], self.slack_row[keep[ns:]]
+        return Tableau(self.num_vars, var, sign, slack_row, rows, T, basis, tol)
 
     def maximize(self, objective, tol: float = 1e-8) -> LpResult:
         """Phase two for one objective over this tableau's rows.
@@ -449,11 +423,11 @@ class Tableau:
         """The basic solution in the original variables.
 
         Raises NumericalFailure when the point is not finite, or when the
-        worst miss of any row of any batch, rows the purge dropped included,
-        is not at most 1e-5 times the largest of 1 and every |rhs| of every
-        batch.  That is one threshold for all rows, not one per row: a
-        catastrophic-failure detector only; fine-grained residual checks are
-        the callers' and the tests' job.
+        worst miss of any row, rows the purge dropped included, is not at
+        most 1e-5 times the largest of 1 and every |rhs|.  That is one
+        threshold for all rows, not one per row: a catastrophic-failure
+        detector only; fine-grained residual checks are the callers' and
+        the tests' job.
         """
         return self._point(self.T, self.basis)
 
@@ -466,29 +440,14 @@ class Tableau:
         if not np.isfinite(x).all():
             raise NumericalFailure("solution failed the residual check")
         # sign makes each miss positive (GE rows flip, EQ rows take |d|), so
-        # one max covers a batch; a NaN miss fails the negated test
-        limit = 1e-5 * max([1.0] + [blk[4] for blk in self._blocks])
-        for C, rhs0, sign, eq, _ in self._blocks:
-            d = C @ x - rhs0
-            d *= sign
-            np.abs(d, out=d, where=eq)
-            if not d.max(initial=0.0) <= limit:
-                raise NumericalFailure("solution failed the residual check")
+        # one max covers the rows; a NaN miss fails the negated test
+        C, rhs, sign, eq, big = self._rows
+        d = C @ x - rhs
+        d *= sign
+        np.abs(d, out=d, where=eq)
+        if not d.max(initial=0.0) <= 1e-5 * max(1.0, big):
+            raise NumericalFailure("solution failed the residual check")
         return x
-
-
-def _as_equations(blocks: tuple, rows: np.ndarray) -> tuple:
-    """The residual guard's blocks with the given rows, by their index among
-    the rows of all blocks, checked as equations."""
-    out, first = [], 0
-    for C, rhs, sign, eq, big in blocks:
-        mine = rows[(rows >= first) & (rows < first + len(rhs))] - first
-        if len(mine):
-            eq = eq.copy()
-            eq[mine] = True
-        out.append((C, rhs, sign, eq, big))
-        first += len(rhs)
-    return tuple(out)
 
 
 def _purge_artificials(T: np.ndarray, basis: np.ndarray, n_real: int):
@@ -500,9 +459,9 @@ def _purge_artificials(T: np.ndarray, basis: np.ndarray, n_real: int):
     pivots = 0
     # a pivot changes the basis entry of its own row only
     for r in np.flatnonzero(basis >= n_real):
-        row = T[r, :n_real]
-        j = int(np.argmax(np.abs(row)))
-        if abs(row[j]) > _PIV_EPS:
+        row = np.abs(T[r, :n_real])
+        if row.max(initial=0.0) > _PIV_EPS:
+            j = int(row.argmax())
             _pivot(T, r, j)
             basis[r] = j
             pivots += 1

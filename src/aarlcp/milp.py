@@ -325,11 +325,11 @@ class NodeLpBuilder:
     every (index, value): the columns it zeroes and the row whose slack it
     cuts.  For a cold solve, :meth:`model` writes the w_dual_value row of
     each x_i = 1 as an equation and gives the zeroed columns the bounds
-    [0, 0], so :func:`lp.phase_one` cuts them in the same
-    :meth:`lp.Tableau.extend` that a warm child takes: the tree search
-    keeps each parent's phase-one tableau on its stack and extends it by
-    the fixing of the one entry a child fixes, with no new rows, so no
-    node tableau has more rows than the root's.  Models share the bound
+    [0, 0], so :func:`lp.phase_one` cuts the columns that
+    :meth:`lp.Tableau.cut` cuts for a warm child: the tree search keeps
+    each parent's phase-one tableau on its stack and cuts it by the fixing
+    of the one entry a child fixes, with no new rows, so no node tableau
+    has more rows than the root's.  Models share the bound
     arrays of the unfixed root, which the solver never mutates.
     """
 
@@ -419,7 +419,7 @@ class NodeLpBuilder:
 
     def fixing(self, i: int, value: int) -> tuple[np.ndarray, np.ndarray]:
         """(zero, tight) of fixing entry i to value, as
-        :meth:`lp.Tableau.extend` takes them; a fixing adds no rows.  zero
+        :meth:`lp.Tableau.cut` takes them; a fixing adds no rows.  zero
         lists the node columns it forces to zero: r_i and the A_i of the
         strict set rows for value 0, their C_i for value 1.  tight lists
         the rows of :meth:`model` whose slack it cuts: w_dual_value row i
@@ -523,7 +523,7 @@ def _with(fixed, i, val):
 def _node_lp(builder, fixed, parent, key, tol, budget):
     """Phase one at one node: (tableau, point), the point None if infeasible.
 
-    A node with a parent extends the parent's tableau by the fixing of key,
+    A node with a parent cuts the parent's tableau by the fixing of key,
     its one new (index, value).  If that warm solve fails, by its residual
     guard or otherwise, the node is solved once more, cold, from its full
     model; a failure there propagates.  A node without a parent is solved
@@ -533,7 +533,7 @@ def _node_lp(builder, fixed, parent, key, tol, budget):
         tab = None
         zero, tight = builder.fixing(*key)
         try:
-            tab = parent.extend((), tol, zero, tight)
+            tab = parent.cut(zero, tight, tol)
             return tab, (tab.point() if tab.feasible else None)
         except NumericalFailure:
             pass

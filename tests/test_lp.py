@@ -84,10 +84,10 @@ def test_phase_one_has_no_artificial_columns(monkeypatch):
     assert tab.n_real == 5 and tab.T.shape == (4, 6)
     assert calls == [(6, 5, [4, 5, 6])]
     assert (tab.basis < tab.n_real).all()
-    # a batch that zeroes a basic column: its row's value becomes an
+    # a cut that zeroes a basic column: its row's value becomes an
     # artificial's, and the column is gone before phase one
     basic = int(tab.var[tab.basis[tab.basis < 3][0]])
-    child = tab.extend([], zero=[basic])
+    child = tab.cut(zero=[basic])
     assert child.n_real == 4 and child.T.shape[1] == 5
     assert calls[1][:2] == (5, 4) and calls[1][2][-1] == 4
     assert (child.basis < child.n_real).all()
@@ -121,6 +121,38 @@ def test_bad_bounds_rejected():
         for solve in (lp.lp_solve, lp.lp_feasible, lp.phase_one):
             with pytest.raises(ValueError, match=rule):
                 solve(model)
+
+
+@pytest.mark.parametrize(
+    "objective, coeffs, rhs",
+    [
+        (None, [1.0], np.nan),
+        (None, [1.0], np.inf),
+        (None, [1.0], -np.inf),
+        (None, [np.nan], 1.0),
+        (None, [np.inf], 1.0),
+        ([np.nan], [1.0], 1.0),
+        ([-np.inf], [1.0], 1.0),
+    ],
+    ids=["nan-rhs", "inf-rhs", "-inf-rhs", "nan-coeff", "inf-coeff", "nan-obj", "-inf-obj"],
+)
+def test_model_rejects_non_finite_input(objective, coeffs, rhs):
+    # such a model used to solve as UNBOUNDED or run out of pivots
+    with pytest.raises(ValueError, match="non-finite"):
+        lp.LpModel(1, objective).add_row(coeffs, lp.LE, rhs)
+
+
+def test_phase_one_without_usable_columns():
+    # x fixed at zero leaves no column to price or purge with
+    for rhs, status in ((1.0, lp.LpStatus.INFEASIBLE), (0.0, lp.LpStatus.OPTIMAL)):
+        model = lp.LpModel(1, [1.0])
+        model.lower[0] = model.upper[0] = 0.0
+        model.add_row([1.0], lp.EQ, rhs)
+        for solve in (lp.lp_feasible, lp.lp_solve):
+            res = solve(model)
+            assert res.status is status and res.pivots == 0
+            if status is lp.LpStatus.OPTIMAL:
+                assert res.point.tolist() == [0.0] and res.value == 0.0
 
 
 def test_degenerate_cycling_guard():
@@ -274,33 +306,6 @@ def _batch_model(rng):
     return model
 
 
-def _empty(model):
-    return lp.Tableau(model.lower == -np.inf)
-
-
-def test_two_batches_match_one():
-    rng = np.random.default_rng(17)
-    feasible = 0
-    for _ in range(150):
-        model = _batch_model(rng)
-        whole = lp.lp_feasible(model).status is lp.LpStatus.OPTIMAL
-        one = lp.phase_one(model)
-        assert one.feasible is whole
-        cut = int(rng.integers(0, len(model.rows) + 1))
-        tab = _empty(model).extend(model.rows[:cut])
-        if tab.feasible:
-            tab = tab.extend(model.rows[cut:])
-        assert tab.feasible is whole
-        if whole:
-            feasible += 1
-            x = tab.point()
-            assert np.all(x >= model.lower - 1e-9)
-            for a, rel, b in model.rows:
-                d = float(a @ x) - b
-                assert (d if rel == lp.LE else -d if rel == lp.GE else abs(d)) <= 1e-8
-    assert 30 <= feasible <= 130
-
-
 def test_fixed_variables_are_constants():
     # bounds [0, 0]: the cold batch cuts the column; a free variable has two
     model = lp.LpModel(3, [1.0, 1.0, 1.0])
@@ -316,8 +321,9 @@ def test_fixed_variables_are_constants():
 
 
 def test_extend_fixes_variables_at_zero():
-    """A warm batch that fixes variables at zero agrees with a cold solve
-    that gives them zero bounds, and cuts every column they had."""
+    """A cut that fixes variables at zero agrees with a cold solve that
+    gives them zero bounds, and cuts every column they had; the point of
+    the tableau it cuts meets every row and bound."""
     rng = np.random.default_rng(19)
     feasible = 0
     for _ in range(150):
@@ -328,11 +334,12 @@ def test_extend_fixes_variables_at_zero():
         cold.lower, cold.upper = model.lower.copy(), model.upper.copy()
         cold.lower[zero] = cold.upper[zero] = 0.0
         whole = lp.phase_one(cold).feasible
-        cut = int(rng.integers(0, len(model.rows) + 1))
-        tab = _empty(model).extend(model.rows[:cut])
+        tab = lp.phase_one(model)
         if not tab.feasible:
             continue
-        tab = tab.extend(model.rows[cut:], zero=zero)
+        x = tab.point()
+        assert np.all(x >= model.lower - 1e-9) and _worst_miss(model, x) <= 1e-8
+        tab = tab.cut(zero=zero)
         assert tab.feasible is whole
         if whole:
             feasible += 1
@@ -343,20 +350,19 @@ def test_extend_fixes_variables_at_zero():
 
 
 def test_extend_cuts_the_slacks_of_tight_rows():
-    """A warm batch that lists earlier rows in tight agrees with a cold
-    solve that writes those rows as equations, with or without fixings:
-    over draws where a cut slack was basic, and where the tight row was a
-    GE row flipped to LE, its slack starting basic."""
+    """A cut that lists rows in tight agrees with a cold solve that writes
+    those rows as equations, with or without fixings: over draws where a
+    cut slack was basic, and where the tight row was a GE row flipped to
+    LE, its slack starting basic."""
     rng = np.random.default_rng(23)
     feasible = basic = flipped = drawn = 0
-    for _ in range(200):
+    for _ in range(240):
         model = _batch_model(rng)
-        cut = int(rng.integers(1, len(model.rows) + 1))
-        tab = _empty(model).extend(model.rows[:cut])
+        tab = lp.phase_one(model)
         if not tab.feasible:
             continue
         drawn += 1
-        tight = np.flatnonzero(rng.uniform(size=cut) < 0.5)
+        tight = np.flatnonzero(rng.uniform(size=len(model.rows)) < 0.5)
         zero = np.zeros(0, dtype=int)
         if rng.uniform() < 0.5:
             zero = np.flatnonzero(rng.uniform(size=model.num_vars) < 0.2)
@@ -370,7 +376,7 @@ def test_extend_cuts_the_slacks_of_tight_rows():
         cold.lower, cold.upper = model.lower.copy(), model.upper.copy()
         cold.lower[zero] = cold.upper[zero] = 0.0
         whole = lp.phase_one(cold).feasible
-        tab = tab.extend(model.rows[cut:], zero=zero, tight=tight)
+        tab = tab.cut(zero=zero, tight=tight)
         assert tab.feasible is whole
         if whole:
             feasible += 1
@@ -393,13 +399,13 @@ def test_extend_leaves_the_parent_alone():
     model.add_row([1.0, 1.0, 1.0], lp.EQ, 2.0)
     parent = lp.phase_one(model)
     T, basis = parent.T.copy(), parent.basis.copy()
-    infeasible = parent.extend([(np.array([1.0, 1.0, 1.0]), lp.GE, 3.0)])
+    infeasible = parent.cut(zero=[0, 1, 2])
     assert not infeasible.feasible
     with pytest.raises(ValueError):
-        infeasible.extend([])
-    child = parent.extend([(np.array([1.0, 0.0, 0.0]), lp.EQ, 0.5)])
+        infeasible.cut()
+    child = parent.cut(zero=[1, 2])
     assert child.feasible
-    assert child.point()[0] == pytest.approx(0.5)
+    assert child.point().tolist() == pytest.approx([2.0, 0.0, 0.0])
     assert np.array_equal(parent.T, T) and np.array_equal(parent.basis, basis)
 
 
@@ -521,11 +527,10 @@ def test_kernel_matches_reference(monkeypatch):
     for t in range(120):
         model = (_set_model if t % 2 else _batch_model)(rng)
         model.objective = rng.normal(size=model.num_vars)
-        lp.lp_solve(model)
-        cut = int(rng.integers(0, len(model.rows) + 1))
-        tab = _empty(model).extend(model.rows[:cut])
+        tab = lp.phase_one(model)
         if tab.feasible:
-            tab.extend(model.rows[cut:])
+            tab.maximize(model.objective)
+            tab.cut(zero=np.flatnonzero(rng.uniform(size=model.num_vars) < 0.4))
     # cold roots and warm children of two search trees
     for seed in (70, 158):
         inst, _ = planted_instance(np.random.default_rng(seed), 6, 3, 8)
@@ -609,6 +614,14 @@ def test_kernel_edge_tableaux():
     assert _both_loops(T, basis, nact) == ("optimal", 10 * m + 1)
 
 
+def test_iterate_without_columns_is_optimal():
+    # two rows with artificials basic and no real column to enter
+    T = np.array([[1.0], [0.0], [1.0]])
+    basis = np.array([0, 1])
+    assert lp._iterate(T, basis, 0, 1e-8) == ("optimal", 0)
+    assert T.tolist() == [[1.0], [0.0], [1.0]] and basis.tolist() == [0, 1]
+
+
 def _guard_tableau(rhs1):
     """x0 pivots into row 0; row 1 has right-hand side rhs1 and a zero in
     x0's column, so the pivot leaves it as it is."""
@@ -629,14 +642,15 @@ def test_iterate_zeroes_tiny_negative_rhs():
 
 
 def _shifted(second, shift, tight=()):
-    """Phase-one tableau of x0 = 1 over x0, x1 >= 0, extended by a batch of
-    the second row and then by a batch that makes the rows in tight
-    equations, with the basic value of x0 moved by shift."""
+    """Phase-one tableau of x0 = 1 and the second row over x0, x1 >= 0, cut
+    to make the rows in tight equations, with the basic value of x0 moved
+    by shift."""
     model = lp.LpModel(2)
     model.add_row([1.0, 0.0], lp.EQ, 1.0)
-    tab = lp.phase_one(model).extend([second])
+    model.add_row(*second)
+    tab = lp.phase_one(model)
     if len(tight):
-        tab = tab.extend([], tight=tight)
+        tab = tab.cut(tight=tight)
     tab.T[list(tab.basis).index(0), -1] += shift
     return tab
 
@@ -660,8 +674,8 @@ def test_point_residual_guard():
             assert tab.T.shape[0] == 2  # the purge dropped the redundant row
         with pytest.raises(NumericalFailure, match="solution failed the residual check"):
             tab.point()
-    # 100 x0 >= 100 is missed by nothing at x0 = 1 + 1e-4, but once a later
-    # batch makes it an equation, by 1e-2
+    # 100 x0 >= 100 is missed by nothing at x0 = 1 + 1e-4, but once a cut
+    # makes it an equation, by 1e-2
     ge = ([100.0, 0.0], lp.GE, 100.0)
     assert _shifted(ge, 1e-4).point()[0] > 1.0
     with pytest.raises(NumericalFailure, match="solution failed the residual check"):

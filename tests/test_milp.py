@@ -240,7 +240,7 @@ def _node_residual(model, point):
 
 
 def _walk(builder, warm):
-    """Index-branching DFS; warm nodes extend the parent's tableau, which
+    """Index-branching DFS; warm nodes cut the parent's tableau, which
     never has more rows than the root's.  Every node, cold and warm, keeps
     the status of the reference node LP with its nominal_comp and
     direction_comp rows, and its point meets those rows and the node LP's.
@@ -257,7 +257,7 @@ def _walk(builder, warm):
         assert (lp.lp_feasible(model).status is lp.LpStatus.OPTIMAL) is feasible, fixed
         if warm and parent is not None:
             zero, tight = builder.fixing(*key)
-            tab = parent.extend([], 1e-8, zero, tight)
+            tab = parent.cut(zero, tight, 1e-8)
             assert tab.T.shape[0] <= root_rows, fixed
         else:
             tab = lp.phase_one(model)
@@ -303,14 +303,12 @@ def test_warm_failure_falls_back_to_a_cold_solve(monkeypatch):
     opts = SolveOptions(branching="index")
     want = bnb_solve(inst, basis, opts)
     assert want.nodes_explored > 3
-    real = lp.Tableau.extend
+    real_phase_one = lp.phase_one
 
-    def warm_fails(self, rows, tol=1e-8, zero=(), tight=()):
-        if len(self.basis):  # a child extending its parent
-            raise NumericalFailure("injected")
-        return real(self, rows, tol, zero, tight)
+    def warm_fails(self, zero=(), tight=(), tol=1e-8):
+        raise NumericalFailure("injected")
 
-    monkeypatch.setattr(lp.Tableau, "extend", warm_fails)
+    monkeypatch.setattr(lp.Tableau, "cut", warm_fails)
     report = bnb_solve(inst, basis, opts)
     assert report.status is want.status
     assert report.nodes_explored == want.nodes_explored
@@ -320,16 +318,21 @@ def test_warm_failure_falls_back_to_a_cold_solve(monkeypatch):
     # the root solves; below it the warm attempt and the cold re-solve fail
     calls = []
 
-    def fails_after_root(self, rows, tol=1e-8, zero=(), tight=()):
-        calls.append(len(self.basis))
+    def cut_fails(self, zero=(), tight=(), tol=1e-8):
+        calls.append("warm")
+        raise NumericalFailure("injected")
+
+    def cold_fails_after_root(model, tol=1e-8):
+        calls.append("cold")
         if len(calls) > 1:
             raise NumericalFailure("injected")
-        return real(self, rows, tol, zero, tight)
+        return real_phase_one(model, tol)
 
-    monkeypatch.setattr(lp.Tableau, "extend", fails_after_root)
+    monkeypatch.setattr(lp.Tableau, "cut", cut_fails)
+    monkeypatch.setattr(lp, "phase_one", cold_fails_after_root)
     with pytest.raises(NumericalFailure):
         bnb_solve(inst, basis, opts)
-    assert calls[0] == 0 and calls[1] > 0 and calls[2] == 0
+    assert calls == ["cold", "warm", "cold"]
 
 
 def test_fixings_cut_only_columns_forced_to_zero():
@@ -365,7 +368,7 @@ def test_fixings_cut_only_columns_forced_to_zero():
             cold = lp.lp_feasible(builder.model(fixed), tol)
             assert (cold.status is lp.LpStatus.OPTIMAL) is feasible, where
             zero, tight = builder.fixing(i, values[i])
-            tab = tab.extend([], tol, zero, tight)
+            tab = tab.cut(zero, tight, tol)
             assert tab.feasible is feasible, where
             if not feasible:
                 continue
@@ -401,7 +404,7 @@ def test_warm_children_keep_the_columns_of_their_cold_model():
             for v in (0, 1):
                 child = fixed[:i] + (v,) + fixed[i + 1 :]
                 zero, tight = builder.fixing(i, v)
-                warm = tab.extend([], 1e-8, zero, tight)
+                warm = tab.cut(zero, tight, 1e-8)
                 if warm.feasible:
                     cold = lp.phase_one(builder.model(child))
                     assert sorted(warm.var) == sorted(cold.var), (trial, child)
