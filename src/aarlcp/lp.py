@@ -324,7 +324,9 @@ class Tableau:
     and a search may keep one on its stack.
 
     slack_row gives, for each slack column (columns len(var) up), the index
-    of its row in the model, as :meth:`cut` takes it in tight.  feasible is
+    of its row in the model, as :meth:`cut` takes it in tight; it is
+    ascending, since :func:`phase_one` places the slacks in row order and
+    :meth:`cut` only drops some.  feasible is
     False when phase one ended above the tolerance; such a tableau cannot
     be cut.  pivots counts the pivots of the phase one that built this
     tableau.  The unscaled rows are kept for the residual guard of
@@ -383,7 +385,11 @@ class Tableau:
         rows = self._rows
         tight = np.asarray(tight, dtype=int)
         if len(tight):
-            keep[ns:] = ~np.isin(self.slack_row, tight)
+            # slack_row is sorted; a tight row without a slack column stays
+            at = np.searchsorted(self.slack_row, tight)
+            hit = at < len(self.slack_row)
+            hit[hit] = self.slack_row[at[hit]] == tight[hit]
+            keep[ns + at[hit]] = False
             C, rhs, sign, eq, big = rows
             eq = eq.copy()
             eq[tight] = True

@@ -20,19 +20,31 @@ semidefinite matrix the search starts at the one support an affine rule
 can use (:func:`psd.forced_support`), not at the unfixed root, so it runs
 a single node.
 
-Node LPs are presolved: the rule D enters only through its certificate
-D_i = Theta^T A_i, so they carry neither D columns nor z_dual_match rows,
-and every other row has D replaced by that product.  A fixing adds no
-indicator rows.  It drops the columns it forces to zero: r_i and the A_i
-of the strict set rows for x_i = 0, the C_i of those rows for x_i = 1.
-x_i = 1 also cuts the slack of w_dual_value row i, which makes that row
-an equation.  That is exact: with C_i zero on the strict rows and zeta
-zero on the tight ones, the equation is nominal_comp, and w_dual_match
-gives M_i D + N_i E = C_i^T Theta - T_i, where C_i^T Theta h = 0 for
-every hull vector h because Theta_j h = 0 on every tight row j, so
-direction_comp holds too.  The export still carries D, z_dual_match and
-the three indicator families; the support model of the enumeration
-oracle renders nominal_comp and direction_comp as well.
+Node LPs are presolved by two changes of variable.  The rule D enters
+only through its certificate D_i = Theta^T A_i, so they carry neither D
+columns nor z_dual_match rows, and every other row has D replaced by that
+product.  The nominal rule r enters through sigma_i = r_i + zeta^-^T A_i,
+with zeta^- = min(zeta, 0): node column r_i holds sigma_i >= 0, and every
+row has r_i replaced by sigma_i - zeta^-^T A_i.  With A >= 0 that makes
+both r_i >= 0 and z_dual_value row i, r_i + zeta^T A_i >= 0, hold by the
+bounds alone, so node LPs carry no z_dual_value rows.  Where zeta <= 0,
+as on every strict set row, the bounds say exactly what those rows said;
+a tight set row with 0 < zeta_j <= tol only tightens them by
+zeta_j A_ij.  A pinned free block gets E in [0, 0] in place of its
+mixed_pin rows, so its columns are cut as well.
+
+A fixing adds no indicator rows.  It drops the columns it forces to zero:
+sigma_i and the A_i of the set rows with zeta_j < 0 for x_i = 0, since
+r_i = sigma_i - zeta^-^T A_i is a sum of nonnegative terms; the C_i of
+the strict set rows for x_i = 1.  x_i = 1 also cuts the slack of
+w_dual_value row i, which makes that row an equation.  That is exact:
+with C_i zero on the strict rows and zeta zero on the tight ones, the
+equation is nominal_comp, and w_dual_match gives
+M_i D + N_i E = C_i^T Theta - T_i, where C_i^T Theta h = 0 for every hull
+vector h because Theta_j h = 0 on every tight row j, so direction_comp
+holds too.  The export still carries D, r, z_dual_value, z_dual_match,
+mixed_pin and the three indicator families; the support model of the
+enumeration oracle renders nominal_comp and direction_comp as well.
 :meth:`NodeLpBuilder.lift` maps a node LP point back to the formulation's
 columns.
 
@@ -300,20 +312,28 @@ class NodeLpBuilder:
     rows say D_i = Theta^T A_i, so every row is rendered with D replaced by
     that product, and z_dual_match becomes 0 = 0.  D is the first column
     group, so node column j is formulation column j + n k, and a family's
-    D block folds into its A columns.  :meth:`lift` maps a node point back
-    to the formulation's columns.  The export keeps D and z_dual_match.
+    D block folds into its A columns.  Node column r_i holds
+    sigma_i = r_i + zeta^-^T A_i >= 0 (zeta^- = min(zeta, 0)): a family's
+    r block is written into the sigma columns and folded into the A
+    columns as -block x zeta^-, so z_dual_value reads
+    sigma_i + zeta^+^T A_i >= 0, which the bounds imply, and is not
+    rendered.  A pinned free block has E in [0, 0] instead of mixed_pin
+    rows.  :meth:`lift` maps a node point back to the formulation's
+    columns.  The export keeps D, r, z_dual_value, z_dual_match and
+    mixed_pin.
 
     A fixing is a cut: it forces columns to zero, and node LPs drop them
-    instead of carrying indicator rows.  x_i = 0 fixes r_i at zero; since
-    zeta_j < 0 on every strict set row j, z_dual_value then leaves
-    A_i zeta >= 0 with A_i >= 0, which implies A_ij = 0 on those rows.
-    x_i = 1 pins the nominal slack to zero, so w_dual_value implies
-    C_ij = 0 on them alike, and node LPs cut the slack of w_dual_value row
-    i as well.  With those C_ij gone, that row at zero slack is
-    nominal_comp, and w_dual_match implies direction_comp (see the module
-    docstring).  Every node LP, warm or cold, fixes each such column at
-    zero.  nominal_comp and direction_comp are rendered only for
-    :meth:`support_model`; support_link only by the export.
+    instead of carrying indicator rows.  x_i = 0 fixes
+    r_i = sigma_i - zeta^-^T A_i at zero, a sum of nonnegative terms, so
+    sigma_i is zero and so is A_ij on every set row with zeta_j < 0, which
+    holds on every strict one.  x_i = 1 pins the nominal slack to zero, so
+    w_dual_value implies C_ij = 0 on the strict rows alike, and node LPs
+    cut the slack of w_dual_value row i as well.  With those C_ij gone,
+    that row at zero slack is nominal_comp, and w_dual_match implies
+    direction_comp (see the module docstring).  Every node LP, warm or
+    cold, fixes each such column at zero.  nominal_comp and direction_comp
+    are rendered only for :meth:`support_model`; support_link only by the
+    export.
 
     Instances are solved with each row of [M q T N] divided by its
     infinity norm (:attr:`form` is built on the scaled rows).  That maps
@@ -338,12 +358,15 @@ class NodeLpBuilder:
         form = self.form = Formulation(_row_scaled(inst), basis)
         self.n, self._skip = inst.n, inst.n * inst.k
         self.total = form.total - self._skip
-        self._r = form.r - self._skip
+        self._r, self._A = form.r - self._skip, form.A - self._skip
+        self._neg = np.minimum(inst.zeta, 0.0)
 
         lower = np.zeros(form.total)
         lower[form.free] = -np.inf
-        self._lower = lower[self._skip :]
-        self._upper = np.full(self.total, np.inf)
+        upper = np.full(form.total, np.inf)
+        if not form.mixed.y_adjustable:
+            lower[form.E] = upper[form.E] = 0.0
+        self._lower, self._upper = lower[self._skip :], upper[self._skip :]
         self._objective = np.zeros(self.total)
         for arr in (self._lower, self._upper, self._objective):
             arr.setflags(write=False)
@@ -351,20 +374,17 @@ class NodeLpBuilder:
         def rows(*tags):
             return [row for tag in tags for row in self._rows(getattr(form, tag)())]
 
-        self._eq_static = rows(
-            TAG_HERE_AND_NOW, TAG_MIXED_NOMINAL, TAG_MIXED_DIRECTION, TAG_MIXED_PIN
-        )
-        self._static = rows(TAG_Z_DUAL_VALUE, TAG_W_DUAL_VALUE, TAG_W_DUAL_MATCH)
-        self._static += self._eq_static
+        self._eq_static = rows(TAG_HERE_AND_NOW, TAG_MIXED_NOMINAL, TAG_MIXED_DIRECTION)
+        self._static = rows(TAG_W_DUAL_VALUE, TAG_W_DUAL_MATCH) + self._eq_static
         # Zeroed columns and tight rows, per (index, value); w_dual_value
-        # row i follows the n z_dual_value rows.
+        # row i is row i.
         strict = sorted(basis.inequality_rows)
+        below = np.flatnonzero(self._neg < 0.0)
         none = np.zeros(0, dtype=int)
         self._fixing: dict[tuple[int, int], tuple[np.ndarray, np.ndarray]] = {}
         for i in range(self.n):
-            r_and_a = np.append(form.r[i], form.A[i, strict])
-            self._fixing[i, 0] = (r_and_a - self._skip, none)
-            self._fixing[i, 1] = (form.C[i, strict] - self._skip, np.array([self.n + i]))
+            self._fixing[i, 0] = (np.append(self._r[i], self._A[i, below]), none)
+            self._fixing[i, 1] = (form.C[i, strict] - self._skip, np.array([i]))
 
     @cached_property
     def _indicators(self) -> list[list]:
@@ -379,7 +399,8 @@ class NodeLpBuilder:
 
     def _rows(self, fam: Family) -> list:
         """(coefficients, relation, rhs) of each row of a family, in node
-        columns, with D_i = Theta^T A_i folded into the A columns."""
+        columns, with D_i = Theta^T A_i folded into the A columns and
+        r_i = sigma_i - zeta^-^T A_i into the sigma and A columns."""
         inst = self.inst
         coeffs = np.zeros((len(fam.rhs), self.total))
         for group, block in fam.blocks.items():
@@ -387,6 +408,9 @@ class NodeLpBuilder:
                 group = "A"
                 block = block.reshape(-1, inst.k) @ inst.Theta.T
                 block = block.reshape(len(coeffs), inst.n * inst.g)
+            elif group == "r":
+                fold = block[:, :, None] * self._neg
+                coeffs[:, self._A.ravel()] -= fold.reshape(len(coeffs), inst.n * inst.g)
             coeffs[:, self.form.cols[group] - self._skip] += block
         return [(row, fam.rel, rhs) for row, rhs in zip(coeffs, fam.rhs)]
 
@@ -411,24 +435,24 @@ class NodeLpBuilder:
         fixed = _normalize_fixed(node, self.n)
         rows = list(self._static)
         for i, f in enumerate(fixed):
-            if f == 1:
-                (t,) = self._fixing[i, 1][1]
-                coeffs, _, rhs = rows[t]
-                rows[t] = (coeffs, lp.EQ, rhs)
+            if f == 1:  # w_dual_value row i is row i
+                coeffs, _, rhs = rows[i]
+                rows[i] = (coeffs, lp.EQ, rhs)
         return self._assemble(rows, fixed)
 
     def fixing(self, i: int, value: int) -> tuple[np.ndarray, np.ndarray]:
         """(zero, tight) of fixing entry i to value, as
         :meth:`lp.Tableau.cut` takes them; a fixing adds no rows.  zero
-        lists the node columns it forces to zero: r_i and the A_i of the
-        strict set rows for value 0, their C_i for value 1.  tight lists
-        the rows of :meth:`model` whose slack it cuts: w_dual_value row i
-        for value 1, none for value 0."""
+        lists the node columns it forces to zero: sigma_i and the A_i of
+        the set rows with zeta_j < 0 for value 0, the C_i of the strict set
+        rows for value 1.  tight lists the rows of :meth:`model` whose slack
+        it cuts: w_dual_value row i, which is row i, for value 1, none for
+        value 0."""
         return self._fixing[i, value]
 
     def support_model(self, node) -> lp.LpModel:
         """Equality side only: the nominal_comp and direction_comp rows of
-        every x_i = 1 and the pinning rows, with the columns of
+        every x_i = 1 and the coupling rows, with the columns of
         :meth:`model` pinned at zero, nothing else.
 
         Used to split infeasibility causes when enumerating supports; the
@@ -442,13 +466,16 @@ class NodeLpBuilder:
         return self._assemble(rows, fixed)
 
     def r_of(self, point: np.ndarray) -> np.ndarray:
-        return point[self._r]
+        """The nominal rule r_i = sigma_i - zeta^-^T A_i of a node LP point."""
+        return point[self._r] - point[self._A] @ self._neg
 
     def lift(self, point: np.ndarray) -> np.ndarray:
         """A node LP point in the formulation's columns: D_i = Theta^T A_i
-        ahead of the node columns."""
-        A = point[self.form.A - self._skip]
-        return np.concatenate(((A @ self.inst.Theta).ravel(), point))
+        ahead of the node columns, and r in place of sigma."""
+        A = point[self._A]
+        out = np.concatenate(((A @ self.inst.Theta).ravel(), point))
+        out[self.form.r] = self.r_of(point)
+        return out
 
     def extract_policy(self, point, node) -> Policy:
         """Read the affine rule off a node LP point at a fully fixed node."""
@@ -462,11 +489,8 @@ class NodeLpBuilder:
             D[: self.inst.h] = 0.0
         r = np.maximum(point[form.r], 0.0)
         E = s = None
-        if mixed is not None:
-            s = point[form.s]
-            E = point[form.E]
-            if not mixed.y_adjustable:
-                E[:] = 0.0
+        if mixed is not None:  # a pinned block's E columns are cut, so zero
+            s, E = point[form.s], point[form.E]
         return Policy(D=D, r=r, x=np.array(fixed, dtype=int), E=E, s=s)
 
 

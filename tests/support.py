@@ -582,15 +582,19 @@ def dense_rows(form, fam) -> np.ndarray:
 
 def node_map(builder) -> np.ndarray:
     """Z with x_full = Z @ x for a node point x: the identity on the
-    columns node LPs keep, and D_i = Theta^T A_i."""
+    columns node LPs keep, D_i = Theta^T A_i, and r_i = sigma_i -
+    zeta^-^T A_i with zeta^- = min(zeta, 0), where node column r_i holds
+    sigma_i."""
     form = builder.form
     kept = np.setdiff1d(np.arange(form.total), form.D.ravel())
     pos = np.full(form.total, -1)
     pos[kept] = np.arange(len(kept))
     Z = np.zeros((form.total, len(kept)))
     Z[kept, np.arange(len(kept))] = 1.0
+    neg = np.minimum(form.inst.zeta, 0.0)
     for i in range(builder.n):
         Z[np.ix_(form.D[i], pos[form.A[i]])] = form.inst.Theta.T
+        Z[form.r[i], pos[form.A[i]]] = -neg
     return Z
 
 

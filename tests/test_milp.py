@@ -244,6 +244,8 @@ def _walk(builder, warm):
     never has more rows than the root's.  Every node, cold and warm, keeps
     the status of the reference node LP with its nominal_comp and
     direction_comp rows, and its point meets those rows and the node LP's.
+    Lifted to the formulation's columns, with r in place of sigma, the
+    point has r >= 0 and meets every row of the full-space model.
     Returns the node count."""
     n = builder.n
     stack = [(tuple([UNFIXED] * n), None, None)]
@@ -269,6 +271,9 @@ def _walk(builder, warm):
         point = tab.point()
         assert _node_residual(model, point) <= 1e-7, fixed
         assert _node_residual(reference, point) <= 1e-7, fixed
+        lifted = builder.lift(point)
+        assert _node_residual(_full_space_model(builder, fixed), lifted) <= 1e-7, fixed
+        assert lifted[builder.form.r].min() >= 0.0, fixed
         if UNFIXED not in fixed:
             return nodes
         i = fixed.index(UNFIXED)
@@ -450,8 +455,11 @@ def test_node_rows_equal_dense_rows_times_z():
     """Each family, rendered block by block into node columns, equals its
     dense rows times the explicit map Z from node to formulation columns,
     and lift is Z: on pure, mixed (pinned and adjustable) and h >= 1 draws.
-    x_i = 1 makes w_dual_value row i of the node LP an equation and adds no
-    rows; the support model adds its nominal_comp and direction_comp rows."""
+    The rows node LPs leave out are implied by their bounds: z_dual_value
+    rows times Z reduce to sigma_i + zeta^+^T A_i >= 0, and mixed_pin rows
+    to E columns that a pinned model cuts.  x_i = 1 makes w_dual_value row
+    i of the node LP an equation and adds no rows; the support model adds
+    its nominal_comp and direction_comp rows."""
     rng = np.random.default_rng(19)
     insts = [export_mixed_instance()]
     for trial in range(4):
@@ -460,8 +468,8 @@ def test_node_rows_equal_dense_rows_times_z():
         insts += [inst, dataclasses.replace(inst, h=1 + trial % 2)]
         pinned, freed, _ = planted_mixed_instance(rng, n, 1 + trial % 2, k)
         insts += [pinned, freed, dataclasses.replace(freed, h=1)]
-    static = (TAG_Z_DUAL_VALUE, TAG_W_DUAL_VALUE, TAG_W_DUAL_MATCH)
-    equations = (TAG_HERE_AND_NOW, TAG_MIXED_NOMINAL, TAG_MIXED_DIRECTION, TAG_MIXED_PIN)
+    static = (TAG_W_DUAL_VALUE, TAG_W_DUAL_MATCH)
+    equations = (TAG_HERE_AND_NOW, TAG_MIXED_NOMINAL, TAG_MIXED_DIRECTION)
 
     def check(form, Z, rows, fams, where):
         want = np.vstack([dense_rows(form, fam) @ Z for fam in fams])
@@ -475,15 +483,38 @@ def test_node_rows_equal_dense_rows_times_z():
     for t, inst in enumerate(insts):
         builder = NodeLpBuilder(inst, compute_lin_hull(inst))
         form, Z = builder.form, node_map(builder)
+        node = np.arange(form.total) - inst.n * inst.k  # node column, D first
         root = [UNFIXED] * inst.n
+        root_model = builder.model(root)
         fams = {tag: getattr(form, tag)() for tag in ALL_TAGS}
-        check(form, Z, builder.model(root).rows, [fams[tag] for tag in static + equations], t)
+        check(form, Z, root_model.rows, [fams[tag] for tag in static + equations], t)
         check(form, Z, builder.support_model(root).rows, [fams[tag] for tag in equations], t)
+
+        # z_dual_value row i times Z is sigma_i + zeta^+^T A_i, and >= 0
+        z_rows = dense_rows(form, fams[TAG_Z_DUAL_VALUE]) @ Z
+        want = np.zeros_like(z_rows)
+        for i in range(inst.n):
+            want[i, node[form.r[i]]] = 1.0
+            want[i, node[form.A[i]]] = np.maximum(inst.zeta, 0.0)
+        assert np.abs(z_rows - want).max() <= 1e-15, t
+        assert not fams[TAG_Z_DUAL_VALUE].rhs.any()
+        # mixed_pin rows times Z are unit rows on E columns the model cuts
+        pin = dense_rows(form, fams[TAG_MIXED_PIN]) @ Z
+        pinned_cols = np.flatnonzero(np.abs(pin).sum(axis=0))
+        assert np.array_equal(pin[:, pinned_cols], np.eye(len(pin))), t
+        assert np.isin(pinned_cols, node[form.E.ravel()]).all(), t
+        assert not root_model.lower[pinned_cols].any(), t
+        assert not root_model.upper[pinned_cols].any(), t
+        if inst.mixed is not None and not inst.mixed.y_adjustable:
+            assert len(pinned_cols) == form.E.size > 0, t
+        else:
+            assert np.isinf(root_model.upper[node[form.E.ravel()]]).all(), t
+
         def part(fam, mine, **changes):
             blocks = {group: block[mine] for group, block in fam.blocks.items()}
             return dataclasses.replace(fam, rhs=fam.rhs[mine], blocks=blocks, **changes)
 
-        root_rows = builder.model(root).rows
+        root_rows = root_model.rows
         for i in range(inst.n):
             one = root[:i] + [1] + root[i + 1 :]
             indicators = [
@@ -492,6 +523,7 @@ def test_node_rows_equal_dense_rows_times_z():
             eqs = [fams[tag] for tag in equations]
             check(form, Z, builder.support_model(one).rows, eqs + indicators, (t, i))
             (row,) = builder.fixing(i, 1)[1]
+            assert row == i
             rows = builder.model(one).rows
             w_row = part(fams[TAG_W_DUAL_VALUE], [i], rel=lp.EQ)
             check(form, Z, rows[row : row + 1], [w_row], (t, i))
@@ -501,6 +533,83 @@ def test_node_rows_equal_dense_rows_times_z():
         point = rng.standard_normal(builder.total)
         lifted = Z @ point
         assert np.abs(builder.lift(point) - lifted).max() <= 1e-15 * np.abs(lifted).max()
+        assert np.abs(builder.r_of(point) - lifted[form.r]).max() <= 1e-15 * np.abs(lifted).max()
+
+
+def test_node_lps_drop_the_z_dual_value_and_mixed_pin_rows():
+    """The root node LP has n fewer rows and n fewer slack columns than the
+    reference node LP that renders z_dual_value, and a pinned mixed model
+    cuts every E column instead of carrying mixed_pin rows."""
+    rng = np.random.default_rng(61)
+    insts = [golden_instance(), export_mixed_instance()]
+    for trial in range(3):
+        n, k = 3 + trial, 2 + trial % 2
+        insts.append(random_instance(rng, n, k, 2 * k + 2, tight_pair=trial % 2 == 0))
+        insts += planted_mixed_instance(rng, n, 1 + trial % 2, k)[:2]
+    pinned = 0
+    for t, inst in enumerate(insts):
+        builder = NodeLpBuilder(inst, compute_lin_hull(inst))
+        form, n, root = builder.form, inst.n, [UNFIXED] * inst.n
+        model, reference = builder.model(root), reference_node_model(builder, root)
+        pins = form.E.size if inst.mixed is not None and not inst.mixed.y_adjustable else 0
+        assert len(model.rows) == len(reference.rows) - n - pins, t
+        tab, ref = lp.phase_one(model), lp.phase_one(reference)
+        assert len(tab.slack_row) == len(ref.slack_row) - n == n, t
+        E = form.E.ravel() - n * inst.k
+        assert bool(np.isin(tab.var, E).any()) is (form.E.size > 0 and not pins), t
+        pinned += pins > 0
+    assert pinned >= 3
+
+
+def test_tight_set_rows_off_the_origin_by_at_most_tol():
+    """compute_lin_hull accepts a tight row pair v u >= zeta_j,
+    -v u >= -zeta_j with 0 < zeta_j <= tol, so zeta has a positive and a
+    negative entry on tight rows: sigma then tightens z_dual_value by
+    zeta_j A_ij, and x_i = 0 cuts the A_i of the negative row as well.
+    Over the index-branching tree of warm children, each cold node LP keeps
+    the status of the reference node LP wherever the dense solver solves
+    that one (its z_dual_value rows carry the 5e-9 entries), and the lifted
+    point of every feasible node, warm and cold, meets r >= 0 and
+    r_i + zeta^T A_i >= 0 exactly.  Warm and cold statuses are not compared:
+    on such sets feasibility can turn on reduced costs below tol."""
+    tol = 1e-8
+    compared = points = unsolved = 0
+    for seed in range(6):
+        rng = np.random.default_rng([97, seed])
+        planted, _ = planted_instance(rng, 4, 3, 9, tight_pair=True)
+        zeta = planted.zeta.copy()
+        (pair,) = np.flatnonzero(zeta == 0.0).reshape(1, 2)
+        zeta[pair] = [0.5 * tol, -0.5 * tol]
+        inst = dataclasses.replace(planted, zeta=zeta)
+        basis = compute_lin_hull(inst, tol)
+        assert set(pair).isdisjoint(basis.inequality_rows)
+        builder = NodeLpBuilder(inst, basis)
+        skip = inst.n * inst.k
+        assert builder.form.A[0, pair[1]] - skip in builder.fixing(0, 0)[0]
+        assert builder.form.A[0, pair[0]] - skip not in builder.fixing(0, 0)[0]
+        stack = [(tuple([UNFIXED] * inst.n), None, None)]
+        while stack:
+            fixed, parent, key = stack.pop()
+            cold = lp.phase_one(builder.model(fixed), tol)
+            tab = cold if parent is None else parent.cut(*builder.fixing(*key), tol)
+            try:
+                ref = lp.phase_one(reference_node_model(builder, fixed), tol)
+            except NumericalFailure:
+                unsolved += 1
+            else:
+                compared += 1
+                assert ref.feasible is cold.feasible, (seed, fixed)
+            for node in (tab, cold):
+                if node.feasible:
+                    points += 1
+                    lifted = builder.lift(node.point())
+                    r, A = lifted[builder.form.r], lifted[builder.form.A]
+                    assert r.min() >= 0.0, (seed, fixed)
+                    assert (r + A @ inst.zeta).min() >= 0.0, (seed, fixed)
+            if tab.feasible and UNFIXED in fixed:
+                i = fixed.index(UNFIXED)
+                stack += [(fixed[:i] + (v,) + fixed[i + 1 :], tab, (i, v)) for v in (0, 1)]
+    assert compared >= 70 and points >= 100 and unsolved <= compared // 10
 
 
 def _full_space_model(builder, fixed):
