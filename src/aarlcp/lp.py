@@ -36,10 +36,15 @@ kept until the phase ends.
 
 The pivot loop works in place: each phase allocates one tableau-sized
 buffer, which the rank-1 update of every pivot fills through BLAS, and one
-row-sized buffer for the ratio test.  Its guard on the right-hand side
-(zero the entries in (-1e-9, 0), fail below -1e-6) runs only after a pivot
-that left some entry negative.  Every tableau is kept free of -0.0, which
-makes the BLAS update agree bit for bit with an elementwise one.
+row-sized buffer for the ratio test; the purge of a phase one shares one
+update buffer among its pivots too.  The update writes the pivot column's
+unit vector exactly, so no pivot writes it again.  A step reads the minimum
+ratio from one argmin, then takes the first row within a relative 1e-12 of
+it (the row of Bland's rule among those ties), so argmin's own row never
+decides.  Its guard on the right-hand side (zero the entries in (-1e-9, 0),
+fail below -1e-6), read from one argmin too, runs only after a pivot that
+left some entry negative.  Every tableau is kept free of -0.0, which makes
+the BLAS update agree bit for bit with an elementwise one.
 """
 
 from __future__ import annotations
@@ -153,12 +158,15 @@ def lp_feasible(model: LpModel, tol: float = 1e-8) -> LpResult:
 
 def _pivot(T: np.ndarray, r: int, j: int, buf: np.ndarray | None = None) -> None:
     """Pivot on ``T[r, j]`` in place.  ``buf``, a C-ordered float array
-    shaped like ``T``, holds the rank-1 update; the loop passes one so that no pivot allocates
-    a tableau-sized array.  The update is a BLAS outer product, which gives
-    +0.0 for a zero product where an elementwise one may give -0.0; that
-    changes no bit of a tableau free of -0.0.  Dividing the pivot row by a
-    positive entry keeps it free; after a negative one, as the purge may
-    take, adding 0.0 clears the -0.0 the division leaves."""
+    shaped like ``T``, holds the rank-1 update; the loop and the purge pass
+    one so that no pivot allocates a tableau-sized array.  The update is a
+    BLAS outer product, which gives +0.0 for a zero product where an
+    elementwise one may give -0.0; that changes no bit of a tableau free of
+    -0.0.  Dividing the pivot row by a positive entry keeps it free; after a
+    negative one, as the purge may take, adding 0.0 clears the -0.0 the
+    division leaves.  The update writes column j exactly, so it is not
+    written again: the pivot becomes piv / piv == 1.0, and every other entry
+    x becomes x - x * 1.0 == +0.0."""
     if buf is None:
         buf = np.empty(T.shape)
     row, piv = T[r], T[r, j]
@@ -169,8 +177,6 @@ def _pivot(T: np.ndarray, r: int, j: int, buf: np.ndarray | None = None) -> None
     col[r] = 0.0
     np.dot(col[:, None], T[r : r + 1], out=buf)
     T -= buf
-    T[:, j] = 0.0
-    T[r, j] = 1.0
 
 
 def _price_out(T: np.ndarray, basis: np.ndarray) -> None:
@@ -194,13 +200,16 @@ def _iterate(T: np.ndarray, basis: np.ndarray, nact: int, tol: float):
     if not nact:
         return "optimal", 0
     m = T.shape[0] - 1
+    red = T[-1, :nact]
+    if not m:
+        # no row to leave: argmin below would raise on the empty ratios
+        return ("optimal" if red[red.argmax()] <= tol else "unbounded"), 0
     bland = False
     degen_run = 0
     bland_pivots = 0
     total_pivots = 0
     budget = 50 * (T.shape[0] + T.shape[1])
     hard_cap = 10 * budget
-    red = T[-1, :nact]
     rhs = T[:m, -1]
     buf = np.empty(T.shape)
     ratios = np.empty(m)
@@ -219,19 +228,22 @@ def _iterate(T: np.ndarray, basis: np.ndarray, nact: int, tol: float):
         np.greater(col, _PIV_EPS, out=pos)
         ratios.fill(np.inf)
         np.divide(rhs, col, out=ratios, where=pos)
-        best = float(np.minimum.reduce(ratios, initial=np.inf))
+        best = float(ratios[ratios.argmin()])
         # a ratio may overflow to inf: only no candidate row means unbounded
         if best == np.inf and not pos.any():
             return "unbounded", total_pivots
+        # the leaving row is the first tie within thr (Bland: the tie with
+        # the lowest basic index), not argmin's row
         thr = best + 1e-12 * (1.0 + abs(best))
+        np.less_equal(ratios, thr, out=pos)
         if bland:
-            ties = np.nonzero(ratios <= thr)[0]
+            ties = np.flatnonzero(pos)
             r = int(ties[np.argmin(basis[ties])])
         else:
-            r = int((ratios <= thr).argmax())
+            r = int(pos.argmax())
         _pivot(T, r, j, buf)
         basis[r] = j
-        if np.minimum.reduce(rhs) < 0.0:
+        if rhs[rhs.argmin()] < 0.0:
             small = (rhs < 0.0) & (rhs > -1e-9)
             if small.any():
                 rhs[small] = 0.0
@@ -380,7 +392,8 @@ class Tableau:
         ns, m = len(self.var), len(self.basis)
         fixed = np.zeros(self.num_vars, dtype=bool)
         fixed[np.asarray(zero, dtype=int)] = True
-        keep = np.ones(self.n_real, dtype=bool)
+        # one entry per column of T, the right-hand side's last and kept
+        keep = np.ones(self.n_real + 1, dtype=bool)
         keep[:ns] = ~fixed[self.var]
         rows = self._rows
         tight = np.asarray(tight, dtype=int)
@@ -394,14 +407,14 @@ class Tableau:
             eq = eq.copy()
             eq[tight] = True
             rows = (C, rhs, sign, eq, big)
-        carry = np.flatnonzero(keep)
-        T = np.zeros((m + 1, len(carry) + 1))
-        T[:m, :-1] = self.T[:m, carry]
-        T[:m, -1] = self.T[:m, -1]
+        # the cost row comes along: phase one and maximize rewrite it
+        # before they read it
+        T = np.compress(keep, self.T, axis=1)
         place = np.cumsum(keep) - 1
         basis = np.where(keep[self.basis], place[self.basis], -1)
         T[:m, -1][(basis < 0) & (T[:m, -1] <= tol)] = 0.0
-        var, sign, slack_row = self.var[keep[:ns]], self.sign[keep[:ns]], self.slack_row[keep[ns:]]
+        var, sign = self.var[keep[:ns]], self.sign[keep[:ns]]
+        slack_row = self.slack_row[keep[ns:-1]]
         return Tableau(self.num_vars, var, sign, slack_row, rows, T, basis, tol)
 
     def maximize(self, objective, tol: float = 1e-8) -> LpResult:
@@ -463,12 +476,13 @@ def _purge_artificials(T: np.ndarray, basis: np.ndarray, n_real: int):
     and the number of pivots."""
     drop = []
     pivots = 0
+    buf = np.empty(T.shape)
     # a pivot changes the basis entry of its own row only
     for r in np.flatnonzero(basis >= n_real):
         row = np.abs(T[r, :n_real])
         if row.max(initial=0.0) > _PIV_EPS:
             j = int(row.argmax())
-            _pivot(T, r, j)
+            _pivot(T, r, j, buf)
             basis[r] = j
             pivots += 1
         else:

@@ -28,9 +28,11 @@ with zeta^- = min(zeta, 0): node column r_i holds sigma_i >= 0, and every
 row has r_i replaced by sigma_i - zeta^-^T A_i.  With A >= 0 that makes
 both r_i >= 0 and z_dual_value row i, r_i + zeta^T A_i >= 0, hold by the
 bounds alone, so node LPs carry no z_dual_value rows.  Where zeta <= 0,
-as on every strict set row, the bounds say exactly what those rows said;
-a tight set row with 0 < zeta_j <= tol only tightens them by
-zeta_j A_ij.  A pinned free block gets E in [0, 0] in place of its
+as on every strict set row, the bounds say exactly what those rows said.
+Node LPs render every tight set row with zeta_j = 0, as the hull takes it
+through the origin, even where compute_lin_hull accepted
+0 < |zeta_j| <= tol; certification and the export keep the given
+zeta.  A pinned free block gets E in [0, 0] in place of its
 mixed_pin rows, so its columns are cut as well.
 
 A fixing adds no indicator rows.  It drops the columns it forces to zero:
@@ -338,8 +340,10 @@ class NodeLpBuilder:
     Instances are solved with each row of [M q T N] divided by its
     infinity norm (:attr:`form` is built on the scaled rows).  That maps
     every policy to itself and only rescales the C multipliers, so the
-    answer is the same; certification and the export keep the original
-    rows.
+    answer is the same.  :attr:`form` also has zeta zero on the tight set
+    rows: a nonzero zeta_j within tol there would let multipliers of order
+    1/zeta_j buy O(1) terms.  Certification and the export keep the
+    original rows and zeta.
 
     The always-valid rows are built once, and so is the :meth:`fixing` of
     every (index, value): the columns it zeroes and the row whose slack it
@@ -355,11 +359,11 @@ class NodeLpBuilder:
 
     def __init__(self, inst: Instance, basis: LinHullBasis):
         self.inst = inst
-        form = self.form = Formulation(_row_scaled(inst), basis)
+        form = self.form = Formulation(_row_scaled(inst, basis), basis)
         self.n, self._skip = inst.n, inst.n * inst.k
         self.total = form.total - self._skip
         self._r, self._A = form.r - self._skip, form.A - self._skip
-        self._neg = np.minimum(inst.zeta, 0.0)
+        self._neg = np.minimum(form.inst.zeta, 0.0)
 
         lower = np.zeros(form.total)
         lower[form.free] = -np.inf
@@ -494,9 +498,11 @@ class NodeLpBuilder:
         return Policy(D=D, r=r, x=np.array(fixed, dtype=int), E=E, s=s)
 
 
-def _row_scaled(inst: Instance) -> Instance:
+def _row_scaled(inst: Instance, basis: LinHullBasis) -> Instance:
     """The instance with each row of [M q T N] divided by its infinity norm
-    (zero rows stay); the free block's own rows stay as they are."""
+    (zero rows stay) and zeta zero on the tight set rows, which the hull
+    takes as passing through the origin; the free block's own rows stay as
+    they are."""
     mixed = inst.mixed
     N = mixed.N if mixed is not None else np.zeros((inst.n, 0))
     norm = np.abs(np.column_stack([inst.M, inst.q, inst.T, N])).max(axis=1)
@@ -504,7 +510,12 @@ def _row_scaled(inst: Instance) -> Instance:
     col = d[:, None]
     if mixed is not None:
         mixed = replace(mixed, N=N / col)
-    return replace(inst, M=inst.M / col, q=inst.q / d, T=inst.T / col, mixed=mixed)
+    zeta = np.zeros(inst.g)
+    strict = sorted(basis.inequality_rows)
+    zeta[strict] = inst.zeta[strict]
+    return replace(
+        inst, M=inst.M / col, q=inst.q / d, T=inst.T / col, zeta=zeta, mixed=mixed
+    )
 
 
 class _Budget:

@@ -26,13 +26,18 @@ def check_psd(M: np.ndarray, tol: float = 1e-9) -> bool:
 
     Runs full-pivoting outer-product elimination on (M + M^T)/2; the matrix
     is PSD exactly when every pivot stays nonnegative and whatever remains
-    after the pivots run out is negligible.
+    after the pivots run out is negligible.  A diagonal entry below
+    -10 thresh answers False up front: each elimination step subtracts
+    a^2 / pivot >= 0 from it and it never becomes a pivot, so it would
+    still fail the final test.
     """
     S = np.asarray(M, dtype=float)
     if S.ndim != 2 or S.shape[0] != S.shape[1]:
         raise DimensionMismatch("square matrix required")
     A = 0.5 * (S + S.T)
     thresh = tol * max(1.0, float(np.abs(np.diag(A)).sum()))
+    if np.diag(A).min(initial=0.0) < -10.0 * thresh:
+        return False
     while A.shape[0]:
         d = np.diag(A)
         j = int(np.argmax(d))

@@ -605,6 +605,13 @@ def test_kernel_edge_tableaux():
     basis = np.array([1, 2])
     assert _both_loops(T, basis, 3) == ("optimal", 1)
     assert basis.tolist() == [0, 2]
+    # a near tie: ratios [1 + 1e-13, 1.0], so argmin points at row 1, but
+    # row 0 is within the tie threshold and comes first, so it leaves; the
+    # guard then zeroes row 1's right-hand side of -1e-13
+    T = np.array([[1.0, 1.0, 0.0, 1.0 + 1e-13], [1.0, 0.0, 1.0, 1.0], [1.0, 0.0, 0.0, 0.0]])
+    basis = np.array([1, 2])
+    assert _both_loops(T, basis, 3) == ("optimal", 1)
+    assert basis.tolist() == [0, 2] and T[1, -1] == 0.0
     # Seed found by a search over _degenerate_tableau draws: Dantzig's rule
     # makes 10 * m = 20 degenerate pivots, so the loop switches to Bland's
     # rule, which ends it one pivot later.

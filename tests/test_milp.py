@@ -561,37 +561,59 @@ def test_node_lps_drop_the_z_dual_value_and_mixed_pin_rows():
     assert pinned >= 3
 
 
+def _tight_pair_draw(seed, tol):
+    """A planted instance (n = 4, k = 3, g = 9) whose tight row pair sits
+    off the origin by +-tol / 2, and the indices of that pair."""
+    rng = np.random.default_rng([97, seed])
+    planted, _ = planted_instance(rng, 4, 3, 9, tight_pair=True)
+    zeta = planted.zeta.copy()
+    (pair,) = np.flatnonzero(zeta == 0.0).reshape(1, 2)
+    zeta[pair] = [0.5 * tol, -0.5 * tol]
+    return dataclasses.replace(planted, zeta=zeta), pair
+
+
+@pytest.mark.parametrize("branching", ["heuristic", "index"])
+def test_tight_set_rows_off_the_origin_certify(branching):
+    """Over 30 draws of a planted instance whose tight row pair sits off the
+    origin by +-tol / 2, every search answers feasible with a certified
+    policy.  Node LPs that kept the given 5e-9 entries let the multipliers
+    of those rows grow to about 1e9, and 3 of the index searches raised on
+    a policy that failed certification."""
+    opts = SolveOptions(branching=branching, psd="off")
+    for seed in range(30):
+        inst, _ = _tight_pair_draw(seed, opts.tol)
+        report = bnb_solve(inst, compute_lin_hull(inst, opts.tol), opts)
+        assert report.status is SolveStatus.FEASIBLE, seed
+        assert report.verification.verified, seed
+
+
 def test_tight_set_rows_off_the_origin_by_at_most_tol():
     """compute_lin_hull accepts a tight row pair v u >= zeta_j,
     -v u >= -zeta_j with 0 < zeta_j <= tol, so zeta has a positive and a
-    negative entry on tight rows: sigma then tightens z_dual_value by
-    zeta_j A_ij, and x_i = 0 cuts the A_i of the negative row as well.
-    Over the index-branching tree of warm children, each cold node LP keeps
-    the status of the reference node LP wherever the dense solver solves
-    that one (its z_dual_value rows carry the 5e-9 entries), and the lifted
-    point of every feasible node, warm and cold, meets r >= 0 and
-    r_i + zeta^T A_i >= 0 exactly.  Warm and cold statuses are not compared:
-    on such sets feasibility can turn on reduced costs below tol."""
+    negative entry on tight rows.  Node LPs render both rows with zeta_j = 0,
+    as the hull takes them through the origin, so x_i = 0 cuts the A_i of
+    neither.  Over the index-branching tree of warm children, each warm
+    child keeps the status of its cold node LP, which keeps the status of
+    the reference node LP wherever the dense solver solves that one, and
+    the lifted point of every feasible node, warm and cold, meets r >= 0
+    and r_i + zeta^T A_i >= 0 exactly for the rendered zeta."""
     tol = 1e-8
     compared = points = unsolved = 0
     for seed in range(6):
-        rng = np.random.default_rng([97, seed])
-        planted, _ = planted_instance(rng, 4, 3, 9, tight_pair=True)
-        zeta = planted.zeta.copy()
-        (pair,) = np.flatnonzero(zeta == 0.0).reshape(1, 2)
-        zeta[pair] = [0.5 * tol, -0.5 * tol]
-        inst = dataclasses.replace(planted, zeta=zeta)
+        inst, pair = _tight_pair_draw(seed, tol)
         basis = compute_lin_hull(inst, tol)
         assert set(pair).isdisjoint(basis.inequality_rows)
         builder = NodeLpBuilder(inst, basis)
+        rendered = builder.form.inst.zeta
+        assert not rendered[pair].any()
         skip = inst.n * inst.k
-        assert builder.form.A[0, pair[1]] - skip in builder.fixing(0, 0)[0]
-        assert builder.form.A[0, pair[0]] - skip not in builder.fixing(0, 0)[0]
+        assert not np.isin(builder.form.A[0, pair] - skip, builder.fixing(0, 0)[0]).any()
         stack = [(tuple([UNFIXED] * inst.n), None, None)]
         while stack:
             fixed, parent, key = stack.pop()
             cold = lp.phase_one(builder.model(fixed), tol)
             tab = cold if parent is None else parent.cut(*builder.fixing(*key), tol)
+            assert tab.feasible is cold.feasible, (seed, fixed)
             try:
                 ref = lp.phase_one(reference_node_model(builder, fixed), tol)
             except NumericalFailure:
@@ -605,7 +627,7 @@ def test_tight_set_rows_off_the_origin_by_at_most_tol():
                     lifted = builder.lift(node.point())
                     r, A = lifted[builder.form.r], lifted[builder.form.A]
                     assert r.min() >= 0.0, (seed, fixed)
-                    assert (r + A @ inst.zeta).min() >= 0.0, (seed, fixed)
+                    assert (r + A @ rendered).min() >= 0.0, (seed, fixed)
             if tab.feasible and UNFIXED in fixed:
                 i = fixed.index(UNFIXED)
                 stack += [(fixed[:i] + (v,) + fixed[i + 1 :], tab, (i, v)) for v in (0, 1)]

@@ -56,6 +56,34 @@ def test_check_psd_against_eigenvalues():
         n = int(rng.integers(1, 6))
         G = rng.standard_normal((int(rng.integers(1, n + 1)), n))
         assert check_psd(G.T @ G)
+    # a negative diagonal entry, far below and near -10 thresh, where
+    # check_psd answers before eliminating: the full elimination agrees
+    for t in range(60):
+        n = int(rng.integers(1, 6))
+        G = rng.standard_normal((int(rng.integers(1, n + 1)), n))
+        A = G.T @ G if t % 2 else rng.standard_normal((n, n))
+        A[0] = A[:, 0] = 0.0
+        thresh = 1e-9 * max(1.0, float(np.abs(np.diag(A)).sum()))
+        A[0, 0] = -thresh * [1e9, 20.0, 10.5, 9.5, 5.0][t % 5]
+        assert check_psd(A) == _full_elimination(A), t
+        if t % 2:  # a gram matrix stays PSD within -10 thresh
+            assert check_psd(A) == (t % 5 > 2), t
+
+
+def _full_elimination(M, tol=1e-9):
+    """check_psd's pivoted Cholesky run to the end, with no early answer."""
+    A = 0.5 * (M + M.T)
+    thresh = tol * max(1.0, float(np.abs(np.diag(A)).sum()))
+    while A.shape[0]:
+        d = np.diag(A)
+        j = int(np.argmax(d))
+        if d[j] <= thresh:
+            return bool(np.all(np.abs(A) <= 10.0 * thresh))
+        perm = [j] + [t for t in range(A.shape[0]) if t != j]
+        A = A[np.ix_(perm, perm)]
+        a = A[1:, 0]
+        A = A[1:, 1:] - np.outer(a, a) / A[0, 0]
+    return True
 
 
 def test_lemke_trivial_and_ray():
