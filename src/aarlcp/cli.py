@@ -56,6 +56,19 @@ def _shaped(value, shape) -> np.ndarray:
     return a
 
 
+def _reader(block: dict, prefix: str = "", suffix: str = ""):
+    """A reader of block[key] at a declared shape, raising ValueError on
+    any other shape with the key between prefix and suffix."""
+
+    def read(key: str, shape: tuple) -> np.ndarray:
+        a = _shaped(block[key], shape)
+        if a.shape != shape:
+            raise ValueError(f"{prefix}{key} has shape {a.shape}, expected {shape}{suffix}")
+        return a
+
+    return read
+
+
 def read_instance(path: str) -> Instance:
     data = _load_json(path)
     if not isinstance(data, dict):
@@ -65,15 +78,7 @@ def read_instance(path: str) -> Instance:
             raise ValueError(f"instance file lacks key {key!r}")
     n, k, g = (_size(data, key) for key in ("n", "k", "g"))
     h = _size(data, "h", 0)
-
-    def arr(key, shape):
-        a = _shaped(data[key], shape)
-        if a.shape != shape:
-            raise ValueError(
-                f"{key} has shape {a.shape}, expected {shape} from the declared sizes"
-            )
-        return a
-
+    arr = _reader(data, suffix=" from the declared sizes")
     mixed = None
     if data.get("mixed") is not None:
         mblock = data["mixed"]
@@ -86,15 +91,7 @@ def read_instance(path: str) -> Instance:
         y_adjustable = mblock.get("y_adjustable", True)
         if not isinstance(y_adjustable, bool):
             raise ValueError(f"y_adjustable must be true or false, not {y_adjustable!r}")
-
-        def marr(key, shape):
-            a = _shaped(mblock[key], shape)
-            if a.shape != shape:
-                raise ValueError(
-                    f"mixed {key} has shape {a.shape}, expected {shape}"
-                )
-            return a
-
+        marr = _reader(mblock, prefix="mixed ")
         mixed = MixedExtension(
             V=marr("V", (m, n)),
             W=marr("W", (m, m)),
@@ -120,12 +117,12 @@ def _policy_payload(report) -> dict:
     policy = report.policy
     payload: dict = {"status": report.status.value}
     if policy is not None:
-        payload["x"] = [int(v) for v in policy.x]
-        payload["r"] = [float(v) for v in policy.r]
-        payload["D"] = [[float(v) for v in row] for row in policy.D]
+        payload["x"] = policy.x.tolist()
+        payload["r"] = policy.r.tolist()
+        payload["D"] = policy.D.tolist()
         if policy.E is not None:
-            payload["E"] = [[float(v) for v in row] for row in policy.E]
-            payload["s"] = [float(v) for v in policy.s]
+            payload["E"] = policy.E.tolist()
+            payload["s"] = policy.s.tolist()
     payload["diagnostics"] = {
         "nodes_explored": int(report.nodes_explored),
         "lp_calls": int(report.lp_calls),
@@ -137,8 +134,7 @@ def _policy_payload(report) -> dict:
 
 def write_policy_file(path: str, payload: dict) -> None:
     with open(path, "w") as handle:
-        json.dump(payload, handle, indent=2)
-        handle.write("\n")
+        handle.write(json.dumps(payload, indent=2) + "\n")
 
 
 def read_policy(path: str) -> Policy:

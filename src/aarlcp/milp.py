@@ -8,45 +8,45 @@ Every row family of the reformulation is declared once, by a method of
 :class:`Formulation` that returns a :class:`Family`: a tag, relations,
 right-hand sides and one coefficient block per column group, each a
 Kronecker product of the data.  Families are rendered two ways, block by
-block.  Node LPs (:class:`NodeLpBuilder`) keep the always-valid rows and
-write every fixing as an exact cut, so they add no rows below the root
-and no big-M rows exist there.  The big-M export, which relaxes each
-indicator row by a big-M multiple of its binary for hand-off to external
-integer programming tools and names the rows and columns, lives in
-:mod:`aarlcp.export`.
+block.  Node LPs (:class:`NodeLpBuilder`) render four of the eleven
+families as rows and write every fixing as an exact cut, so they add no
+rows below the root and no big-M rows exist there.  The big-M export,
+which relaxes each indicator row by a big-M multiple of its binary for
+hand-off to external integer programming tools and names the rows and
+columns, lives in :mod:`aarlcp.export`.
 Both, and so the tree search (:func:`bnb_solve`), cover pure and mixed
 instances alike.  On a pure instance with a positive
 semidefinite matrix the search starts at the one support an affine rule
 can use (:func:`psd.forced_support`), not at the unfixed root, so it runs
 a single node.
 
-Node LPs are presolved by two changes of variable.  The rule D enters
-only through its certificate D_i = Theta^T A_i, so they carry neither D
-columns nor z_dual_match rows, and every other row has D replaced by that
-product.  The nominal rule r enters through sigma_i = r_i + zeta^-^T A_i,
-with zeta^- = min(zeta, 0): node column r_i holds sigma_i >= 0, and every
-row has r_i replaced by sigma_i - zeta^-^T A_i.  With A >= 0 that makes
-both r_i >= 0 and z_dual_value row i, r_i + zeta^T A_i >= 0, hold by the
-bounds alone, so node LPs carry no z_dual_value rows.  Where zeta <= 0,
-as on every strict set row, the bounds say exactly what those rows said.
-Node LPs render every tight set row with zeta_j = 0, as the hull takes it
-through the origin, even where compute_lin_hull accepted
-0 < |zeta_j| <= tol; certification and the export keep the given
-zeta.  A pinned free block gets E in [0, 0] in place of its
-mixed_pin rows, so its columns are cut as well.
+The four are w_dual_value, w_dual_match, mixed_nominal and
+mixed_direction; the other seven are bounds or cuts in node LPs and rows
+only in the export.  The rule D enters only through its certificate
+D_i = Theta^T A_i, so node LPs carry neither D columns nor z_dual_match
+rows, and every other row has D replaced by that product.
+The nominal rule r enters through sigma_i = r_i + zeta^T A_i: node column
+r_i holds sigma_i, every row has r_i replaced by sigma_i - zeta^T A_i,
+and z_dual_value row i is the bound sigma_i >= 0.  Node LPs render every
+tight set row with zeta_j = 0, as the hull takes it through the origin,
+even where compute_lin_hull accepted 0 < |zeta_j| <= tol, and every
+strict one has zeta_j < -tol; certification and the export keep the given
+zeta.  So zeta <= 0, and with A >= 0 the bound sigma_i >= 0 gives
+r_i >= 0 too.  here_and_now bounds A_i at [0, 0] for i < h, which makes
+D_i zero, and a pinned free block gets E in [0, 0] in place of its
+mixed_pin rows.
 
 A fixing adds no indicator rows.  It drops the columns it forces to zero:
-sigma_i and the A_i of the set rows with zeta_j < 0 for x_i = 0, since
-r_i = sigma_i - zeta^-^T A_i is a sum of nonnegative terms; the C_i of
-the strict set rows for x_i = 1.  x_i = 1 also cuts the slack of
+sigma_i and the A_i of the strict set rows for x_i = 0, since
+r_i = sigma_i - zeta^T A_i is a sum of nonnegative terms; the C_i of the
+strict set rows for x_i = 1.  x_i = 1 also cuts the slack of
 w_dual_value row i, which makes that row an equation.  That is exact:
 with C_i zero on the strict rows and zeta zero on the tight ones, the
 equation is nominal_comp, and w_dual_match gives
 M_i D + N_i E = C_i^T Theta - T_i, where C_i^T Theta h = 0 for every hull
 vector h because Theta_j h = 0 on every tight row j, so direction_comp
-holds too.  The export still carries D, r, z_dual_value, z_dual_match,
-mixed_pin and the three indicator families; the support model of the
-enumeration oracle renders nominal_comp and direction_comp as well.
+holds too.  The enumeration oracle's equality stage keeps just those rows
+of each x_i = 1 and the coupling rows (:meth:`NodeLpBuilder.support_model`).
 :meth:`NodeLpBuilder.lift` maps a node LP point back to the formulation's
 columns.
 
@@ -69,7 +69,6 @@ from __future__ import annotations
 import warnings
 from dataclasses import dataclass, field, replace
 from enum import Enum
-from functools import cached_property
 
 import numpy as np
 
@@ -225,7 +224,7 @@ class Formulation:
             empty = np.zeros((0, n)), np.zeros((0, 0)), np.zeros((n, 0)), np.zeros(0)
             self.mixed = MixedExtension(*empty, P=np.zeros((0, k)))
         m = self.mixed.m
-        self.hull = np.array(basis.vectors).reshape(-1, k)  # one vector per row
+        self.hull = np.array(basis.vectors).reshape(len(basis.vectors), k)  # one per row
         start = np.cumsum([0, n * k, n, g * n, g * n, m, m * k])
         self.D = np.arange(start[0], start[1]).reshape(n, k)
         self.r = np.arange(start[1], start[2])
@@ -310,32 +309,38 @@ class Formulation:
 class NodeLpBuilder:
     """Assembles node LPs for one instance and hull basis.
 
-    Node LPs carry neither the D columns nor the z_dual_match rows: those
-    rows say D_i = Theta^T A_i, so every row is rendered with D replaced by
-    that product, and z_dual_match becomes 0 = 0.  D is the first column
-    group, so node column j is formulation column j + n k, and a family's
-    D block folds into its A columns.  Node column r_i holds
-    sigma_i = r_i + zeta^-^T A_i >= 0 (zeta^- = min(zeta, 0)): a family's
-    r block is written into the sigma columns and folded into the A
-    columns as -block x zeta^-, so z_dual_value reads
-    sigma_i + zeta^+^T A_i >= 0, which the bounds imply, and is not
-    rendered.  A pinned free block has E in [0, 0] instead of mixed_pin
-    rows.  :meth:`lift` maps a node point back to the formulation's
-    columns.  The export keeps D, r, z_dual_value, z_dual_match and
-    mixed_pin.
+    Node LPs render four families as rows: w_dual_value, w_dual_match,
+    mixed_nominal and mixed_direction.  The other seven are bounds or
+    cuts:
+
+    * z_dual_match: node LPs carry no D columns.  Those rows say
+      D_i = Theta^T A_i, so every row is rendered with D replaced by that
+      product.  D is the first column group, so node column j is
+      formulation column j + n k, and a family's D block folds into its A
+      columns.
+    * z_dual_value: node column r_i holds sigma_i = r_i + zeta^T A_i, so a
+      family's r block is written into the sigma columns and folded into
+      the A columns as -block x zeta, and z_dual_value row i is the bound
+      sigma_i >= 0.
+    * here_and_now: A_i has the bounds [0, 0] for i < h, so D_i is zero.
+      That is exact: from any feasible point, A_i = 0 with r_i kept raises
+      sigma_i by -zeta^T A_i >= 0, and no other row reads A_i.
+    * mixed_pin: a pinned free block has E in [0, 0].
+    * support_link, nominal_comp and direction_comp: the fixings below.
+
+    Only the export writes the seven as rows.  zeta is :attr:`form`'s,
+    which is zero on the tight set rows and below -tol on the strict ones,
+    so r_i = sigma_i - zeta^T A_i is a sum of nonnegative terms.
+    :meth:`lift` maps a node point back to the formulation's columns.
 
     A fixing is a cut: it forces columns to zero, and node LPs drop them
-    instead of carrying indicator rows.  x_i = 0 fixes
-    r_i = sigma_i - zeta^-^T A_i at zero, a sum of nonnegative terms, so
-    sigma_i is zero and so is A_ij on every set row with zeta_j < 0, which
-    holds on every strict one.  x_i = 1 pins the nominal slack to zero, so
-    w_dual_value implies C_ij = 0 on the strict rows alike, and node LPs
-    cut the slack of w_dual_value row i as well.  With those C_ij gone,
-    that row at zero slack is nominal_comp, and w_dual_match implies
-    direction_comp (see the module docstring).  Every node LP, warm or
-    cold, fixes each such column at zero.  nominal_comp and direction_comp
-    are rendered only for :meth:`support_model`; support_link only by the
-    export.
+    instead of carrying indicator rows.  x_i = 0 fixes r_i at zero, so
+    sigma_i is zero and so is A_ij on every strict set row.  x_i = 1 pins
+    the nominal slack to zero, so w_dual_value implies C_ij = 0 on the
+    strict rows alike, and node LPs cut the slack of w_dual_value row i as
+    well.  With those C_ij gone, that row at zero slack is nominal_comp,
+    and w_dual_match implies direction_comp (see the module docstring).
+    Every node LP, warm or cold, fixes each such column at zero.
 
     Instances are solved with each row of [M q T N] divided by its
     infinity norm (:attr:`form` is built on the scaled rows).  That maps
@@ -345,152 +350,141 @@ class NodeLpBuilder:
     1/zeta_j buy O(1) terms.  Certification and the export keep the
     original rows and zeta.
 
-    The always-valid rows are built once, and so is the :meth:`fixing` of
-    every (index, value): the columns it zeroes and the row whose slack it
-    cuts.  For a cold solve, :meth:`model` writes the w_dual_value row of
-    each x_i = 1 as an equation and gives the zeroed columns the bounds
-    [0, 0], so :func:`lp.phase_one` cuts the columns that
-    :meth:`lp.Tableau.cut` cuts for a warm child: the tree search keeps
-    each parent's phase-one tableau on its stack and cuts it by the fixing
-    of the one entry a child fixes, with no new rows, so no node tableau
-    has more rows than the root's.  Models share the bound
-    arrays of the unfixed root, which the solver never mutates.
+    The rendered rows are built once, and so are the :meth:`fixing` of
+    every (index, value), the columns it zeroes and the row whose slack it
+    cuts, and the rows of each index that :meth:`support_model` keeps.
+    For a cold solve, :meth:`model` writes the w_dual_value row of each
+    x_i = 1 as an equation and gives the zeroed columns the bounds [0, 0],
+    so :func:`lp.phase_one` cuts the columns that :meth:`lp.Tableau.cut`
+    cuts for a warm child: the tree search keeps each parent's phase-one
+    tableau on its stack and cuts it by the fixing of the one entry a
+    child fixes, with no new rows, so no node tableau has more rows than
+    the root's.  Models share the bound arrays of the unfixed root, which
+    the solver never mutates.
     """
 
     def __init__(self, inst: Instance, basis: LinHullBasis):
         self.inst = inst
         form = self.form = Formulation(_row_scaled(inst, basis), basis)
-        self.n, self._skip = inst.n, inst.n * inst.k
+        n, k = inst.n, inst.k
+        self.n, self._skip = n, n * k
         self.total = form.total - self._skip
         self._r, self._A = form.r - self._skip, form.A - self._skip
-        self._neg = np.minimum(form.inst.zeta, 0.0)
+        self._zeta = form.inst.zeta
 
         lower = np.zeros(form.total)
         lower[form.free] = -np.inf
         upper = np.full(form.total, np.inf)
+        upper[form.A[: inst.h]] = 0.0  # here_and_now
         if not form.mixed.y_adjustable:
             lower[form.E] = upper[form.E] = 0.0
         self._lower, self._upper = lower[self._skip :], upper[self._skip :]
-        self._objective = np.zeros(self.total)
-        for arr in (self._lower, self._upper, self._objective):
+        for arr in (self._lower, self._upper):
             arr.setflags(write=False)
 
-        def rows(*tags):
-            return [row for tag in tags for row in self._rows(getattr(form, tag)())]
-
-        self._eq_static = rows(TAG_HERE_AND_NOW, TAG_MIXED_NOMINAL, TAG_MIXED_DIRECTION)
-        self._static = rows(TAG_W_DUAL_VALUE, TAG_W_DUAL_MATCH) + self._eq_static
-        # Zeroed columns and tight rows, per (index, value); w_dual_value
-        # row i is row i.
+        tags = (TAG_W_DUAL_VALUE, TAG_W_DUAL_MATCH, TAG_MIXED_NOMINAL, TAG_MIXED_DIRECTION)
+        self._static = [row for tag in tags for row in self._rows(getattr(form, tag)())]
+        # Zeroed columns and tight rows, per (index, value), and the rows
+        # support_model keeps, per index: w_dual_value row i is row i,
+        # w_dual_match row (i, c) is row n + i k + c, and the coupling rows
+        # come last.
         strict = sorted(basis.inequality_rows)
-        below = np.flatnonzero(self._neg < 0.0)
         none = np.zeros(0, dtype=int)
         self._fixing: dict[tuple[int, int], tuple[np.ndarray, np.ndarray]] = {}
-        for i in range(self.n):
-            self._fixing[i, 0] = (np.append(self._r[i], self._A[i, below]), none)
+        self._support_rows: list[list[int]] = []
+        for i in range(n):
+            self._fixing[i, 0] = (np.append(self._r[i], self._A[i, strict]), none)
             self._fixing[i, 1] = (form.C[i, strict] - self._skip, np.array([i]))
-
-    @cached_property
-    def _indicators(self) -> list[list]:
-        """The nominal_comp and direction_comp rows of each index, in node
-        columns, rendered on the first :meth:`support_model`."""
-        out: list[list] = [[] for _ in range(self.n)]
-        for tag in (TAG_NOMINAL_COMP, TAG_DIRECTION_COMP):
-            fam = getattr(self.form, tag)()
-            for i, row in zip(fam.i.tolist(), self._rows(fam)):
-                out[i].append(row)
-        return out
+            self._support_rows.append([i, *range(n + i * k, n + (i + 1) * k)])
+        self._coupling = list(range(n + n * k, len(self._static)))
 
     def _rows(self, fam: Family) -> list:
         """(coefficients, relation, rhs) of each row of a family, in node
         columns, with D_i = Theta^T A_i folded into the A columns and
-        r_i = sigma_i - zeta^-^T A_i into the sigma and A columns."""
+        r_i = sigma_i - zeta^T A_i into the sigma and A columns."""
         inst = self.inst
         coeffs = np.zeros((len(fam.rhs), self.total))
         for group, block in fam.blocks.items():
             if group == "D":
                 group = "A"
-                block = block.reshape(-1, inst.k) @ inst.Theta.T
+                block = block.reshape(len(coeffs) * inst.n, inst.k) @ inst.Theta.T
                 block = block.reshape(len(coeffs), inst.n * inst.g)
             elif group == "r":
-                fold = block[:, :, None] * self._neg
+                fold = block[:, :, None] * self._zeta
                 coeffs[:, self._A.ravel()] -= fold.reshape(len(coeffs), inst.n * inst.g)
             coeffs[:, self.form.cols[group] - self._skip] += block
         return [(row, fam.rel, rhs) for row, rhs in zip(coeffs, fam.rhs)]
 
-    def _assemble(self, rows, fixed) -> lp.LpModel:
-        zero = [self._fixing[i, f][0] for i, f in enumerate(fixed) if f != UNFIXED]
-        model = lp.LpModel.__new__(lp.LpModel)
-        model.num_vars = self.total
-        model.objective = self._objective
-        model.rows = rows
-        model.lower = self._lower
-        model.upper = self._upper
+    def model(self, node) -> lp.LpModel:
+        """Full node LP: the rendered rows, with w_dual_value row i an
+        equation wherever x_i = 1, and every column a fixing forces pinned
+        at zero."""
+        fixed = _normalize_fixed(node, self.n)
+        model = lp.LpModel(self.total)
+        model.rows = list(self._static)
+        model.lower, model.upper = self._lower, self._upper
+        zero = []
+        for i, f in enumerate(fixed):
+            if f == 1:  # w_dual_value row i is row i
+                coeffs, _, rhs = model.rows[i]
+                model.rows[i] = (coeffs, lp.EQ, rhs)
+            if f != UNFIXED:
+                zero.append(self._fixing[i, f][0])
         if zero:
             # the forced columns are nonnegative, so lower is 0 already
             model.upper = self._upper.copy()
             model.upper[np.concatenate(zero)] = 0.0
         return model
 
-    def model(self, node) -> lp.LpModel:
-        """Full node LP: the always-valid rows, with w_dual_value row i an
-        equation wherever x_i = 1, and every column a fixing forces pinned
-        at zero."""
-        fixed = _normalize_fixed(node, self.n)
-        rows = list(self._static)
-        for i, f in enumerate(fixed):
-            if f == 1:  # w_dual_value row i is row i
-                coeffs, _, rhs = rows[i]
-                rows[i] = (coeffs, lp.EQ, rhs)
-        return self._assemble(rows, fixed)
-
     def fixing(self, i: int, value: int) -> tuple[np.ndarray, np.ndarray]:
         """(zero, tight) of fixing entry i to value, as
         :meth:`lp.Tableau.cut` takes them; a fixing adds no rows.  zero
         lists the node columns it forces to zero: sigma_i and the A_i of
-        the set rows with zeta_j < 0 for value 0, the C_i of the strict set
-        rows for value 1.  tight lists the rows of :meth:`model` whose slack
-        it cuts: w_dual_value row i, which is row i, for value 1, none for
+        the strict set rows for value 0, the C_i of the strict set rows for
+        value 1.  tight lists the rows of :meth:`model` whose slack it
+        cuts: w_dual_value row i, which is row i, for value 1, none for
         value 0."""
         return self._fixing[i, value]
 
     def support_model(self, node) -> lp.LpModel:
-        """Equality side only: the nominal_comp and direction_comp rows of
-        every x_i = 1 and the coupling rows, with the columns of
-        :meth:`model` pinned at zero, nothing else.
+        """The equality stage of the enumeration oracle: :meth:`model` cut
+        down to the w_dual_value row and the w_dual_match rows of every
+        x_i = 1, then the coupling rows, with the same bounds.
 
-        Used to split infeasibility causes when enumerating supports; the
-        full node LP implies those rows and zeros, so this stays its
-        relaxation."""
+        With C_i cut on the strict set rows and zeta zero on the tight
+        ones, the w_dual_value equation of x_i = 1 is nominal_comp.  Its
+        w_dual_match rows put (M D + N E + T)_i in the cone of the tight
+        rows, which the implicit equalities span as a subspace, so they
+        hold exactly when direction_comp does.  The full node LP keeps
+        these rows, so this stays its relaxation."""
         fixed = _normalize_fixed(node, self.n)
-        rows = list(self._eq_static)
-        for i, f in enumerate(fixed):
-            if f == 1:
-                rows.extend(self._indicators[i])
-        return self._assemble(rows, fixed)
+        model = self.model(fixed)
+        keep = [p for i, f in enumerate(fixed) if f == 1 for p in self._support_rows[i]]
+        model.rows = [model.rows[p] for p in keep + self._coupling]
+        return model
 
     def r_of(self, point: np.ndarray) -> np.ndarray:
-        """The nominal rule r_i = sigma_i - zeta^-^T A_i of a node LP point."""
-        return point[self._r] - point[self._A] @ self._neg
+        """The nominal rule r_i = sigma_i - zeta^T A_i of a node LP point."""
+        return point[self._r] - point[self._A] @ self._zeta
 
     def lift(self, point: np.ndarray) -> np.ndarray:
         """A node LP point in the formulation's columns: D_i = Theta^T A_i
-        ahead of the node columns, and r in place of sigma."""
+        ahead of the node columns, and r in place of sigma.  D_i is exactly
+        zero for i < h, whose A_i are cut."""
         A = point[self._A]
         out = np.concatenate(((A @ self.inst.Theta).ravel(), point))
         out[self.form.r] = self.r_of(point)
         return out
 
     def extract_policy(self, point, node) -> Policy:
-        """Read the affine rule off a node LP point at a fully fixed node."""
+        """Read the affine rule off a node LP point at a fully fixed node;
+        its first h rows of D are exactly zero (see :meth:`lift`)."""
         fixed = _normalize_fixed(node, self.n)
         if any(f == UNFIXED for f in fixed):
             raise ValueError("policy extraction needs a fully fixed node")
         form, mixed = self.form, self.inst.mixed
         point = self.lift(point)
         D = point[form.D]
-        if self.inst.h:
-            D[: self.inst.h] = 0.0
         r = np.maximum(point[form.r], 0.0)
         E = s = None
         if mixed is not None:  # a pinned block's E columns are cut, so zero

@@ -197,9 +197,12 @@ def oracle_enumerate(
 ) -> "SolveReport":
     """Exhaustive search over all support vectors, smallest supports first.
 
-    Each support is probed in two stages: first the equality system alone
-    (tight rows, pinned rows, coupling rows), then the full node LP with the
-    nonnegativity machinery.  The first feasible support wins and its policy
+    Each support is probed in two stages.  The equality stage keeps, of the
+    node LP, the w_dual_value and w_dual_match rows of every x_i = 1, which
+    hold exactly when its nominal_comp and direction_comp rows do, and the
+    coupling rows, under the node LP's bounds
+    (:meth:`NodeLpBuilder.support_model`).  The nonnegativity stage is the
+    full node LP.  The first feasible support wins and its policy
     is certified before being returned; NumericalFailure is raised when it
     fails certification.  Certification runs at max(tol, EPS_FEAS), which
     the report's tolerances name verify_tol.  The returned report carries a

@@ -582,19 +582,18 @@ def dense_rows(form, fam) -> np.ndarray:
 
 def node_map(builder) -> np.ndarray:
     """Z with x_full = Z @ x for a node point x: the identity on the
-    columns node LPs keep, D_i = Theta^T A_i, and r_i = sigma_i -
-    zeta^-^T A_i with zeta^- = min(zeta, 0), where node column r_i holds
-    sigma_i."""
+    columns node LPs keep, D_i = Theta^T A_i, and r_i = sigma_i - zeta^T A_i,
+    where node column r_i holds sigma_i and zeta is the one node LPs render
+    (zero on the tight set rows, negative on the strict ones)."""
     form = builder.form
     kept = np.setdiff1d(np.arange(form.total), form.D.ravel())
     pos = np.full(form.total, -1)
     pos[kept] = np.arange(len(kept))
     Z = np.zeros((form.total, len(kept)))
     Z[kept, np.arange(len(kept))] = 1.0
-    neg = np.minimum(form.inst.zeta, 0.0)
     for i in range(builder.n):
         Z[np.ix_(form.D[i], pos[form.A[i]])] = form.inst.Theta.T
-        Z[form.r[i], pos[form.A[i]]] = -neg
+        Z[form.r[i], pos[form.A[i]]] = -form.inst.zeta
     return Z
 
 
@@ -633,4 +632,29 @@ def reference_node_model(builder, fixed) -> lp.LpModel:
         for tag in indicators:
             fam = getattr(form, tag)()
             add(fam, (fam.i == i) & (fam.value == f))
+    return model
+
+
+def reference_support_model(builder, fixed) -> lp.LpModel:
+    """The enumeration oracle's equality stage as written out row by row:
+    the coupling rows and the nominal_comp and direction_comp rows of every
+    x_i = 1, as dense rows times :func:`node_map`, under the bounds of the
+    node LP of the same fixing."""
+    form = builder.form
+    Z = node_map(builder)
+    node = builder.model(fixed)
+    model = lp.LpModel(builder.total)
+    model.lower, model.upper = node.lower.copy(), node.upper.copy()
+    ones = [i for i, f in enumerate(fixed) if f == 1]
+    tags = (
+        milp.TAG_MIXED_NOMINAL,
+        milp.TAG_MIXED_DIRECTION,
+        milp.TAG_NOMINAL_COMP,
+        milp.TAG_DIRECTION_COMP,
+    )
+    for tag in tags:
+        fam = getattr(form, tag)()
+        holds = slice(None) if fam.i is None else np.isin(fam.i, ones)
+        for coeffs, rhs in zip(dense_rows(form, fam)[holds] @ Z, fam.rhs[holds]):
+            model.add_row(coeffs, fam.rel, rhs)
     return model

@@ -170,21 +170,27 @@ def test_c2_singleton_reductions(tmp_path, capsys):
     print(f"singleton reductions: 3/3 statuses in {elapsed:.2f}s")
 
 
-def test_c3_oracle_equivalence():
-    """Tree search and exhaustive enumeration agree on 200 seeded draws."""
-    t0 = time.perf_counter()
+def _c3_draws():
+    """The 200 seeded draws of c3, planted and random, some with a tight
+    row pair."""
     rng = np.random.default_rng(2024)
-    agreements = 0
-    feasible_count = 0
-    for trial in range(200):
+    for _ in range(200):
         n = int(rng.integers(1, 5))
         k = int(rng.integers(1, 3))
         g = int(rng.integers(2 * k, 7))
         tight = bool(rng.uniform() < 0.25) and k == 2 and g - 2 * k >= 2
         if rng.uniform() < 0.5:
-            inst, _ = planted_instance(rng, n, k, g, tight_pair=tight)
+            yield planted_instance(rng, n, k, g, tight_pair=tight)[0]
         else:
-            inst = random_instance(rng, n, k, g, tight_pair=tight)
+            yield random_instance(rng, n, k, g, tight_pair=tight)
+
+
+def test_c3_oracle_equivalence():
+    """Tree search and exhaustive enumeration agree on 200 seeded draws."""
+    t0 = time.perf_counter()
+    agreements = 0
+    feasible_count = 0
+    for trial, inst in enumerate(_c3_draws()):
         basis = compute_lin_hull(inst)
         sr = bnb_solve(inst, basis)
         orep = oracle_enumerate(inst, basis)
@@ -201,6 +207,18 @@ def test_c3_oracle_equivalence():
         f"oracle equivalence: 200/200 agree ({feasible_count} feasible)"
         f" in {elapsed:.1f}s"
     )
+
+
+def test_c3_oracle_prune_split():
+    """The enumeration oracle prunes c3's draws at its two stages in a
+    pinned split: supports tested, pruned by the equality stage, pruned by
+    the full node LP."""
+    keys = ("tested", "equality_infeasible", "nonnegativity_infeasible")
+    split = np.zeros(3, dtype=int)
+    for inst in _c3_draws():
+        tally = oracle_enumerate(inst, compute_lin_hull(inst)).tally
+        split += [tally[key] for key in keys]
+    assert split.tolist() == [981, 598, 258]
 
 
 def _dual_certificate_feasible(Theta, zeta, lin, const, tol=1e-8):

@@ -1,5 +1,6 @@
 """Command line behavior: exit codes, file round trips, error mapping."""
 
+import dataclasses
 import json
 import re
 
@@ -7,8 +8,17 @@ import numpy as np
 import pytest
 
 import aarlcp.cli
+from aarlcp import (
+    SolveOptions,
+    SolveStatus,
+    bnb_solve,
+    build_milp,
+    compute_lin_hull,
+    oracle_enumerate,
+)
 from aarlcp.cli import build_parser, main, read_instance, read_policy
-from aarlcp.core import EPS_FEAS, EPS_ZERO
+from aarlcp.core import EPS_FEAS, EPS_ZERO, MixedExtension
+from aarlcp.milp import TAG_NOMINAL_COMP
 from support import count_lp_calls
 
 GOLDEN = {
@@ -207,6 +217,61 @@ def test_empty_free_block_answers_like_the_pure_twin(tmp_path, capsys):
     assert read_instance(str(tmp_path / "empty.json")).mixed.V.shape == (0, 1)
     assert read_policy(str(tmp_path / "empty.pol.json")).E.shape == (0, 1)
     assert "verdict: verified" in capsys.readouterr().out
+
+
+# k = 0: no uncertainty, so the instance is a plain LCP, solved by r = (1, 0)
+CERTAIN = {
+    "n": 2,
+    "k": 0,
+    "g": 0,
+    "M": [[1, 0], [0, 1]],
+    "q": [-1, 1],
+    "T": [[], []],
+    "Theta": [],
+    "zeta": [],
+}
+
+
+def test_instances_without_uncertainty(tmp_path, capsys):
+    # the search, the oracle and the export took k = 0 apart through a
+    # reshape(-1, k), so solve, oracle and export exited 2
+    path = write(tmp_path, "inst.json", CERTAIN)
+    pure = read_instance(path)
+    free = MixedExtension(
+        V=np.array([[1.0, 0.0]]),
+        W=np.eye(1),
+        N=np.array([[1.0], [0.0]]),
+        p=np.array([-2.0]),
+        P=np.zeros((1, 0)),
+        y_adjustable=False,
+    )
+    # the free block's s = 2 meets w_1 >= 0 on its own, so r = 0 there
+    for inst, r in ((pure, [1.0, 0.0]), (dataclasses.replace(pure, mixed=free), [0.0, 0.0])):
+        basis = compute_lin_hull(inst)
+        answers = [
+            bnb_solve(inst, basis, SolveOptions(branching=rule, psd=psd))
+            for rule, psd in (("heuristic", "auto"), ("index", "off"))
+        ]
+        answers.append(oracle_enumerate(inst, basis))
+        for report in answers:
+            assert report.status is SolveStatus.FEASIBLE
+            assert report.verification.verified
+            assert report.policy.D.shape == (2, 0)
+            assert report.policy.r.tolist() == r
+        assert len(build_milp(inst, basis).rows_by_tag(TAG_NOMINAL_COMP)) == 4
+    pol = str(tmp_path / "pol.json")
+    for argv in (
+        ["validate", path],
+        ["linhull", path],
+        ["solve", path, "--psd", "off", "--out", pol],
+        ["verify", path, pol],
+        ["oracle", path],
+        ["export", path],
+    ):
+        assert main(argv) == 0, argv
+    out = capsys.readouterr().out
+    assert "verdict: verified" in out and "r: 1 0" in out
+    assert json.loads((tmp_path / "pol.json").read_text())["D"] == [[], []]
 
 
 # the box [-1, 1]^2 with the cuts u1 + u2 >= -1.5 and u1 - u2 >= -1.5

@@ -1,6 +1,7 @@
 """Node LPs, the tree search, and the big-M export with its reader."""
 
 import dataclasses
+import itertools
 import pathlib
 
 import numpy as np
@@ -56,6 +57,7 @@ from support import (
     random_instance,
     reduction_instance,
     reference_node_model,
+    reference_support_model,
     search_answer,
 )
 
@@ -452,14 +454,17 @@ def test_warm_prune_ignores_rounding_residue():
 
 
 def test_node_rows_equal_dense_rows_times_z():
-    """Each family, rendered block by block into node columns, equals its
-    dense rows times the explicit map Z from node to formulation columns,
-    and lift is Z: on pure, mixed (pinned and adjustable) and h >= 1 draws.
-    The rows node LPs leave out are implied by their bounds: z_dual_value
-    rows times Z reduce to sigma_i + zeta^+^T A_i >= 0, and mixed_pin rows
-    to E columns that a pinned model cuts.  x_i = 1 makes w_dual_value row
-    i of the node LP an equation and adds no rows; the support model adds
-    its nominal_comp and direction_comp rows."""
+    """Node LPs render four families, each block by block into node
+    columns, and each equals its dense rows times the explicit map Z from
+    node to formulation columns; lift is Z.  On pure, mixed (pinned and
+    adjustable) and h >= 1 draws.  The other seven are bounds or cuts:
+    z_dual_value rows times Z are exactly sigma_i, here_and_now rows times
+    Z are rows of Theta^T on A_i columns bounded at [0, 0], and mixed_pin
+    rows times Z are unit rows on E columns a pinned model cuts.  x_i = 1
+    makes w_dual_value row i of the node LP an equation and adds no rows.
+    The support model holds the very row objects of the node LP of the
+    same fixing: the w_dual_value and w_dual_match rows of each x_i = 1,
+    then the coupling rows."""
     rng = np.random.default_rng(19)
     insts = [export_mixed_instance()]
     for trial in range(4):
@@ -468,8 +473,7 @@ def test_node_rows_equal_dense_rows_times_z():
         insts += [inst, dataclasses.replace(inst, h=1 + trial % 2)]
         pinned, freed, _ = planted_mixed_instance(rng, n, 1 + trial % 2, k)
         insts += [pinned, freed, dataclasses.replace(freed, h=1)]
-    static = (TAG_W_DUAL_VALUE, TAG_W_DUAL_MATCH)
-    equations = (TAG_HERE_AND_NOW, TAG_MIXED_NOMINAL, TAG_MIXED_DIRECTION)
+    rendered = (TAG_W_DUAL_VALUE, TAG_W_DUAL_MATCH, TAG_MIXED_NOMINAL, TAG_MIXED_DIRECTION)
 
     def check(form, Z, rows, fams, where):
         want = np.vstack([dense_rows(form, fam) @ Z for fam in fams])
@@ -480,48 +484,69 @@ def test_node_rows_equal_dense_rows_times_z():
             assert [rel for _, rel, _ in rows] == [f.rel for f in fams for _ in f.rhs]
             assert np.array_equal([rhs for _, _, rhs in rows], np.hstack([f.rhs for f in fams]))
 
+    def bounded_at_zero(model, cols):
+        return not model.lower[cols].any() and not model.upper[cols].any()
+
     for t, inst in enumerate(insts):
         builder = NodeLpBuilder(inst, compute_lin_hull(inst))
-        form, Z = builder.form, node_map(builder)
-        node = np.arange(form.total) - inst.n * inst.k  # node column, D first
-        root = [UNFIXED] * inst.n
+        form, Z, n, k = builder.form, node_map(builder), inst.n, inst.k
+        node = np.arange(form.total) - n * k  # node column, D first
+        root = [UNFIXED] * n
         root_model = builder.model(root)
         fams = {tag: getattr(form, tag)() for tag in ALL_TAGS}
-        check(form, Z, root_model.rows, [fams[tag] for tag in static + equations], t)
-        check(form, Z, builder.support_model(root).rows, [fams[tag] for tag in equations], t)
+        check(form, Z, root_model.rows, [fams[tag] for tag in rendered], t)
 
-        # z_dual_value row i times Z is sigma_i + zeta^+^T A_i, and >= 0
+        # z_dual_value row i times Z is sigma_i, as the rendered zeta <= 0
         z_rows = dense_rows(form, fams[TAG_Z_DUAL_VALUE]) @ Z
         want = np.zeros_like(z_rows)
-        for i in range(inst.n):
-            want[i, node[form.r[i]]] = 1.0
-            want[i, node[form.A[i]]] = np.maximum(inst.zeta, 0.0)
-        assert np.abs(z_rows - want).max() <= 1e-15, t
+        want[np.arange(n), node[form.r]] = 1.0
+        assert np.array_equal(z_rows, want), t
         assert not fams[TAG_Z_DUAL_VALUE].rhs.any()
+        # here_and_now rows times Z are rows of Theta^T on the A_i columns
+        # of i < h, which every model cuts
+        now = dense_rows(form, fams[TAG_HERE_AND_NOW]) @ Z
+        want = np.zeros_like(now)
+        for i in range(inst.h):
+            want[i * k : (i + 1) * k, node[form.A[i]]] = form.inst.Theta.T
+        assert np.array_equal(now, want) and len(now) == inst.h * k, t
+        assert not fams[TAG_HERE_AND_NOW].rhs.any()
+        assert bounded_at_zero(root_model, node[form.A[: inst.h].ravel()]), t
+        assert np.isinf(root_model.upper[node[form.A[inst.h :].ravel()]]).all(), t
         # mixed_pin rows times Z are unit rows on E columns the model cuts
         pin = dense_rows(form, fams[TAG_MIXED_PIN]) @ Z
         pinned_cols = np.flatnonzero(np.abs(pin).sum(axis=0))
         assert np.array_equal(pin[:, pinned_cols], np.eye(len(pin))), t
         assert np.isin(pinned_cols, node[form.E.ravel()]).all(), t
-        assert not root_model.lower[pinned_cols].any(), t
-        assert not root_model.upper[pinned_cols].any(), t
+        assert bounded_at_zero(root_model, pinned_cols), t
         if inst.mixed is not None and not inst.mixed.y_adjustable:
             assert len(pinned_cols) == form.E.size > 0, t
         else:
             assert np.isinf(root_model.upper[node[form.E.ravel()]]).all(), t
 
+        # row positions of the rendered families in every node LP
+        start = np.cumsum([0] + [len(fams[tag].rhs) for tag in rendered])
+        w_match = start[1] + np.arange(n * k).reshape(n, k)
+        coupling = list(range(start[2], start[4]))
+
+        def check_support(fixed, where):
+            rows = builder.model(fixed).rows
+            ones = [i for i, f in enumerate(fixed) if f == 1]
+            picked = [rows[p] for i in ones for p in (start[0] + i, *w_match[i])]
+            picked += [rows[p] for p in coupling]
+            support = builder.support_model(fixed).rows
+            assert len(support) == len(picked), where
+            for (c, rel, rhs), (want_c, want_rel, want_rhs) in zip(support, picked):
+                assert c is want_c and (rel, rhs) == (want_rel, want_rhs), where
+
         def part(fam, mine, **changes):
             blocks = {group: block[mine] for group, block in fam.blocks.items()}
             return dataclasses.replace(fam, rhs=fam.rhs[mine], blocks=blocks, **changes)
 
+        check_support(root, t)
         root_rows = root_model.rows
-        for i in range(inst.n):
+        for i in range(n):
             one = root[:i] + [1] + root[i + 1 :]
-            indicators = [
-                part(fams[tag], fams[tag].i == i) for tag in (TAG_NOMINAL_COMP, TAG_DIRECTION_COMP)
-            ]
-            eqs = [fams[tag] for tag in equations]
-            check(form, Z, builder.support_model(one).rows, eqs + indicators, (t, i))
+            check_support(one, (t, i))
             (row,) = builder.fixing(i, 1)[1]
             assert row == i
             rows = builder.model(one).rows
@@ -530,16 +555,44 @@ def test_node_rows_equal_dense_rows_times_z():
             others = rows[:row] + rows[row + 1 :], root_rows[:row] + root_rows[row + 1 :]
             assert all(a is b for a, b in zip(*others)) and len(rows) == len(root_rows)
             assert len(builder.fixing(i, 0)[1]) == 0
+        check_support([i % 2 for i in range(n)], (t, "alternating"))
+        check_support([1] * n, (t, "ones"))
         point = rng.standard_normal(builder.total)
         lifted = Z @ point
         assert np.abs(builder.lift(point) - lifted).max() <= 1e-15 * np.abs(lifted).max()
         assert np.abs(builder.r_of(point) - lifted[form.r]).max() <= 1e-15 * np.abs(lifted).max()
 
 
+def test_support_model_matches_dense_indicator_rows():
+    """On every support of seeded draws with n <= 4 (pure, mixed pinned and
+    adjustable, h >= 1, a tight row pair), the support model, a selection
+    of node LP rows, is feasible exactly when the coupling rows and the
+    dense nominal_comp and direction_comp rows of its x_i = 1 are, under
+    the node LP's bounds."""
+    rng = np.random.default_rng(83)
+    insts = []
+    for trial in range(6):
+        n, k = 2 + trial % 3, 2
+        inst = random_instance(rng, n, k, 2 * k + 2, tight_pair=trial % 2 == 0)
+        planted, _ = planted_instance(rng, n, k, 2 * k + 2, tight_pair=trial % 2 == 1)
+        insts += [inst, dataclasses.replace(planted, h=1 + trial % 2 if n > 2 else 1)]
+        insts += planted_mixed_instance(rng, n, 1 + trial % 2, k)[:2]
+    counts = {lp.LpStatus.OPTIMAL: 0, lp.LpStatus.INFEASIBLE: 0}
+    for t, inst in enumerate(insts):
+        builder = NodeLpBuilder(inst, compute_lin_hull(inst))
+        for fixed in itertools.product((0, 1), repeat=inst.n):
+            got = lp.lp_feasible(builder.support_model(fixed)).status
+            want = lp.lp_feasible(reference_support_model(builder, fixed)).status
+            assert got is want, (t, fixed)
+            counts[got] += 1
+    assert min(counts.values()) >= 40, counts
+
+
 def test_node_lps_drop_the_z_dual_value_and_mixed_pin_rows():
     """The root node LP has n fewer rows and n fewer slack columns than the
-    reference node LP that renders z_dual_value, and a pinned mixed model
-    cuts every E column instead of carrying mixed_pin rows."""
+    reference node LP that renders z_dual_value, h k fewer rows as it cuts
+    the A_i of i < h instead of carrying here_and_now rows, and a pinned
+    mixed model cuts every E column instead of carrying mixed_pin rows."""
     rng = np.random.default_rng(61)
     insts = [golden_instance(), export_mixed_instance()]
     for trial in range(3):
@@ -552,7 +605,7 @@ def test_node_lps_drop_the_z_dual_value_and_mixed_pin_rows():
         form, n, root = builder.form, inst.n, [UNFIXED] * inst.n
         model, reference = builder.model(root), reference_node_model(builder, root)
         pins = form.E.size if inst.mixed is not None and not inst.mixed.y_adjustable else 0
-        assert len(model.rows) == len(reference.rows) - n - pins, t
+        assert len(model.rows) == len(reference.rows) - n - pins - inst.h * inst.k, t
         tab, ref = lp.phase_one(model), lp.phase_one(reference)
         assert len(tab.slack_row) == len(ref.slack_row) - n == n, t
         E = form.E.ravel() - n * inst.k
