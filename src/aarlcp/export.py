@@ -130,7 +130,7 @@ def build_milp(
     if not np.isfinite(big_m) or big_m <= 0:
         raise ValueError("big_m must be positive and finite")
 
-    form = Formulation(inst, basis)
+    form = Formulation(inst, basis.matrix.T)
     names = {
         group: _grid(pattern, getattr(form, group).shape)
         for group, pattern in _COLUMN_NAMES.items()

@@ -11,7 +11,7 @@ same core.set_pass, and raises where validate would report a bad set.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 
 import numpy as np
 
@@ -40,6 +40,24 @@ class LinHullBasis:
     @property
     def dimension(self) -> int:
         return len(self.vectors)
+
+    @property
+    def matrix(self) -> np.ndarray:
+        """B, the k x d matrix whose columns are the vectors."""
+        return np.array(self.vectors).reshape(self.dimension, self.phi.shape[1]).T
+
+    def coordinates(self, inst: Instance) -> Instance:
+        """inst in hull coordinates u = B v: the strict set rows Theta B,
+        T B and a free block's P B.  The set in v is full-dimensional with
+        the origin inside, and a rule D' in v is the rule D' B^+ in u."""
+        if not len(self.phi):  # B = I and every row strict: inst as it is
+            return inst
+        B, strict = self.matrix, sorted(self.inequality_rows)
+        mixed = inst.mixed
+        if mixed is not None:
+            mixed = replace(mixed, P=mixed.P @ B)
+        Theta, zeta = inst.Theta[strict] @ B, inst.zeta[strict]
+        return replace(inst, T=inst.T @ B, Theta=Theta, zeta=zeta, mixed=mixed)
 
 
 def compute_lin_hull(inst: Instance, tol: float = 1e-8) -> LinHullBasis:

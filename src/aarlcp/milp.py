@@ -13,42 +13,36 @@ families as rows and write every fixing as an exact cut, so they add no
 rows below the root and no big-M rows exist there.  The big-M export,
 which relaxes each indicator row by a big-M multiple of its binary for
 hand-off to external integer programming tools and names the rows and
-columns, lives in :mod:`aarlcp.export`.
-Both, and so the tree search (:func:`bnb_solve`), cover pure and mixed
-instances alike.  On a pure instance with a positive
-semidefinite matrix the search starts at the one support an affine rule
-can use (:func:`psd.forced_support`), not at the unfixed root, so it runs
-a single node.
+columns, lives in :mod:`aarlcp.export`.  Both, and so the tree search
+(:func:`bnb_solve`), cover pure and mixed instances alike.  On a pure
+instance with a positive semidefinite matrix the search starts at the one
+support an affine rule can use (:func:`psd.forced_support`), not at the
+unfixed root, so it runs a single node.
 
 The four are w_dual_value, w_dual_match, mixed_nominal and
 mixed_direction; the other seven are bounds or cuts in node LPs and rows
-only in the export.  The rule D enters only through its certificate
-D_i = Theta^T A_i, so node LPs carry neither D columns nor z_dual_match
-rows, and every other row has D replaced by that product.
+only in the export.  Node LPs solve the instance in hull coordinates
+u = B v (:meth:`LinHullBasis.coordinates`) with the hull I_d, so every set
+row has zeta_j < 0 and none is an implicit equality; certification and the
+export keep the given data.  The rule D enters only through its
+certificate D_i = Theta^T A_i, so node LPs carry neither D columns nor
+z_dual_match rows, and every other row has D replaced by that product.
 The nominal rule r enters through sigma_i = r_i + zeta^T A_i: node column
-r_i holds sigma_i, every row has r_i replaced by sigma_i - zeta^T A_i,
-and z_dual_value row i is the bound sigma_i >= 0.  Node LPs render every
-tight set row with zeta_j = 0, as the hull takes it through the origin,
-even where compute_lin_hull accepted 0 < |zeta_j| <= tol, and every
-strict one has zeta_j < -tol; certification and the export keep the given
-zeta.  So zeta <= 0, and with A >= 0 the bound sigma_i >= 0 gives
-r_i >= 0 too.  here_and_now bounds A_i at [0, 0] for i < h, which makes
-D_i zero, and a pinned free block gets E in [0, 0] in place of its
-mixed_pin rows.
+r_i holds sigma_i, every row has r_i replaced by sigma_i - zeta^T A_i, and
+z_dual_value row i is the bound sigma_i >= 0, which with A >= 0 gives
+r_i >= 0 too.  here_and_now bounds A_i at [0, 0] for i < h, which makes D_i
+zero, and a pinned free block gets E in [0, 0] in place of its mixed_pin
+rows.
 
-A fixing adds no indicator rows.  It drops the columns it forces to zero:
-sigma_i and the A_i of the strict set rows for x_i = 0, since
-r_i = sigma_i - zeta^T A_i is a sum of nonnegative terms; the C_i of the
-strict set rows for x_i = 1.  x_i = 1 also cuts the slack of
-w_dual_value row i, which makes that row an equation.  That is exact:
-with C_i zero on the strict rows and zeta zero on the tight ones, the
-equation is nominal_comp, and w_dual_match gives
-M_i D + N_i E = C_i^T Theta - T_i, where C_i^T Theta h = 0 for every hull
-vector h because Theta_j h = 0 on every tight row j, so direction_comp
-holds too.  The enumeration oracle's equality stage keeps just those rows
-of each x_i = 1 and the coupling rows (:meth:`NodeLpBuilder.support_model`).
-:meth:`NodeLpBuilder.lift` maps a node LP point back to the formulation's
-columns.
+A fixing adds no indicator rows.  It drops the block of columns it forces
+to zero: sigma_i and A_i for x_i = 0, since r_i = sigma_i - zeta^T A_i is a
+sum of nonnegative terms; C_i for x_i = 1, which also cuts the slack of
+w_dual_value row i and so makes that row an equation.  That is exact: with
+C_i zero, the equation is nominal_comp and the w_dual_match rows of i are
+direction_comp along the hull I_d.  The enumeration oracle's equality
+stage keeps just those rows of each x_i = 1 and the coupling rows
+(:meth:`NodeLpBuilder.support_model`).  :meth:`NodeLpBuilder.lift` and
+:meth:`NodeLpBuilder.extract_policy` map a node LP point back.
 
 Row families:
 
@@ -171,12 +165,12 @@ class SolveReport:
 
 
 def _normalize_fixed(node, n: int) -> tuple[int, ...]:
-    fixed = tuple(int(f) for f in node)
+    fixed = tuple(node)
     if len(fixed) != n:
         raise DimensionMismatch(f"fixed vector must have length {n}")
     if any(f not in (UNFIXED, 0, 1) for f in fixed):
         raise ValueError("fixed entries must be 1, 0, or UNFIXED")
-    return fixed
+    return tuple(int(f) for f in fixed)
 
 
 @dataclass(eq=False)
@@ -211,12 +205,13 @@ class Formulation:
     of the decision rows (g per row), the multipliers C of the slack rows,
     and the free block's s (m) and E (m x k); cols maps each group to its
     columns.  D, s and E are free, the rest nonnegative.  A pure instance
-    gets an empty free block (m = 0).  Each family is the method named
-    after its tag, and its blocks are Kronecker products of the data:
-    w_dual_match, for one, is [C: I_n x Theta^T | D: -M x I_k | E: -N x I_k].
+    gets an empty free block (m = 0), and hull holds the hull vectors, one
+    per row.  Each family is the method named after its tag, and its blocks
+    are Kronecker products of the data: w_dual_match, for one, is
+    [C: I_n x Theta^T | D: -M x I_k | E: -N x I_k].
     """
 
-    def __init__(self, inst: Instance, basis: LinHullBasis):
+    def __init__(self, inst: Instance, hull: np.ndarray):
         self.inst = inst
         n, k, g = inst.n, inst.k, inst.g
         self.mixed = inst.mixed
@@ -224,7 +219,7 @@ class Formulation:
             empty = np.zeros((0, n)), np.zeros((0, 0)), np.zeros((n, 0)), np.zeros(0)
             self.mixed = MixedExtension(*empty, P=np.zeros((0, k)))
         m = self.mixed.m
-        self.hull = np.array(basis.vectors).reshape(len(basis.vectors), k)  # one per row
+        self.hull = hull
         start = np.cumsum([0, n * k, n, g * n, g * n, m, m * k])
         self.D = np.arange(start[0], start[1]).reshape(n, k)
         self.r = np.arange(start[1], start[2])
@@ -309,14 +304,18 @@ class Formulation:
 class NodeLpBuilder:
     """Assembles node LPs for one instance and hull basis.
 
-    Node LPs render four families as rows: w_dual_value, w_dual_match,
-    mixed_nominal and mixed_direction.  The other seven are bounds or
-    cuts:
+    :attr:`form` is built on the instance in hull coordinates u = B v, B the
+    k x d matrix of the hull vectors, with the hull I_d, so zeta < 0, and
+    with each row of [M q T N] divided by its infinity norm, which maps
+    every policy to itself and only rescales the C multipliers.
+    Certification and the export keep the given data.  Node LPs render four
+    families as rows: w_dual_value, w_dual_match, mixed_nominal and
+    mixed_direction.  The other seven are bounds or cuts:
 
     * z_dual_match: node LPs carry no D columns.  Those rows say
       D_i = Theta^T A_i, so every row is rendered with D replaced by that
       product.  D is the first column group, so node column j is
-      formulation column j + n k, and a family's D block folds into its A
+      formulation column j + n d, and a family's D block folds into its A
       columns.
     * z_dual_value: node column r_i holds sigma_i = r_i + zeta^T A_i, so a
       family's r block is written into the sigma columns and folded into
@@ -328,27 +327,17 @@ class NodeLpBuilder:
     * mixed_pin: a pinned free block has E in [0, 0].
     * support_link, nominal_comp and direction_comp: the fixings below.
 
-    Only the export writes the seven as rows.  zeta is :attr:`form`'s,
-    which is zero on the tight set rows and below -tol on the strict ones,
-    so r_i = sigma_i - zeta^T A_i is a sum of nonnegative terms.
-    :meth:`lift` maps a node point back to the formulation's columns.
+    Only the export writes the seven as rows.  :meth:`lift` maps a node
+    point back to the formulation's columns.
 
-    A fixing is a cut: it forces columns to zero, and node LPs drop them
-    instead of carrying indicator rows.  x_i = 0 fixes r_i at zero, so
-    sigma_i is zero and so is A_ij on every strict set row.  x_i = 1 pins
-    the nominal slack to zero, so w_dual_value implies C_ij = 0 on the
-    strict rows alike, and node LPs cut the slack of w_dual_value row i as
-    well.  With those C_ij gone, that row at zero slack is nominal_comp,
-    and w_dual_match implies direction_comp (see the module docstring).
-    Every node LP, warm or cold, fixes each such column at zero.
-
-    Instances are solved with each row of [M q T N] divided by its
-    infinity norm (:attr:`form` is built on the scaled rows).  That maps
-    every policy to itself and only rescales the C multipliers, so the
-    answer is the same.  :attr:`form` also has zeta zero on the tight set
-    rows: a nonzero zeta_j within tol there would let multipliers of order
-    1/zeta_j buy O(1) terms.  Certification and the export keep the
-    original rows and zeta.
+    A fixing is a cut: it forces a whole block of columns to zero, and node
+    LPs drop them instead of carrying indicator rows.  x_i = 0 fixes
+    r_i = sigma_i - zeta^T A_i, a sum of nonnegative terms, at zero, so
+    sigma_i and A_i are zero.  x_i = 1 pins the nominal slack to zero, so
+    w_dual_value implies C_i = 0, and node LPs cut the slack of w_dual_value
+    row i as well.  With C_i gone, that row at zero slack is nominal_comp
+    and the w_dual_match rows of i are direction_comp.  Every node LP, warm
+    or cold, fixes each such column at zero.
 
     The rendered rows are built once, and so are the :meth:`fixing` of
     every (index, value), the columns it zeroes and the row whose slack it
@@ -364,10 +353,10 @@ class NodeLpBuilder:
     """
 
     def __init__(self, inst: Instance, basis: LinHullBasis):
-        self.inst = inst
-        form = self.form = Formulation(_row_scaled(inst, basis), basis)
-        n, k = inst.n, inst.k
-        self.n, self._skip = n, n * k
+        self._B = basis.matrix
+        n, d = inst.n, basis.dimension
+        form = self.form = Formulation(_hull_scaled(inst, basis), np.eye(d))
+        self.n, self._skip = n, n * d
         self.total = form.total - self._skip
         self._r, self._A = form.r - self._skip, form.A - self._skip
         self._zeta = form.inst.zeta
@@ -386,23 +375,22 @@ class NodeLpBuilder:
         self._static = [row for tag in tags for row in self._rows(getattr(form, tag)())]
         # Zeroed columns and tight rows, per (index, value), and the rows
         # support_model keeps, per index: w_dual_value row i is row i,
-        # w_dual_match row (i, c) is row n + i k + c, and the coupling rows
+        # w_dual_match row (i, c) is row n + i d + c, and the coupling rows
         # come last.
-        strict = sorted(basis.inequality_rows)
         none = np.zeros(0, dtype=int)
         self._fixing: dict[tuple[int, int], tuple[np.ndarray, np.ndarray]] = {}
         self._support_rows: list[list[int]] = []
         for i in range(n):
-            self._fixing[i, 0] = (np.append(self._r[i], self._A[i, strict]), none)
-            self._fixing[i, 1] = (form.C[i, strict] - self._skip, np.array([i]))
-            self._support_rows.append([i, *range(n + i * k, n + (i + 1) * k)])
-        self._coupling = list(range(n + n * k, len(self._static)))
+            self._fixing[i, 0] = (np.append(self._r[i], self._A[i]), none)
+            self._fixing[i, 1] = (form.C[i] - self._skip, np.array([i]))
+            self._support_rows.append([i, *range(n + i * d, n + (i + 1) * d)])
+        self._coupling = list(range(n + n * d, len(self._static)))
 
     def _rows(self, fam: Family) -> list:
         """(coefficients, relation, rhs) of each row of a family, in node
         columns, with D_i = Theta^T A_i folded into the A columns and
         r_i = sigma_i - zeta^T A_i into the sigma and A columns."""
-        inst = self.inst
+        inst = self.form.inst
         coeffs = np.zeros((len(fam.rhs), self.total))
         for group, block in fam.blocks.items():
             if group == "D":
@@ -439,11 +427,10 @@ class NodeLpBuilder:
     def fixing(self, i: int, value: int) -> tuple[np.ndarray, np.ndarray]:
         """(zero, tight) of fixing entry i to value, as
         :meth:`lp.Tableau.cut` takes them; a fixing adds no rows.  zero
-        lists the node columns it forces to zero: sigma_i and the A_i of
-        the strict set rows for value 0, the C_i of the strict set rows for
-        value 1.  tight lists the rows of :meth:`model` whose slack it
-        cuts: w_dual_value row i, which is row i, for value 1, none for
-        value 0."""
+        lists the node columns it forces to zero: sigma_i and all of A_i for
+        value 0, all of C_i for value 1.  tight lists the rows of
+        :meth:`model` whose slack it cuts: w_dual_value row i, which is row
+        i, for value 1, none for value 0."""
         return self._fixing[i, value]
 
     def support_model(self, node) -> lp.LpModel:
@@ -451,12 +438,9 @@ class NodeLpBuilder:
         down to the w_dual_value row and the w_dual_match rows of every
         x_i = 1, then the coupling rows, with the same bounds.
 
-        With C_i cut on the strict set rows and zeta zero on the tight
-        ones, the w_dual_value equation of x_i = 1 is nominal_comp.  Its
-        w_dual_match rows put (M D + N E + T)_i in the cone of the tight
-        rows, which the implicit equalities span as a subspace, so they
-        hold exactly when direction_comp does.  The full node LP keeps
-        these rows, so this stays its relaxation."""
+        With C_i cut, the w_dual_value equation of x_i = 1 is nominal_comp
+        and its w_dual_match rows are direction_comp, whose hull is I_d.
+        The full node LP keeps these rows, so this stays its relaxation."""
         fixed = _normalize_fixed(node, self.n)
         model = self.model(fixed)
         keep = [p for i, f in enumerate(fixed) if f == 1 for p in self._support_rows[i]]
@@ -468,35 +452,37 @@ class NodeLpBuilder:
         return point[self._r] - point[self._A] @ self._zeta
 
     def lift(self, point: np.ndarray) -> np.ndarray:
-        """A node LP point in the formulation's columns: D_i = Theta^T A_i
-        ahead of the node columns, and r in place of sigma.  D_i is exactly
-        zero for i < h, whose A_i are cut."""
+        """A node LP point in the formulation's columns, which are in hull
+        coordinates: D_i = Theta^T A_i ahead of the node columns, and r in
+        place of sigma.  D_i is exactly zero for i < h, whose A_i are cut."""
         A = point[self._A]
-        out = np.concatenate(((A @ self.inst.Theta).ravel(), point))
+        out = np.concatenate(((A @ self.form.inst.Theta).ravel(), point))
         out[self.form.r] = self.r_of(point)
         return out
 
     def extract_policy(self, point, node) -> Policy:
-        """Read the affine rule off a node LP point at a fully fixed node;
-        its first h rows of D are exactly zero (see :meth:`lift`)."""
+        """Read the affine rule off a node LP point at a fully fixed node,
+        mapped back to u by a left inverse B^+ of B: D = D' B^+, E = E' B^+.
+        Its first h rows of D are exactly zero, as those of D' are."""
         fixed = _normalize_fixed(node, self.n)
         if any(f == UNFIXED for f in fixed):
             raise ValueError("policy extraction needs a fully fixed node")
-        form, mixed = self.form, self.inst.mixed
+        form = self.form
         point = self.lift(point)
-        D = point[form.D]
+        left = np.linalg.solve(self._B.T @ self._B, self._B.T)  # B^+, B has full rank
+        D = point[form.D] @ left
         r = np.maximum(point[form.r], 0.0)
         E = s = None
-        if mixed is not None:  # a pinned block's E columns are cut, so zero
-            s, E = point[form.s], point[form.E]
+        if form.inst.mixed is not None:  # a pinned block's E columns are cut, so zero
+            s, E = point[form.s], point[form.E] @ left
         return Policy(D=D, r=r, x=np.array(fixed, dtype=int), E=E, s=s)
 
 
-def _row_scaled(inst: Instance, basis: LinHullBasis) -> Instance:
-    """The instance with each row of [M q T N] divided by its infinity norm
-    (zero rows stay) and zeta zero on the tight set rows, which the hull
-    takes as passing through the origin; the free block's own rows stay as
-    they are."""
+def _hull_scaled(inst: Instance, basis: LinHullBasis) -> Instance:
+    """The instance in hull coordinates (:meth:`LinHullBasis.coordinates`),
+    with each row of [M q T N] divided by its infinity norm (zero rows
+    stay); the free block's own rows stay as they are."""
+    inst = basis.coordinates(inst)
     mixed = inst.mixed
     N = mixed.N if mixed is not None else np.zeros((inst.n, 0))
     norm = np.abs(np.column_stack([inst.M, inst.q, inst.T, N])).max(axis=1)
@@ -504,12 +490,7 @@ def _row_scaled(inst: Instance, basis: LinHullBasis) -> Instance:
     col = d[:, None]
     if mixed is not None:
         mixed = replace(mixed, N=N / col)
-    zeta = np.zeros(inst.g)
-    strict = sorted(basis.inequality_rows)
-    zeta[strict] = inst.zeta[strict]
-    return replace(
-        inst, M=inst.M / col, q=inst.q / d, T=inst.T / col, zeta=zeta, mixed=mixed
-    )
+    return replace(inst, M=inst.M / col, q=inst.q / d, T=inst.T / col, mixed=mixed)
 
 
 class _Budget:

@@ -249,14 +249,15 @@ def permuted_instance(rng, inst):
     )
 
 
-def planted_mixed_instance(rng, n, m, k):
+def planted_mixed_instance(rng, n, m, k, g=None, tight_pair=False):
     """Mixed pair built around a pinned-block feasible policy.
 
     Returns (pinned, freed, support): identical data, only the
     adjustability flag differs.  The planted policy keeps the free block
-    constant, so the pinned variant is feasible by construction.
+    constant, so the pinned variant is feasible by construction.  The set
+    is random_set's with g rows (2 k by default).
     """
-    Theta, zeta = random_set(rng, k, 2 * k)
+    Theta, zeta = random_set(rng, k, 2 * k if g is None else g, tight_pair)
     size = int(rng.integers(0, n + 1))
     S = set(int(i) for i in rng.choice(n, size=size, replace=False))
     D = np.zeros((n, k))
@@ -583,8 +584,8 @@ def dense_rows(form, fam) -> np.ndarray:
 def node_map(builder) -> np.ndarray:
     """Z with x_full = Z @ x for a node point x: the identity on the
     columns node LPs keep, D_i = Theta^T A_i, and r_i = sigma_i - zeta^T A_i,
-    where node column r_i holds sigma_i and zeta is the one node LPs render
-    (zero on the tight set rows, negative on the strict ones)."""
+    where node column r_i holds sigma_i and Theta and zeta are those of the
+    builder's formulation, which is in hull coordinates (zeta < 0)."""
     form = builder.form
     kept = np.setdiff1d(np.arange(form.total), form.D.ravel())
     pos = np.full(form.total, -1)

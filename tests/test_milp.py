@@ -87,6 +87,13 @@ def test_extract_policy_needs_full_fixing():
     res = lp.lp_feasible(builder.model((1, UNFIXED)))
     with pytest.raises(ValueError):
         builder.extract_policy(res.point, (1, UNFIXED))
+    # entries are checked before they are read as integers, not truncated
+    with pytest.raises(ValueError):
+        builder.model([0.7, 1.2])
+    with pytest.raises(ValueError):
+        builder.extract_policy(res.point, [True, 1.9])
+    with pytest.raises(ValueError):
+        builder.support_model([1, 0.5])
 
 
 def test_solve_golden():
@@ -421,8 +428,8 @@ def test_warm_children_keep_the_columns_of_their_cold_model():
 
 
 def test_cut_encodes_the_indicator_rows():
-    """x_i = 1 cuts the slack of w_dual_value row i and the strict C_i
-    columns, and adds no rows: on pure draws with a tight pair, at h = 0
+    """x_i = 1 cuts the slack of w_dual_value row i and all of C_i, and
+    adds no rows: on pure draws with a tight pair, at h = 0
     and h >= 1, and on pinned and adjustable mixed draws, warm and cold
     node LPs keep the status of the reference node LP with its
     nominal_comp and direction_comp rows, warm points meet those rows, and
@@ -489,14 +496,15 @@ def test_node_rows_equal_dense_rows_times_z():
 
     for t, inst in enumerate(insts):
         builder = NodeLpBuilder(inst, compute_lin_hull(inst))
-        form, Z, n, k = builder.form, node_map(builder), inst.n, inst.k
+        form, Z, n = builder.form, node_map(builder), inst.n
+        k = form.inst.k  # the hull's dimension: node LPs work in hull coordinates
         node = np.arange(form.total) - n * k  # node column, D first
         root = [UNFIXED] * n
         root_model = builder.model(root)
         fams = {tag: getattr(form, tag)() for tag in ALL_TAGS}
         check(form, Z, root_model.rows, [fams[tag] for tag in rendered], t)
 
-        # z_dual_value row i times Z is sigma_i, as the rendered zeta <= 0
+        # z_dual_value row i times Z is sigma_i, as the rendered zeta < 0
         z_rows = dense_rows(form, fams[TAG_Z_DUAL_VALUE]) @ Z
         want = np.zeros_like(z_rows)
         want[np.arange(n), node[form.r]] = 1.0
@@ -605,10 +613,10 @@ def test_node_lps_drop_the_z_dual_value_and_mixed_pin_rows():
         form, n, root = builder.form, inst.n, [UNFIXED] * inst.n
         model, reference = builder.model(root), reference_node_model(builder, root)
         pins = form.E.size if inst.mixed is not None and not inst.mixed.y_adjustable else 0
-        assert len(model.rows) == len(reference.rows) - n - pins - inst.h * inst.k, t
+        assert len(model.rows) == len(reference.rows) - n - pins - inst.h * form.inst.k, t
         tab, ref = lp.phase_one(model), lp.phase_one(reference)
         assert len(tab.slack_row) == len(ref.slack_row) - n == n, t
-        E = form.E.ravel() - n * inst.k
+        E = form.E.ravel() - n * form.inst.k
         assert bool(np.isin(tab.var, E).any()) is (form.E.size > 0 and not pins), t
         pinned += pins > 0
     assert pinned >= 3
@@ -643,13 +651,14 @@ def test_tight_set_rows_off_the_origin_certify(branching):
 def test_tight_set_rows_off_the_origin_by_at_most_tol():
     """compute_lin_hull accepts a tight row pair v u >= zeta_j,
     -v u >= -zeta_j with 0 < zeta_j <= tol, so zeta has a positive and a
-    negative entry on tight rows.  Node LPs render both rows with zeta_j = 0,
-    as the hull takes them through the origin, so x_i = 0 cuts the A_i of
-    neither.  Over the index-branching tree of warm children, each warm
-    child keeps the status of its cold node LP, which keeps the status of
-    the reference node LP wherever the dense solver solves that one, and
-    the lifted point of every feasible node, warm and cold, meets r >= 0
-    and r_i + zeta^T A_i >= 0 exactly for the rendered zeta."""
+    negative entry on tight rows.  Node LPs solve in hull coordinates, which
+    drop both rows, so every fixing cuts a whole block: x_i = 0 cuts sigma_i
+    and all of A_i, x_i = 1 all of C_i.  Over the index-branching tree of
+    warm children, each warm child keeps the status of its cold node LP,
+    which keeps the status of the reference node LP wherever the dense
+    solver solves that one, and the lifted point of every feasible node,
+    warm and cold, meets r >= 0 and r_i + zeta^T A_i >= 0 exactly for the
+    rendered zeta."""
     tol = 1e-8
     compared = points = unsolved = 0
     for seed in range(6):
@@ -657,10 +666,14 @@ def test_tight_set_rows_off_the_origin_by_at_most_tol():
         basis = compute_lin_hull(inst, tol)
         assert set(pair).isdisjoint(basis.inequality_rows)
         builder = NodeLpBuilder(inst, basis)
-        rendered = builder.form.inst.zeta
-        assert not rendered[pair].any()
-        skip = inst.n * inst.k
-        assert not np.isin(builder.form.A[0, pair] - skip, builder.fixing(0, 0)[0]).any()
+        form = builder.form
+        rendered = form.inst.zeta
+        assert form.inst.g == len(basis.inequality_rows)
+        assert form.inst.k == basis.dimension
+        skip = inst.n * form.inst.k
+        for i in range(inst.n):
+            assert set(builder.fixing(i, 0)[0]) == {form.r[i] - skip, *(form.A[i] - skip)}
+            assert set(builder.fixing(i, 1)[0]) == set(form.C[i] - skip)
         stack = [(tuple([UNFIXED] * inst.n), None, None)]
         while stack:
             fixed, parent, key = stack.pop()
@@ -897,6 +910,10 @@ def test_export_matches_mixed_search():
         planted_mixed_instance(rng, int(rng.integers(1, 4)), 2, 2)[:2] for _ in range(4)
     ]
     pairs.append((coupled_mixed_instance(False), coupled_mixed_instance(True)))
+    # a pinned block on a set with an implicit equality, and its twin
+    mixed = export_mixed_instance()
+    freed = dataclasses.replace(mixed.mixed, y_adjustable=True)
+    pairs.append((mixed, dataclasses.replace(mixed, mixed=freed)))
     statuses = set()
     for pair in pairs:
         for inst in pair:
@@ -975,22 +992,37 @@ def test_lp_reader_rejects_what_the_export_never_writes(text, match):
 
 
 def test_export_matches_highs_beyond_brute_force():
-    # bigm_status enumerates 2^n binaries; HiGHS takes n = 10-14
+    # bigm_status enumerates 2^n binaries; HiGHS takes n = 10-14.  The
+    # tight-pair draws (pure, h >= 1, mixed pinned and adjustable) have a
+    # lower-dimensional set, which the search solves in hull coordinates
+    # and the export writes in the given ones.
     pytest.importorskip("scipy.optimize")
     rng = np.random.default_rng(2208)
-    statuses = []
+    insts = []
     for trial in range(8):
         n = 10 + trial % 5
         if trial % 2 == 0:
             inst, _ = planted_instance(rng, n, 3, 8)
         else:
             inst = random_instance(rng, n, 3, 8)
+        insts.append(inst)
+    for trial in range(3):
+        n = 10 + trial
+        if trial % 2 == 0:
+            inst, _ = planted_instance(rng, n, 3, 10, tight_pair=True)
+        else:
+            inst = random_instance(rng, n, 3, 10, tight_pair=True)
+        insts += [inst, dataclasses.replace(inst, h=1 + trial % 2)]
+        insts += planted_mixed_instance(rng, n, 1 + trial % 2, 3, 10, tight_pair=True)[:2]
+    statuses = []
+    for trial, inst in enumerate(insts):
         basis = compute_lin_hull(inst)
+        assert (basis.dimension < inst.k) is (trial >= 8), trial
         want = bnb_solve(inst, basis).status.value
         got = highs_status(parse_lp_text(export_milp(build_milp(inst, basis), "lp")))
         assert got == want, f"trial {trial}: HiGHS says {got}, search {want}"
         statuses.append(want)
-    assert set(statuses) == {"feasible", "infeasible"}
+    assert set(statuses[:8]) == set(statuses[8:]) == {"feasible", "infeasible"}
 
 
 def test_mps_export_sections():
