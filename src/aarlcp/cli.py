@@ -306,14 +306,9 @@ def build_parser() -> argparse.ArgumentParser:
     )
     sub = parser.add_subparsers(dest="command", required=True)
 
-    def common(p):
+    def common(p, tol="set-pass tolerance"):
         p.add_argument("instance", help="instance JSON file")
-        p.add_argument(
-            "--tol",
-            type=_tolerance,
-            default=1e-8,
-            help="feasibility tolerance (default 1e-8)",
-        )
+        p.add_argument("--tol", type=_tolerance, default=1e-8, help=f"{tol} (default 1e-8)")
 
     p = sub.add_parser("validate", help="check the uncertainty set assumptions")
     common(p)
@@ -324,7 +319,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.set_defaults(func=cmd_linhull)
 
     p = sub.add_parser("solve", help="search for an affine policy")
-    common(p)
+    common(p, "set-pass, node-LP and PSD-probe tolerance; certification stays at 1e-7")
     p.add_argument(
         "--psd",
         choices=("auto", "force", "off"),
@@ -350,12 +345,12 @@ def build_parser() -> argparse.ArgumentParser:
     p.set_defaults(func=cmd_solve)
 
     p = sub.add_parser("verify", help="certify a policy file against an instance")
-    common(p)
+    common(p, "set-pass tolerance; certification stays at 1e-7")
     p.add_argument("policy", help="policy JSON file")
     p.set_defaults(func=cmd_verify)
 
     p = sub.add_parser("oracle", help="exhaustive support enumeration (small n)")
-    common(p)
+    common(p, "set-pass and node-LP tolerance; certification runs at max(tol, 1e-7)")
     p.add_argument(
         "--limit",
         type=int,

@@ -150,6 +150,8 @@ class MixedExtension:
             raise DimensionMismatch(f"P must have {m} rows, got {P.shape}")
         for name, val in (("V", V), ("W", W), ("N", N), ("p", p), ("P", P)):
             object.__setattr__(self, name, val)
+        if not isinstance(self.y_adjustable, (bool, np.bool_)):
+            raise ValueError(f"y_adjustable must be a bool, not {self.y_adjustable!r}")
         object.__setattr__(self, "y_adjustable", bool(self.y_adjustable))
 
     @property
@@ -196,7 +198,10 @@ class Instance:
             raise DimensionMismatch(
                 f"zeta must have length {Theta.shape[0]}, got {zeta.shape}"
             )
-        h = int(self.h)
+        h = self.h
+        if isinstance(h, bool) or not isinstance(h, (int, np.integer)):
+            raise ValueError(f"h must be an integer, not {h!r}")
+        h = int(h)
         if not 0 <= h < n:
             raise DimensionMismatch(f"h must satisfy 0 <= h < n, got {h}")
         if self.mixed is not None:

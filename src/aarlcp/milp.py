@@ -8,9 +8,10 @@ Every row family of the reformulation is declared once, by a method of
 :class:`Formulation` that returns a :class:`Family`: a tag, relations,
 right-hand sides and one coefficient block per column group, each a
 Kronecker product of the data.  Families are rendered two ways, block by
-block.  Node LPs (:class:`NodeLpBuilder`) render four of the eleven
-families as rows and write every fixing as an exact cut, so they add no
-rows below the root and no big-M rows exist there.  The big-M export,
+block.  Node LPs (:class:`NodeLpBuilder`) run on the formulation's own
+columns, render four of the eleven families as rows and write every
+fixing as an exact cut, so they add no rows below the root and no big-M
+rows exist there; its docstring describes that layer.  The big-M export,
 which relaxes each indicator row by a big-M multiple of its binary for
 hand-off to external integer programming tools and names the rows and
 columns, lives in :mod:`aarlcp.export`.  Both, and so the tree search
@@ -18,31 +19,6 @@ columns, lives in :mod:`aarlcp.export`.  Both, and so the tree search
 instance with a positive semidefinite matrix the search starts at the one
 support an affine rule can use (:func:`psd.forced_support`), not at the
 unfixed root, so it runs a single node.
-
-The four are w_dual_value, w_dual_match, mixed_nominal and
-mixed_direction; the other seven are bounds or cuts in node LPs and rows
-only in the export.  Node LPs solve the instance in hull coordinates
-u = B v (:meth:`LinHullBasis.coordinates`) with the hull I_d, so every set
-row has zeta_j < 0 and none is an implicit equality; certification and the
-export keep the given data.  The rule D enters only through its
-certificate D_i = Theta^T A_i, so node LPs carry neither D columns nor
-z_dual_match rows, and every other row has D replaced by that product.
-The nominal rule r enters through sigma_i = r_i + zeta^T A_i: node column
-r_i holds sigma_i, every row has r_i replaced by sigma_i - zeta^T A_i, and
-z_dual_value row i is the bound sigma_i >= 0, which with A >= 0 gives
-r_i >= 0 too.  here_and_now bounds A_i at [0, 0] for i < h, which makes D_i
-zero, and a pinned free block gets E in [0, 0] in place of its mixed_pin
-rows.
-
-A fixing adds no indicator rows.  It drops the block of columns it forces
-to zero: sigma_i and A_i for x_i = 0, since r_i = sigma_i - zeta^T A_i is a
-sum of nonnegative terms; C_i for x_i = 1, which also cuts the slack of
-w_dual_value row i and so makes that row an equation.  That is exact: with
-C_i zero, the equation is nominal_comp and the w_dual_match rows of i are
-direction_comp along the hull I_d.  The enumeration oracle's equality
-stage keeps just those rows of each x_i = 1 and the coupling rows
-(:meth:`NodeLpBuilder.support_model`).  :meth:`NodeLpBuilder.lift` and
-:meth:`NodeLpBuilder.extract_policy` map a node LP point back.
 
 Row families:
 
@@ -201,13 +177,15 @@ class Family:
 class Formulation:
     """Column layout and row families of the reformulation of one instance.
 
-    Column groups, in order: D (n x k, row-major), r (n), the multipliers A
-    of the decision rows (g per row), the multipliers C of the slack rows,
-    and the free block's s (m) and E (m x k); cols maps each group to its
-    columns.  D, s and E are free, the rest nonnegative.  A pure instance
-    gets an empty free block (m = 0), and hull holds the hull vectors, one
-    per row.  Each family is the method named after its tag, and its blocks
-    are Kronecker products of the data: w_dual_match, for one, is
+    Column groups, in order: r (n), the multipliers A of the decision rows
+    (g per row), the multipliers C of the slack rows, the free block's s (m)
+    and E (m x k), and D (n x k); each group numbers its columns row-major,
+    and cols maps each group to them.  s, E and D are free, the rest
+    nonnegative.  D comes last, so node LPs, which carry every group but D,
+    run on the first columns.  A pure instance gets an empty free block
+    (m = 0), and hull holds the hull vectors, one per row.  Each family is
+    the method named after its tag, and its blocks are Kronecker products
+    of the data: w_dual_match, for one, is
     [C: I_n x Theta^T | D: -M x I_k | E: -N x I_k].
     """
 
@@ -220,16 +198,15 @@ class Formulation:
             self.mixed = MixedExtension(*empty, P=np.zeros((0, k)))
         m = self.mixed.m
         self.hull = hull
-        start = np.cumsum([0, n * k, n, g * n, g * n, m, m * k])
-        self.D = np.arange(start[0], start[1]).reshape(n, k)
-        self.r = np.arange(start[1], start[2])
-        self.A = np.arange(start[2], start[3]).reshape(n, g)
-        self.C = np.arange(start[3], start[4]).reshape(n, g)
-        self.s = np.arange(start[4], start[5])
-        self.E = np.arange(start[5], start[6]).reshape(m, k)
+        start = np.cumsum([0, n, g * n, g * n, m, m * k, n * k])
+        self.r = np.arange(start[0], start[1])
+        self.A = np.arange(start[1], start[2]).reshape(n, g)
+        self.C = np.arange(start[2], start[3]).reshape(n, g)
+        self.s = np.arange(start[3], start[4])
+        self.E = np.arange(start[4], start[5]).reshape(m, k)
+        self.D = np.arange(start[5], start[6]).reshape(n, k)
         self.total = int(start[-1])
-        self.cols = {group: getattr(self, group).ravel() for group in "DrACsE"}
-        self.free = np.concatenate([self.cols[group] for group in "DsE"])
+        self.cols = {group: getattr(self, group).ravel() for group in "rACsED"}
 
     def z_dual_value(self) -> Family:
         n = self.inst.n
@@ -308,15 +285,14 @@ class NodeLpBuilder:
     k x d matrix of the hull vectors, with the hull I_d, so zeta < 0, and
     with each row of [M q T N] divided by its infinity norm, which maps
     every policy to itself and only rescales the C multipliers.
-    Certification and the export keep the given data.  Node LPs render four
-    families as rows: w_dual_value, w_dual_match, mixed_nominal and
+    Certification and the export keep the given data.  Node LPs carry the
+    formulation's first :attr:`total` columns, every group but D, and render
+    four families as rows: w_dual_value, w_dual_match, mixed_nominal and
     mixed_direction.  The other seven are bounds or cuts:
 
     * z_dual_match: node LPs carry no D columns.  Those rows say
       D_i = Theta^T A_i, so every row is rendered with D replaced by that
-      product.  D is the first column group, so node column j is
-      formulation column j + n d, and a family's D block folds into its A
-      columns.
+      product, and a family's D block folds into its A columns.
     * z_dual_value: node column r_i holds sigma_i = r_i + zeta^T A_i, so a
       family's r block is written into the sigma columns and folded into
       the A columns as -block x zeta, and z_dual_value row i is the bound
@@ -336,61 +312,57 @@ class NodeLpBuilder:
     sigma_i and A_i are zero.  x_i = 1 pins the nominal slack to zero, so
     w_dual_value implies C_i = 0, and node LPs cut the slack of w_dual_value
     row i as well.  With C_i gone, that row at zero slack is nominal_comp
-    and the w_dual_match rows of i are direction_comp.  Every node LP, warm
-    or cold, fixes each such column at zero.
+    and the w_dual_match rows of i are direction_comp.
 
-    The rendered rows are built once, and so are the :meth:`fixing` of
-    every (index, value), the columns it zeroes and the row whose slack it
-    cuts, and the rows of each index that :meth:`support_model` keeps.
-    For a cold solve, :meth:`model` writes the w_dual_value row of each
-    x_i = 1 as an equation and gives the zeroed columns the bounds [0, 0],
-    so :func:`lp.phase_one` cuts the columns that :meth:`lp.Tableau.cut`
-    cuts for a warm child: the tree search keeps each parent's phase-one
-    tableau on its stack and cuts it by the fixing of the one entry a
-    child fixes, with no new rows, so no node tableau has more rows than
-    the root's.  Models share the bound arrays of the unfixed root, which
-    the solver never mutates.
+    The rendered rows are built once, with the row positions of each family,
+    and so is the table of every :meth:`fixing`: the columns it zeroes and
+    the rows whose slack it cuts.  Warm and cold nodes read that one table.
+    :meth:`lp.Tableau.cut` cuts a warm child out of its parent's phase-one
+    tableau, which the tree search keeps on its stack, with no new rows, so
+    no node tableau has more rows than the root's.  For a cold solve,
+    :meth:`model` writes each cut row as an equation and gives the zeroed
+    columns the bounds [0, 0], so :func:`lp.phase_one` cuts the same
+    columns.  Models share the bound arrays of the unfixed root, which the
+    solver never mutates.
     """
 
     def __init__(self, inst: Instance, basis: LinHullBasis):
         self._B = basis.matrix
-        n, d = inst.n, basis.dimension
-        form = self.form = Formulation(_hull_scaled(inst, basis), np.eye(d))
-        self.n, self._skip = n, n * d
-        self.total = form.total - self._skip
-        self._r, self._A = form.r - self._skip, form.A - self._skip
+        form = self.form = Formulation(_hull_scaled(inst, basis), np.eye(basis.dimension))
+        self.n = n = inst.n
+        self.total = form.total - form.D.size
         self._zeta = form.inst.zeta
 
-        lower = np.zeros(form.total)
-        lower[form.free] = -np.inf
-        upper = np.full(form.total, np.inf)
+        lower = np.zeros(self.total)
+        lower[form.s] = lower[form.E] = -np.inf
+        upper = np.full(self.total, np.inf)
         upper[form.A[: inst.h]] = 0.0  # here_and_now
         if not form.mixed.y_adjustable:
             lower[form.E] = upper[form.E] = 0.0
-        self._lower, self._upper = lower[self._skip :], upper[self._skip :]
-        for arr in (self._lower, self._upper):
+        self._lower, self._upper = lower, upper
+        for arr in (lower, upper):
             arr.setflags(write=False)
 
-        tags = (TAG_W_DUAL_VALUE, TAG_W_DUAL_MATCH, TAG_MIXED_NOMINAL, TAG_MIXED_DIRECTION)
-        self._static = [row for tag in tags for row in self._rows(getattr(form, tag)())]
-        # Zeroed columns and tight rows, per (index, value), and the rows
-        # support_model keeps, per index: w_dual_value row i is row i,
-        # w_dual_match row (i, c) is row n + i d + c, and the coupling rows
-        # come last.
+        # the position of each rendered row, per family, in the family's shape
+        self._static, at = [], {}
+        for tag in (TAG_W_DUAL_VALUE, TAG_W_DUAL_MATCH, TAG_MIXED_NOMINAL, TAG_MIXED_DIRECTION):
+            fam = getattr(form, tag)()
+            at[tag] = len(self._static) + np.arange(len(fam.rhs)).reshape(fam.shape)
+            self._static += self._rows(fam)
+        value, match = at[TAG_W_DUAL_VALUE], at[TAG_W_DUAL_MATCH]
         none = np.zeros(0, dtype=int)
         self._fixing: dict[tuple[int, int], tuple[np.ndarray, np.ndarray]] = {}
-        self._support_rows: list[list[int]] = []
         for i in range(n):
-            self._fixing[i, 0] = (np.append(self._r[i], self._A[i]), none)
-            self._fixing[i, 1] = (form.C[i] - self._skip, np.array([i]))
-            self._support_rows.append([i, *range(n + i * d, n + (i + 1) * d)])
-        self._coupling = list(range(n + n * d, len(self._static)))
+            self._fixing[i, 0] = (np.append(form.r[i], form.A[i]), none)
+            self._fixing[i, 1] = (form.C[i], value[i : i + 1])
+        self._support_rows = np.column_stack([value, match])
+        self._coupling = np.append(at[TAG_MIXED_NOMINAL], at[TAG_MIXED_DIRECTION])
 
     def _rows(self, fam: Family) -> list:
         """(coefficients, relation, rhs) of each row of a family, in node
         columns, with D_i = Theta^T A_i folded into the A columns and
         r_i = sigma_i - zeta^T A_i into the sigma and A columns."""
-        inst = self.form.inst
+        form, inst = self.form, self.form.inst
         coeffs = np.zeros((len(fam.rhs), self.total))
         for group, block in fam.blocks.items():
             if group == "D":
@@ -399,25 +371,28 @@ class NodeLpBuilder:
                 block = block.reshape(len(coeffs), inst.n * inst.g)
             elif group == "r":
                 fold = block[:, :, None] * self._zeta
-                coeffs[:, self._A.ravel()] -= fold.reshape(len(coeffs), inst.n * inst.g)
-            coeffs[:, self.form.cols[group] - self._skip] += block
+                coeffs[:, form.cols["A"]] -= fold.reshape(len(coeffs), inst.n * inst.g)
+            coeffs[:, form.cols[group]] += block
         return [(row, fam.rel, rhs) for row, rhs in zip(coeffs, fam.rhs)]
 
     def model(self, node) -> lp.LpModel:
-        """Full node LP: the rendered rows, with w_dual_value row i an
-        equation wherever x_i = 1, and every column a fixing forces pinned
-        at zero."""
-        fixed = _normalize_fixed(node, self.n)
+        """Full node LP: the rendered rows and root bounds, cut by the
+        :meth:`fixing` of every fixed entry."""
+        return self._model(_normalize_fixed(node, self.n))
+
+    def _model(self, fixed: tuple[int, ...]) -> lp.LpModel:
         model = lp.LpModel(self.total)
         model.rows = list(self._static)
         model.lower, model.upper = self._lower, self._upper
         zero = []
         for i, f in enumerate(fixed):
-            if f == 1:  # w_dual_value row i is row i
-                coeffs, _, rhs = model.rows[i]
-                model.rows[i] = (coeffs, lp.EQ, rhs)
-            if f != UNFIXED:
-                zero.append(self._fixing[i, f][0])
+            if f == UNFIXED:
+                continue
+            cols, tight = self._fixing[i, f]
+            zero.append(cols)
+            for p in tight:
+                coeffs, _, rhs = model.rows[p]
+                model.rows[p] = (coeffs, lp.EQ, rhs)
         if zero:
             # the forced columns are nonnegative, so lower is 0 already
             model.upper = self._upper.copy()
@@ -429,8 +404,8 @@ class NodeLpBuilder:
         :meth:`lp.Tableau.cut` takes them; a fixing adds no rows.  zero
         lists the node columns it forces to zero: sigma_i and all of A_i for
         value 0, all of C_i for value 1.  tight lists the rows of
-        :meth:`model` whose slack it cuts: w_dual_value row i, which is row
-        i, for value 1, none for value 0."""
+        :meth:`model` whose slack it cuts: w_dual_value row i for value 1,
+        none for value 0."""
         return self._fixing[i, value]
 
     def support_model(self, node) -> lp.LpModel:
@@ -442,21 +417,23 @@ class NodeLpBuilder:
         and its w_dual_match rows are direction_comp, whose hull is I_d.
         The full node LP keeps these rows, so this stays its relaxation."""
         fixed = _normalize_fixed(node, self.n)
-        model = self.model(fixed)
-        keep = [p for i, f in enumerate(fixed) if f == 1 for p in self._support_rows[i]]
-        model.rows = [model.rows[p] for p in keep + self._coupling]
+        model = self._model(fixed)
+        ones = [i for i, f in enumerate(fixed) if f == 1]
+        keep = np.append(self._support_rows[ones], self._coupling)
+        model.rows = [model.rows[p] for p in keep]
         return model
 
     def r_of(self, point: np.ndarray) -> np.ndarray:
         """The nominal rule r_i = sigma_i - zeta^T A_i of a node LP point."""
-        return point[self._r] - point[self._A] @ self._zeta
+        return point[self.form.r] - point[self.form.A] @ self._zeta
 
     def lift(self, point: np.ndarray) -> np.ndarray:
-        """A node LP point in the formulation's columns, which are in hull
-        coordinates: D_i = Theta^T A_i ahead of the node columns, and r in
-        place of sigma.  D_i is exactly zero for i < h, whose A_i are cut."""
-        A = point[self._A]
-        out = np.concatenate(((A @ self.form.inst.Theta).ravel(), point))
+        """A node LP point in all the formulation's columns, which are in
+        hull coordinates: r in place of sigma, and D_i = Theta^T A_i
+        appended as the last group.  D_i is exactly zero for i < h, whose
+        A_i are cut."""
+        A = point[self.form.A]
+        out = np.concatenate((point, (A @ self.form.inst.Theta).ravel()))
         out[self.form.r] = self.r_of(point)
         return out
 

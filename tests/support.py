@@ -582,19 +582,16 @@ def dense_rows(form, fam) -> np.ndarray:
 
 
 def node_map(builder) -> np.ndarray:
-    """Z with x_full = Z @ x for a node point x: the identity on the
-    columns node LPs keep, D_i = Theta^T A_i, and r_i = sigma_i - zeta^T A_i,
-    where node column r_i holds sigma_i and Theta and zeta are those of the
-    builder's formulation, which is in hull coordinates (zeta < 0)."""
+    """Z with x_full = Z @ x for a node point x: the identity on the node
+    columns, which are the formulation's first builder.total, then
+    D_i = Theta^T A_i, and r_i = sigma_i - zeta^T A_i, where node column
+    r_i holds sigma_i and Theta and zeta are those of the builder's
+    formulation, which is in hull coordinates (zeta < 0)."""
     form = builder.form
-    kept = np.setdiff1d(np.arange(form.total), form.D.ravel())
-    pos = np.full(form.total, -1)
-    pos[kept] = np.arange(len(kept))
-    Z = np.zeros((form.total, len(kept)))
-    Z[kept, np.arange(len(kept))] = 1.0
+    Z = np.eye(form.total, builder.total)
     for i in range(builder.n):
-        Z[np.ix_(form.D[i], pos[form.A[i]])] = form.inst.Theta.T
-        Z[form.r[i], pos[form.A[i]]] = -form.inst.zeta
+        Z[np.ix_(form.D[i], form.A[i])] = form.inst.Theta.T
+        Z[form.r[i], form.A[i]] = -form.inst.zeta
     return Z
 
 

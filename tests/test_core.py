@@ -1,5 +1,7 @@
 """Data model, kernel basis, and set validation tests."""
 
+import dataclasses
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -116,6 +118,13 @@ def test_instance_dimension_checks():
             zeta=np.zeros(2),
             h=2,
         )
+    # h is an integer: no truncated float, no boolean
+    for h in (1.7, 1.0, True, np.float64(1.0), "1"):
+        with pytest.raises(ValueError, match="h must be an integer"):
+            dataclasses.replace(good, h=h)
+    for h in (1, np.int64(1), np.int32(0)):
+        inst = dataclasses.replace(good, h=h)
+        assert inst.h == int(h) and type(inst.h) is int
 
 
 def test_instance_arrays_frozen():
@@ -133,6 +142,16 @@ def test_mixed_extension_shapes():
             p=np.zeros(1),
             P=np.zeros((1, 2)),
         )
+    blocks = dict(
+        V=np.zeros((1, 2)), W=np.eye(1), N=np.zeros((2, 1)), p=np.zeros(1), P=np.zeros((1, 2))
+    )
+    # y_adjustable is a bool, not a truthy string or number
+    for flag in ("false", "true", 0, 1, None):
+        with pytest.raises(ValueError, match="y_adjustable must be a bool"):
+            MixedExtension(**blocks, y_adjustable=flag)
+    for flag in (True, False, np.bool_(True), np.bool_(False)):
+        mx = MixedExtension(**blocks, y_adjustable=flag)
+        assert mx.y_adjustable is bool(flag)
 
 
 def test_policy_validation():

@@ -498,7 +498,10 @@ def test_node_rows_equal_dense_rows_times_z():
         builder = NodeLpBuilder(inst, compute_lin_hull(inst))
         form, Z, n = builder.form, node_map(builder), inst.n
         k = form.inst.k  # the hull's dimension: node LPs work in hull coordinates
-        node = np.arange(form.total) - n * k  # node column, D first
+        # node columns are the formulation's first builder.total: D comes last
+        groups = np.concatenate([form.cols[group] for group in "rACsED"])
+        assert np.array_equal(groups, np.arange(form.total)), t
+        assert builder.total == form.total - form.D.size == form.D.flat[0], t
         root = [UNFIXED] * n
         root_model = builder.model(root)
         fams = {tag: getattr(form, tag)() for tag in ALL_TAGS}
@@ -507,7 +510,7 @@ def test_node_rows_equal_dense_rows_times_z():
         # z_dual_value row i times Z is sigma_i, as the rendered zeta < 0
         z_rows = dense_rows(form, fams[TAG_Z_DUAL_VALUE]) @ Z
         want = np.zeros_like(z_rows)
-        want[np.arange(n), node[form.r]] = 1.0
+        want[np.arange(n), form.r] = 1.0
         assert np.array_equal(z_rows, want), t
         assert not fams[TAG_Z_DUAL_VALUE].rhs.any()
         # here_and_now rows times Z are rows of Theta^T on the A_i columns
@@ -515,21 +518,21 @@ def test_node_rows_equal_dense_rows_times_z():
         now = dense_rows(form, fams[TAG_HERE_AND_NOW]) @ Z
         want = np.zeros_like(now)
         for i in range(inst.h):
-            want[i * k : (i + 1) * k, node[form.A[i]]] = form.inst.Theta.T
+            want[i * k : (i + 1) * k, form.A[i]] = form.inst.Theta.T
         assert np.array_equal(now, want) and len(now) == inst.h * k, t
         assert not fams[TAG_HERE_AND_NOW].rhs.any()
-        assert bounded_at_zero(root_model, node[form.A[: inst.h].ravel()]), t
-        assert np.isinf(root_model.upper[node[form.A[inst.h :].ravel()]]).all(), t
+        assert bounded_at_zero(root_model, form.A[: inst.h].ravel()), t
+        assert np.isinf(root_model.upper[form.A[inst.h :].ravel()]).all(), t
         # mixed_pin rows times Z are unit rows on E columns the model cuts
         pin = dense_rows(form, fams[TAG_MIXED_PIN]) @ Z
         pinned_cols = np.flatnonzero(np.abs(pin).sum(axis=0))
         assert np.array_equal(pin[:, pinned_cols], np.eye(len(pin))), t
-        assert np.isin(pinned_cols, node[form.E.ravel()]).all(), t
+        assert np.isin(pinned_cols, form.E.ravel()).all(), t
         assert bounded_at_zero(root_model, pinned_cols), t
         if inst.mixed is not None and not inst.mixed.y_adjustable:
             assert len(pinned_cols) == form.E.size > 0, t
         else:
-            assert np.isinf(root_model.upper[node[form.E.ravel()]]).all(), t
+            assert np.isinf(root_model.upper[form.E.ravel()]).all(), t
 
         # row positions of the rendered families in every node LP
         start = np.cumsum([0] + [len(fams[tag].rhs) for tag in rendered])
@@ -616,8 +619,7 @@ def test_node_lps_drop_the_z_dual_value_and_mixed_pin_rows():
         assert len(model.rows) == len(reference.rows) - n - pins - inst.h * form.inst.k, t
         tab, ref = lp.phase_one(model), lp.phase_one(reference)
         assert len(tab.slack_row) == len(ref.slack_row) - n == n, t
-        E = form.E.ravel() - n * form.inst.k
-        assert bool(np.isin(tab.var, E).any()) is (form.E.size > 0 and not pins), t
+        assert bool(np.isin(tab.var, form.E).any()) is (form.E.size > 0 and not pins), t
         pinned += pins > 0
     assert pinned >= 3
 
@@ -670,10 +672,9 @@ def test_tight_set_rows_off_the_origin_by_at_most_tol():
         rendered = form.inst.zeta
         assert form.inst.g == len(basis.inequality_rows)
         assert form.inst.k == basis.dimension
-        skip = inst.n * form.inst.k
         for i in range(inst.n):
-            assert set(builder.fixing(i, 0)[0]) == {form.r[i] - skip, *(form.A[i] - skip)}
-            assert set(builder.fixing(i, 1)[0]) == set(form.C[i] - skip)
+            assert set(builder.fixing(i, 0)[0]) == {form.r[i], *form.A[i]}
+            assert set(builder.fixing(i, 1)[0]) == set(form.C[i])
         stack = [(tuple([UNFIXED] * inst.n), None, None)]
         while stack:
             fixed, parent, key = stack.pop()
@@ -704,7 +705,7 @@ def _full_space_model(builder, fixed):
     """The node LP before the presolve: free D columns and z_dual_match rows."""
     form = builder.form
     model = lp.LpModel(form.total)
-    model.set_free(form.free)
+    model.set_free(np.concatenate([form.cols[group] for group in "sED"]))
     for tag in ALL_TAGS:
         fam = getattr(form, tag)()
         holds = slice(None) if fam.i is None else np.array(fixed)[fam.i] == fam.value
